@@ -1,9 +1,9 @@
 // E12 — Microbenchmark suite (google-benchmark): throughput of the
 // building blocks and the end-to-end protocols.
 //
-// Expected shape: IBLT insert O(q) per key, decode O(m); grid hashing O(d)
-// per (point, level); exact EMD O(n^3) vs greedy O(n^2 log n); quadtree
-// encode O(n log Δ).
+// Expected shape: IBLT insert O(q) per key, decode O(m); the quadtree
+// ladder one O(n log n) sort plus O(d) hashing per (cell, level); exact EMD
+// O(n^3) vs greedy O(n^2 log n); quadtree encode O(n log Δ).
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,8 @@
 #include "geometry/grid.h"
 #include "iblt/iblt.h"
 #include "iblt/sizing.h"
+#include "recon/params.h"
+#include "recon/quadtree_recon.h"
 #include "recon/registry.h"
 #include "riblt/riblt.h"
 #include "util/random.h"
@@ -76,10 +78,14 @@ void BM_RibltDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RibltDecode)->Arg(64)->Arg(512);
 
-void BM_GridHistogram(benchmark::State& state) {
+// Alice's one-shot sketch at Δ = 2^20: one Z-order sort, then every
+// ladder level's histogram into its IBLT (21 levels). Items are points, so
+// the rate reads as ns per point for the whole ladder.
+void BM_LadderBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Universe u = MakeUniverse(1 << 20, 2);
   const ShiftedGrid grid(u, 8);
+  const recon::QuadtreeParams params;
   Rng rng(9);
   PointSet points;
   for (size_t i = 0; i < n; ++i) {
@@ -87,11 +93,16 @@ void BM_GridHistogram(benchmark::State& state) {
                       rng.Uniform(0, (1 << 20) - 1)});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildCellHistogram(grid, points, 10));
+    const CellLadder ladder(grid, points);
+    for (int level : recon::ProtocolLevels(grid, params)) {
+      Iblt table(recon::LevelIbltConfig(grid, level, n, params, 8));
+      recon::SketchLevelHistogram(grid, ladder, level, n, &table);
+      benchmark::DoNotOptimize(table);
+    }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
 }
-BENCHMARK(BM_GridHistogram)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_LadderBuild)->Arg(1024)->Arg(16384);
 
 void BM_ExactEmd(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

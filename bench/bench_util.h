@@ -2,7 +2,10 @@
 //
 // Each harness prints a self-describing table: experiment id, the claim
 // being reproduced ("paper shape"), the sweep axis, and one row per
-// configuration. EXPERIMENTS.md records these outputs next to the claims.
+// configuration. No document archives these outputs: the claim travels in
+// each table's banner, DESIGN.md discusses the serving and replication
+// experiments (E16–E19), and CI asserts rows of the JSON files below
+// (.github/workflows/ci.yml).
 //
 // Alongside the human-readable table, every harness also writes a
 // machine-readable BENCH_<id>.json (into $RSR_BENCH_JSON_DIR, default the
@@ -175,10 +178,12 @@ class JsonSink {
 
 /// Prints the experiment banner and opens BENCH_<id>.json.
 inline void Banner(const char* id, const char* title, const char* shape) {
-  std::printf("==============================================================\n");
+  std::printf(
+      "==============================================================\n");
   std::printf("%s: %s\n", id, title);
   std::printf("paper shape: %s\n", shape);
-  std::printf("==============================================================\n");
+  std::printf(
+      "==============================================================\n");
   JsonSink::Instance().Open(id, title, shape);
 }
 

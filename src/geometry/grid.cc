@@ -1,5 +1,8 @@
 #include "geometry/grid.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "hash/mix.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -89,18 +92,50 @@ bool ShiftedGrid::UnpackCell(int level, BitReader* in, Cell* out) const {
   return true;
 }
 
-std::unordered_map<uint64_t, CellCount> BuildCellHistogram(
-    const ShiftedGrid& grid, const PointSet& points, int level) {
-  std::unordered_map<uint64_t, CellCount> histogram;
-  histogram.reserve(points.size() * 2);
-  for (const Point& p : points) {
-    Cell cell = grid.CellOf(p, level);
-    const uint64_t key = grid.CellKey(cell, level);
-    auto [it, inserted] = histogram.try_emplace(key);
-    if (inserted) it->second.cell = std::move(cell);
-    ++it->second.count;
+CellLadder::CellLadder(const ShiftedGrid& grid, const PointSet& points)
+    : d_(static_cast<size_t>(grid.universe().d)) {
+  const size_t n = points.size();
+  RSR_CHECK(n <= UINT32_MAX);  // the sort permutes 32-bit indices
+  const Point& shift = grid.shift();
+  std::vector<uint64_t> shifted(n * d_);
+  for (size_t i = 0; i < n; ++i) {
+    RSR_DCHECK(grid.universe().Contains(points[i]));
+    for (size_t j = 0; j < d_; ++j) {
+      shifted[i * d_ + j] = static_cast<uint64_t>(points[i][j] + shift[j]);
+    }
   }
-  return histogram;
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  const size_t d = d_;
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const uint64_t* pa = shifted.data() + size_t{a} * d;
+    const uint64_t* pb = shifted.data() + size_t{b} * d;
+    size_t dim = 0;
+    uint64_t top = 0;
+    for (size_t j = 0; j < d; ++j) {
+      const uint64_t x = pa[j] ^ pb[j];
+      // msb(top) < msb(x): x's highest differing bit outranks top's.
+      if (top < x && top < (top ^ x)) {
+        top = x;
+        dim = j;
+      }
+    }
+    return pa[dim] < pb[dim];
+  });
+  coords_.resize(n * d_);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy_n(shifted.data() + size_t{order[i]} * d_, d_,
+                coords_.data() + i * d_);
+  }
+  splits_.resize(n);
+  for (size_t i = 0; i + 1 < n; ++i) {
+    uint64_t split = 0;
+    for (size_t j = 0; j < d_; ++j) {
+      split |= coords_[i * d_ + j] ^ coords_[(i + 1) * d_ + j];
+    }
+    splits_[i] = split;
+  }
+  if (n > 0) splits_[n - 1] = ~uint64_t{0};
 }
 
 }  // namespace rsr

@@ -14,7 +14,6 @@
 #define RSR_GEOMETRY_GRID_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "geometry/point.h"
@@ -79,18 +78,50 @@ class ShiftedGrid {
   uint64_t key_seed_;
 };
 
-/// One cell of a histogram: the cell id and how many of the party's points
-/// fall in it.
-struct CellCount {
-  Cell cell;
-  int64_t count = 0;
-};
+/// A point set sorted once in Z-order of its shifted coordinates, so that
+/// every level's cell histogram is a run-length scan of one order.
+///
+/// Points sharing a level-ℓ cell agree on every bit ≥ ℓ of every shifted
+/// coordinate, i.e. on a prefix of their bit-interleaved (Morton) key, so
+/// they are contiguous in Z-order at every level at once. The sort compares
+/// two points through the coordinate whose XOR has the highest set bit
+/// (Chan's xor-MSB trick), which orders by Morton key for any d without
+/// building one. After the sort, neighbours i and i+1 share their level-ℓ
+/// cell iff the OR of their coordinate XORs is below 2^ℓ, so a level's runs
+/// cost one shift and one compare per point.
+class CellLadder {
+ public:
+  CellLadder(const ShiftedGrid& grid, const PointSet& points);
 
-/// Aggregates `points` into level-`level` cells. The map is keyed by the
-/// grid's 64-bit cell key (collisions are negligible at 64 bits and are
-/// additionally guarded by IBLT checksums downstream).
-std::unordered_map<uint64_t, CellCount> BuildCellHistogram(
-    const ShiftedGrid& grid, const PointSet& points, int level);
+  /// Number of points (duplicates included).
+  size_t size() const { return splits_.size(); }
+
+  /// Calls fn(const Cell& cell, int64_t count) once per occupied
+  /// level-`level` cell, in Z-order. The cell is a reused buffer, valid
+  /// only during the call.
+  template <typename Fn>
+  void ForEachCell(int level, Fn&& fn) const {
+    const size_t n = size();
+    Cell cell(d_);
+    size_t start = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if ((splits_[i] >> level) == 0) continue;
+      const uint64_t* first = coords_.data() + start * d_;
+      for (size_t j = 0; j < d_; ++j) {
+        cell[j] = static_cast<int64_t>(first[j] >> level);
+      }
+      fn(static_cast<const Cell&>(cell), static_cast<int64_t>(i + 1 - start));
+      start = i + 1;
+    }
+  }
+
+ private:
+  size_t d_;
+  std::vector<uint64_t> coords_;  // n × d shifted coordinates, Z-ordered
+  /// splits_[i]: OR over j of coords(i)[j] ^ coords(i+1)[j]; the last
+  /// entry is all ones, so every level closes its final run there.
+  std::vector<uint64_t> splits_;
+};
 
 }  // namespace rsr
 

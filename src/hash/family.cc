@@ -16,18 +16,6 @@ PairwiseHash::PairwiseHash(uint64_t seed) {
   b_ = (static_cast<__uint128_t>(b_hi) << 64) | b_lo;
 }
 
-uint64_t PairwiseHash::operator()(uint64_t x) const {
-  const __uint128_t v = a_ * static_cast<__uint128_t>(x) + b_;
-  return static_cast<uint64_t>(v >> 64);
-}
-
-uint64_t PairwiseHash::Bounded(uint64_t x, uint64_t range) const {
-  RSR_DCHECK(range > 0);
-  const __uint128_t scaled =
-      static_cast<__uint128_t>((*this)(x)) * static_cast<__uint128_t>(range);
-  return static_cast<uint64_t>(scaled >> 64);
-}
-
 namespace {
 constexpr uint64_t kMersenne61 = (uint64_t{1} << 61) - 1;
 
@@ -81,12 +69,6 @@ IndexHasher::IndexHasher(uint64_t seed, int q, size_t m) : q_(q), m_(m) {
   for (int j = 0; j < q; ++j) {
     hashes_.emplace_back(SplitMix64(&state));
   }
-}
-
-size_t IndexHasher::Cell(uint64_t key, int j) const {
-  RSR_DCHECK(j >= 0 && j < q_);
-  return static_cast<size_t>(j) * per_ +
-         static_cast<size_t>(hashes_[static_cast<size_t>(j)].Bounded(key, per_));
 }
 
 void IndexHasher::Cells(uint64_t key, std::vector<size_t>* out) const {

@@ -3,8 +3,9 @@
 // * PairwiseHash — multiply-shift family, 2-independent over 64-bit keys,
 //   used wherever the analysis only needs pairwise independence (LSH key
 //   compression, strata assignment).
-// * PolynomialHash — degree-(k-1) polynomial over GF(2^61 - 1), k-independent,
-//   used when higher independence is wanted (IBLT cell indexing).
+// * PolynomialHash — degree-(k-1) polynomial over GF(2^61 - 1),
+//   k-independent, used when higher independence is wanted (IBLT cell
+//   indexing).
 // * IndexHasher — maps a key to q distinct cell indices of a partitioned
 //   hash table (the IBLT convention: hash function j picks a cell inside
 //   partition j, so the q cells are always distinct).
@@ -16,6 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/check.h"
+
 namespace rsr {
 
 /// 2-independent multiply-shift hash: h(x) = hi64((a*x + b) mod 2^128).
@@ -25,10 +28,18 @@ class PairwiseHash {
   explicit PairwiseHash(uint64_t seed);
 
   /// Full 64-bit output.
-  uint64_t operator()(uint64_t x) const;
+  uint64_t operator()(uint64_t x) const {
+    const __uint128_t v = a_ * static_cast<__uint128_t>(x) + b_;
+    return static_cast<uint64_t>(v >> 64);
+  }
 
   /// Output reduced to [0, range). Requires range > 0.
-  uint64_t Bounded(uint64_t x, uint64_t range) const;
+  uint64_t Bounded(uint64_t x, uint64_t range) const {
+    RSR_DCHECK(range > 0);
+    const __uint128_t scaled = static_cast<__uint128_t>((*this)(x)) *
+                               static_cast<__uint128_t>(range);
+    return static_cast<uint64_t>(scaled >> 64);
+  }
 
  private:
   __uint128_t a_;
@@ -61,7 +72,12 @@ class IndexHasher {
   size_t cells_per_partition() const { return per_; }
 
   /// Returns the cell index for hash function j in [0, q).
-  size_t Cell(uint64_t key, int j) const;
+  size_t Cell(uint64_t key, int j) const {
+    RSR_DCHECK(j >= 0 && j < q_);
+    const size_t index = static_cast<size_t>(j);
+    return index * per_ +
+           static_cast<size_t>(hashes_[index].Bounded(key, per_));
+  }
 
   /// Fills out[0..q) with all q cell indices for `key`.
   void Cells(uint64_t key, std::vector<size_t>* out) const;

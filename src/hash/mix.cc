@@ -4,25 +4,6 @@
 
 namespace rsr {
 
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-uint64_t Hash64(uint64_t x, uint64_t seed) {
-  return Mix64(x + 0x9e3779b97f4a7c15ULL * (seed | 1));
-}
-
-uint64_t HashCombine(uint64_t h, uint64_t next) {
-  // Boost-style combine upgraded to 64 bits with a full mix.
-  h ^= Mix64(next) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
 namespace {
 constexpr uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
 constexpr uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;

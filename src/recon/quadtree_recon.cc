@@ -21,13 +21,13 @@ uint64_t HistogramEntryKey(const ShiftedGrid& grid, const Cell& cell,
                      static_cast<uint64_t>(count));
 }
 
-std::vector<uint8_t> HistogramEntryValue(const ShiftedGrid& grid,
-                                         const Cell& cell, int level,
-                                         int64_t count, size_t n) {
-  BitWriter w;
-  grid.PackCell(cell, level, &w);
-  w.WriteBits(static_cast<uint64_t>(count), HistogramCountBits(n));
-  return std::move(w).TakeBytes();
+void HistogramEntryValue(const ShiftedGrid& grid, const Cell& cell, int level,
+                         int64_t count, size_t n, std::vector<uint8_t>* out) {
+  BitPacker packer(HistogramValueBits(grid, level, n), out);
+  const int coord_bits = grid.CellCoordBits(level);
+  for (int64_t c : cell) packer.WriteBits(static_cast<uint64_t>(c), coord_bits);
+  packer.WriteBits(static_cast<uint64_t>(count), HistogramCountBits(n));
+  packer.Flush();
 }
 
 bool ParseHistogramEntry(const ShiftedGrid& grid, int level, size_t n,
@@ -50,16 +50,28 @@ bool ParseHistogramEntry(const ShiftedGrid& grid, int level, size_t n,
   return true;
 }
 
+void SketchLevelHistogram(const ShiftedGrid& grid, const CellLadder& ladder,
+                          int level, size_t n, Iblt* iblt,
+                          StrataEstimator* probe, CellCounts* cell_counts) {
+  std::vector<uint8_t> value;
+  ladder.ForEachCell(level, [&](const Cell& cell, int64_t count) {
+    const uint64_t key = HistogramEntryKey(grid, cell, level, count);
+    if (iblt != nullptr) {
+      HistogramEntryValue(grid, cell, level, count, n, &value);
+      iblt->Insert(key, value);
+    }
+    if (probe != nullptr) probe->Insert(key);
+    if (cell_counts != nullptr) {
+      cell_counts->emplace(grid.CellKey(cell, level), count);
+    }
+  });
+}
+
 Iblt BuildLevelIblt(const ShiftedGrid& grid, const PointSet& points,
                     int level, size_t n, const QuadtreeParams& params,
                     uint64_t seed) {
   Iblt table(LevelIbltConfig(grid, level, n, params, seed));
-  const auto histogram = BuildCellHistogram(grid, points, level);
-  for (const auto& [cell_key, cc] : histogram) {
-    (void)cell_key;
-    table.Insert(HistogramEntryKey(grid, cc.cell, level, cc.count),
-                 HistogramEntryValue(grid, cc.cell, level, cc.count, n));
-  }
+  SketchLevelHistogram(grid, CellLadder(grid, points), level, n, &table);
   return table;
 }
 
@@ -149,24 +161,12 @@ StrataConfig AdaptiveLevelProbeConfig(int level, uint64_t seed) {
   return config;
 }
 
-namespace {
-
-void FillLevelEstimator(const ShiftedGrid& grid, const PointSet& points,
-                        int level, StrataEstimator* est) {
-  const auto histogram = BuildCellHistogram(grid, points, level);
-  for (const auto& [cell_key, cc] : histogram) {
-    (void)cell_key;
-    est->Insert(HistogramEntryKey(grid, cc.cell, level, cc.count));
-  }
-}
-
-}  // namespace
-
 StrataEstimator BuildLevelProbe(const ShiftedGrid& grid,
                                 const PointSet& points, int level,
                                 uint64_t seed) {
   StrataEstimator est(AdaptiveLevelProbeConfig(level, seed));
-  FillLevelEstimator(grid, points, level, &est);
+  SketchLevelHistogram(grid, CellLadder(grid, points), level, points.size(),
+                       nullptr, &est);
   return est;
 }
 
@@ -177,17 +177,19 @@ namespace {
 class QuadtreeAlice : public PartySessionBase {
  public:
   QuadtreeAlice(const ProtocolContext& context, const QuadtreeParams& params,
-                PointSet points)
-      : context_(context), params_(params), points_(std::move(points)) {}
+                const PointSet& points)
+      : context_(context),
+        params_(params),
+        ladder_(ShiftedGrid(context.universe, context.seed), points) {}
 
   std::vector<transport::Message> Start() override {
     const ShiftedGrid grid(context_.universe, context_.seed);
-    const std::vector<int> levels = ProtocolLevels(grid, params_);
     BitWriter w;
-    for (int level : levels) {
-      BuildLevelIblt(grid, points_, level, points_.size(), params_,
-                     context_.seed)
-          .Serialize(&w);
+    for (int level : ProtocolLevels(grid, params_)) {
+      Iblt table(LevelIbltConfig(grid, level, ladder_.size(), params_,
+                                 context_.seed));
+      SketchLevelHistogram(grid, ladder_, level, ladder_.size(), &table);
+      table.Serialize(&w);
     }
     result_.success = true;
     Finish();
@@ -202,7 +204,7 @@ class QuadtreeAlice : public PartySessionBase {
  private:
   ProtocolContext context_;
   QuadtreeParams params_;
-  PointSet points_;
+  CellLadder ladder_;  // Alice's set, sorted once for every level
 };
 
 class QuadtreeBob : public PartySessionBase {
@@ -226,10 +228,10 @@ class QuadtreeBob : public PartySessionBase {
     }
     const size_t n = points_.size();
     const ShiftedGrid grid(context_.universe, context_.seed);
-    const std::vector<int> levels = ProtocolLevels(grid, params_);
     BitReader r(message.payload);
     const size_t budget = params_.DecodeBudget();
-    for (int level : levels) {
+    std::optional<CellLadder> ladder;  // sorted on the first cache miss
+    for (int level : ProtocolLevels(grid, params_)) {
       const IbltConfig config =
           LevelIbltConfig(grid, level, n, params_, context_.seed);
       std::optional<Iblt> alice_iblt = Iblt::Deserialize(config, &r);
@@ -242,8 +244,9 @@ class QuadtreeBob : public PartySessionBase {
           sketches_ != nullptr ? sketches_->QuadtreeLevelIblt(config, level)
                                : std::nullopt;
       if (!bob_iblt.has_value()) {
-        bob_iblt =
-            BuildLevelIblt(grid, points_, level, n, params_, context_.seed);
+        if (!ladder.has_value()) ladder.emplace(grid, points_);
+        SketchLevelHistogram(grid, *ladder, level, n,
+                             &bob_iblt.emplace(config));
       }
       std::optional<std::vector<LevelDiffEntry>> diff = TryDecodeLevelDiff(
           grid, level, n, *alice_iblt, *bob_iblt, budget);
@@ -273,16 +276,17 @@ class QuadtreeBob : public PartySessionBase {
 class AdaptiveQuadtreeAlice : public PartySessionBase {
  public:
   AdaptiveQuadtreeAlice(const ProtocolContext& context,
-                        const QuadtreeParams& params, PointSet points)
-      : context_(context), params_(params), points_(std::move(points)) {}
+                        const QuadtreeParams& params, const PointSet& points)
+      : context_(context),
+        params_(params),
+        ladder_(ShiftedGrid(context.universe, context.seed), points) {}
 
   std::vector<transport::Message> Start() override {
     const ShiftedGrid grid(context_.universe, context_.seed);
-    const std::vector<int> levels = ProtocolLevels(grid, params_);
     BitWriter w;
-    for (int level : levels) {
+    for (int level : ProtocolLevels(grid, params_)) {
       StrataEstimator est(AdaptiveLevelProbeConfig(level, context_.seed));
-      FillLevelEstimator(grid, points_, level, &est);
+      SketchLevelHistogram(grid, ladder_, level, ladder_.size(), nullptr, &est);
       est.Serialize(&w);
     }
     result_.success = true;
@@ -293,7 +297,7 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
       transport::Message message) override {
     // Serve a "qt-level-request": ship this level's histogram IBLT at the
     // requested size, salted by the attempt number.
-    const size_t n = points_.size();
+    const size_t n = ladder_.size();
     const ShiftedGrid grid(context_.universe, context_.seed);
     BitReader rr(message.payload);
     uint64_t req_level = 0, req_cells = 0, req_attempt = 0;
@@ -307,16 +311,8 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
     config.cells = static_cast<size_t>(req_cells);
     config.seed = Hash64(req_attempt, config.seed);
     Iblt table(config);
-    const auto histogram =
-        BuildCellHistogram(grid, points_, static_cast<int>(req_level));
-    for (const auto& [cell_key, cc] : histogram) {
-      (void)cell_key;
-      table.Insert(
-          HistogramEntryKey(grid, cc.cell, static_cast<int>(req_level),
-                            cc.count),
-          HistogramEntryValue(grid, cc.cell, static_cast<int>(req_level),
-                              cc.count, n));
-    }
+    SketchLevelHistogram(grid, ladder_, static_cast<int>(req_level), n,
+                         &table);
     BitWriter w;
     table.Serialize(&w);
     return OneMessage(transport::MakeMessage("qt-level-iblt", std::move(w)));
@@ -325,7 +321,7 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
  private:
   ProtocolContext context_;
   QuadtreeParams params_;
-  PointSet points_;
+  CellLadder ladder_;  // Alice's set, sorted once for every request
 };
 
 class AdaptiveQuadtreeBob : public PartySessionBase {
@@ -385,7 +381,9 @@ class AdaptiveQuadtreeBob : public PartySessionBase {
               ? sketches_->QuadtreeLevelProbe(probe_config, level)
               : std::nullopt;
       if (!bob_est.has_value()) {
-        bob_est = BuildLevelProbe(grid, points_, level, context_.seed);
+        if (!ladder_.has_value()) ladder_.emplace(grid, points_);
+        SketchLevelHistogram(grid, *ladder_, level, points_.size(), nullptr,
+                             &bob_est.emplace(probe_config));
       }
       const uint64_t estimate = alice_est->EstimateDifference(*bob_est);
       if (estimate <= budget || level == levels.back()) {
@@ -418,13 +416,8 @@ class AdaptiveQuadtreeBob : public PartySessionBase {
       return NoMessages();
     }
     Iblt bob_iblt(config);
-    const auto histogram = BuildCellHistogram(grid, points_, chosen_);
-    for (const auto& [cell_key, cc] : histogram) {
-      (void)cell_key;
-      bob_iblt.Insert(HistogramEntryKey(grid, cc.cell, chosen_, cc.count),
-                      HistogramEntryValue(grid, cc.cell, chosen_, cc.count,
-                                          n));
-    }
+    if (!ladder_.has_value()) ladder_.emplace(grid, points_);
+    SketchLevelHistogram(grid, *ladder_, chosen_, n, &bob_iblt);
     const size_t accept = static_cast<size_t>(target_entries_) << attempt_;
     std::optional<std::vector<LevelDiffEntry>> diff = TryDecodeLevelDiff(
         grid, chosen_, n, *alice_iblt, bob_iblt, accept);
@@ -461,6 +454,7 @@ class AdaptiveQuadtreeBob : public PartySessionBase {
   size_t max_attempts_;
   PointSet points_;
   const CanonicalSketchProvider* sketches_;
+  std::optional<CellLadder> ladder_;  // sorted on the first rebuild
   State state_ = State::kAwaitProbes;
   int chosen_ = -1;
   uint64_t target_entries_ = 0;

@@ -23,6 +23,7 @@
 #define RSR_RECON_QUADTREE_RECON_H_
 
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "geometry/grid.h"
@@ -48,17 +49,31 @@ struct LevelDiffEntry {
 uint64_t HistogramEntryKey(const ShiftedGrid& grid, const Cell& cell,
                            int level, int64_t count);
 
-/// Fixed-width value payload: packed cell id followed by the count.
-std::vector<uint8_t> HistogramEntryValue(const ShiftedGrid& grid,
-                                         const Cell& cell, int level,
-                                         int64_t count, size_t n);
+/// Fixed-width value payload: packed cell id followed by the count, in
+/// BitWriter's LSB-first layout. Written into `out`, whose capacity is
+/// reused, so a caller looping over entries allocates at most once.
+void HistogramEntryValue(const ShiftedGrid& grid, const Cell& cell, int level,
+                         int64_t count, size_t n, std::vector<uint8_t>* out);
 
 /// Inverse of HistogramEntryValue (+ key consistency check). Returns false
 /// on malformed payloads (e.g. corrupted by an undetected IBLT error).
 bool ParseHistogramEntry(const ShiftedGrid& grid, int level, size_t n,
                          const IbltEntry& entry, LevelDiffEntry* out);
 
-/// Builds a party's level-ℓ histogram IBLT.
+/// A level histogram without its cells: grid cell key -> point count.
+using CellCounts = std::unordered_map<uint64_t, int64_t>;
+
+/// The one histogram -> sketch loop. Every (cell, count) entry of the
+/// level-`level` histogram of `ladder`'s points goes into `iblt`
+/// (HistogramEntryKey + HistogramEntryValue), into `probe` (the key) and
+/// into `cell_counts` (CellKey -> count). Null targets are skipped.
+void SketchLevelHistogram(const ShiftedGrid& grid, const CellLadder& ladder,
+                          int level, size_t n, Iblt* iblt,
+                          StrataEstimator* probe = nullptr,
+                          CellCounts* cell_counts = nullptr);
+
+/// Builds a party's level-ℓ histogram IBLT (one level; a party sketching
+/// several levels sorts one CellLadder and calls SketchLevelHistogram).
 Iblt BuildLevelIblt(const ShiftedGrid& grid, const PointSet& points,
                     int level, size_t n, const QuadtreeParams& params,
                     uint64_t seed);

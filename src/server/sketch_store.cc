@@ -204,21 +204,23 @@ std::shared_ptr<SketchSnapshot> SketchStore::Rebuild(PointSet points,
   point_counts_.clear();
   if (!materialize_) return snap;
 
-  // Quadtree level IBLTs + adaptive probes (and their histograms, kept for
-  // incremental maintenance).
+  // Quadtree level IBLTs + adaptive probes, and their histograms kept for
+  // incremental maintenance: every level from one sorted pass.
+  const CellLadder ladder(grid_, snap->points_);
   snap->levels_.reserve(cached_levels_.size());
   level_histograms_.reserve(cached_levels_.size());
   for (int level : cached_levels_) {
-    snap->levels_.push_back(SketchSnapshot::LevelSketch{
-        level,
-        recon::LevelIbltConfig(grid_, level, n, params_.quadtree,
-                               context_.seed),
-        recon::BuildLevelIblt(grid_, snap->points_, level, n,
-                              params_.quadtree, context_.seed),
-        recon::AdaptiveLevelProbeConfig(level, context_.seed),
-        recon::BuildLevelProbe(grid_, snap->points_, level, context_.seed)});
-    level_histograms_.push_back(
-        BuildCellHistogram(grid_, snap->points_, level));
+    const IbltConfig iblt_config = recon::LevelIbltConfig(
+        grid_, level, n, params_.quadtree, context_.seed);
+    const StrataConfig probe_config =
+        recon::AdaptiveLevelProbeConfig(level, context_.seed);
+    SketchSnapshot::LevelSketch& sketch =
+        snap->levels_.emplace_back(SketchSnapshot::LevelSketch{
+            level, iblt_config, Iblt(iblt_config), probe_config,
+            StrataEstimator(probe_config)});
+    recon::SketchLevelHistogram(grid_, ladder, level, n, &sketch.iblt,
+                                &sketch.probe,
+                                &level_histograms_.emplace_back());
   }
 
   // Exact baseline: occurrence-indexed keyed list + strata estimator, and
@@ -268,20 +270,20 @@ void SketchStore::UpdatePoint(SketchSnapshot* snap, const Point& p,
   // Quadtree histograms: count c -> c + direction means erase the
   // (cell, c) element and insert (cell, c + direction) — two O(q) linear
   // updates per level.
+  std::vector<uint8_t> value;
   for (size_t li = 0; li < cached_levels_.size(); ++li) {
     const int level = cached_levels_[li];
-    auto& histogram = level_histograms_[li];
+    recon::CellCounts& histogram = level_histograms_[li];
     SketchSnapshot::LevelSketch& sketch = snap->levels_[li];
-    const uint64_t cell_key = grid_.CellKeyOf(p, level);
+    const Cell cell = grid_.CellOf(p, level);
+    const uint64_t cell_key = grid_.CellKey(cell, level);
     auto it = histogram.find(cell_key);
-    const int64_t old_count = it == histogram.end() ? 0 : it->second.count;
-    const Cell cell =
-        it == histogram.end() ? grid_.CellOf(p, level) : it->second.cell;
+    const int64_t old_count = it == histogram.end() ? 0 : it->second;
     if (old_count > 0) {
       const uint64_t entry =
           recon::HistogramEntryKey(grid_, cell, level, old_count);
-      sketch.iblt.Erase(entry, recon::HistogramEntryValue(grid_, cell, level,
-                                                          old_count, n));
+      recon::HistogramEntryValue(grid_, cell, level, old_count, n, &value);
+      sketch.iblt.Erase(entry, value);
       sketch.probe.Erase(entry);
     }
     const int64_t new_count = old_count + direction;
@@ -289,14 +291,10 @@ void SketchStore::UpdatePoint(SketchSnapshot* snap, const Point& p,
     if (new_count > 0) {
       const uint64_t entry =
           recon::HistogramEntryKey(grid_, cell, level, new_count);
-      sketch.iblt.Insert(entry, recon::HistogramEntryValue(grid_, cell, level,
-                                                           new_count, n));
+      recon::HistogramEntryValue(grid_, cell, level, new_count, n, &value);
+      sketch.iblt.Insert(entry, value);
       sketch.probe.Insert(entry);
-      if (it == histogram.end()) {
-        histogram.emplace(cell_key, CellCount{cell, new_count});
-      } else {
-        it->second.count = new_count;
-      }
+      histogram.insert_or_assign(cell_key, new_count);
     } else if (it != histogram.end()) {
       histogram.erase(it);
     }
@@ -306,12 +304,13 @@ void SketchStore::UpdatePoint(SketchSnapshot* snap, const Point& p,
   // multiplicity before (insert) / after (erase) the update.
   const int64_t copies = point_counts_.count(p) ? point_counts_[p] : 0;
   if (direction > 0) {
-    snap->exact_strata_->Insert(recon::ExactOccurrenceKey(p, static_cast<size_t>(copies), context_.seed));
+    snap->exact_strata_->Insert(recon::ExactOccurrenceKey(
+        p, static_cast<size_t>(copies), context_.seed));
     point_counts_[p] = copies + 1;
   } else {
     RSR_CHECK(copies > 0);
-    snap->exact_strata_->Erase(
-        recon::ExactOccurrenceKey(p, static_cast<size_t>(copies - 1), context_.seed));
+    snap->exact_strata_->Erase(recon::ExactOccurrenceKey(
+        p, static_cast<size_t>(copies - 1), context_.seed));
     if (copies == 1) {
       point_counts_.erase(p);
     } else {
@@ -399,14 +398,17 @@ std::shared_ptr<const SketchSnapshot> SketchStore::ApplyUpdate(
   for (const Point& e : applied_erases) UpdatePoint(snap.get(), e, -1);
   for (const Point& i : inserts) UpdatePoint(snap.get(), i, +1);
   // The keyed list is positional (sorted, occurrence-indexed), so it is
-  // re-derived from the multiset view rather than patched in place. O(n)
-  // copying, zero hashing or sorting.
+  // re-derived from the multiset view rather than patched in place: no
+  // sorting, but O(n) per batch — every point is copied and re-hashed
+  // (ExactOccurrenceKey calls PointKey).
   auto keyed = std::make_shared<recon::KeyedPointList>();
   keyed->reserve(snap->points_.size());
   for (const auto& [point, copies] : point_counts_) {
     for (int64_t occ = 0; occ < copies; ++occ) {
-      keyed->emplace_back(recon::ExactOccurrenceKey(point, static_cast<size_t>(occ), context_.seed),
-                          point);
+      keyed->emplace_back(
+          recon::ExactOccurrenceKey(point, static_cast<size_t>(occ),
+                                    context_.seed),
+          point);
     }
   }
   snap->exact_keyed_ = std::move(keyed);

@@ -36,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "geometry/grid.h"
@@ -44,6 +43,7 @@
 #include "iblt/strata.h"
 #include "lshrecon/lsh.h"
 #include "obs/metrics.h"
+#include "recon/quadtree_recon.h"
 #include "recon/registry.h"
 #include "recon/sketch_provider.h"
 #include "riblt/riblt.h"
@@ -188,11 +188,11 @@ class SketchStore {
   /// §13) — never take replica_mu_ while holding it.
   mutable Mutex mu_;
   std::shared_ptr<const SketchSnapshot> snapshot_ RSR_GUARDED_BY(mu_);
-  /// Per cached level: cell key -> (cell, count); the store's own record
-  /// of the current histograms, needed to translate a point mutation into
-  /// the erase-old-entry / insert-new-entry pair on the level sketches.
-  std::vector<std::unordered_map<uint64_t, CellCount>> level_histograms_
-      RSR_GUARDED_BY(mu_);
+  /// Per cached level: cell key -> count; the store's own record of the
+  /// current histograms, needed to translate a point mutation into the
+  /// erase-old-entry / insert-new-entry pair on the level sketches (the
+  /// mutated point gives the cell itself).
+  std::vector<recon::CellCounts> level_histograms_ RSR_GUARDED_BY(mu_);
   PointCounts point_counts_ RSR_GUARDED_BY(mu_);
 };
 

@@ -1,5 +1,7 @@
 #include "util/bitio.h"
 
+#include <bit>
+
 #include "util/check.h"
 
 namespace rsr {
@@ -99,15 +101,7 @@ void BitReader::AlignToByte() {
 }
 
 int BitWidthForUniverse(uint64_t n) {
-  if (n <= 1) return 0;
-  int bits = 0;
-  uint64_t capacity = 1;
-  while (capacity < n) {
-    capacity <<= 1;
-    ++bits;
-    if (bits == 64) break;
-  }
-  return bits;
+  return n <= 1 ? 0 : static_cast<int>(std::bit_width(n - 1));
 }
 
 }  // namespace rsr

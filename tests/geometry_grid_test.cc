@@ -1,5 +1,8 @@
 #include "geometry/grid.h"
 
+#include <map>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "geometry/metric.h"
@@ -163,36 +166,52 @@ TEST(ShiftedGridTest, CellKeyDependsOnLevelAndCell) {
   EXPECT_NE(g.CellKey(c1, 2), g.CellKey(c1, 3));
 }
 
-TEST(BuildCellHistogramTest, CountsAndKeys) {
-  const Universe u = MakeUniverse(1 << 8, 2);
-  ShiftedGrid g(u, 37);
-  const PointSet points = {{10, 10}, {10, 10}, {10, 11}, {200, 200}};
-  // Level 0: {10,10} twice, the others once each.
-  auto hist0 = BuildCellHistogram(g, points, 0);
-  EXPECT_EQ(hist0.size(), 3u);
-  int64_t total = 0;
-  for (const auto& [key, cc] : hist0) {
-    (void)key;
-    total += cc.count;
-    EXPECT_EQ(g.CellKey(cc.cell, 0), key);
-  }
-  EXPECT_EQ(total, 4);
-
-  // At the coarsest level everything collapses into a handful of cells.
-  auto hist_top = BuildCellHistogram(g, points, g.max_level());
-  int64_t total_top = 0;
-  for (const auto& [key, cc] : hist_top) {
-    (void)key;
-    total_top += cc.count;
-  }
-  EXPECT_EQ(total_top, 4);
-  EXPECT_LE(hist_top.size(), 4u);
+// Collects a ladder level as cell key -> (cell, count), checking that every
+// cell is visited once.
+std::map<uint64_t, std::pair<Cell, int64_t>> LadderLevel(
+    const ShiftedGrid& g, const CellLadder& ladder, int level) {
+  std::map<uint64_t, std::pair<Cell, int64_t>> cells;
+  ladder.ForEachCell(level, [&](const Cell& cell, int64_t count) {
+    EXPECT_GT(count, 0);
+    EXPECT_TRUE(cells.emplace(g.CellKey(cell, level), std::pair{cell, count})
+                    .second)
+        << "cell visited twice at level " << level;
+  });
+  return cells;
 }
 
-TEST(BuildCellHistogramTest, EmptyInput) {
+TEST(CellLadderTest, CountsAndKeys) {
+  const Universe u = MakeUniverse(1 << 8, 2);
+  ShiftedGrid g(u, 37);
+  const PointSet points = {{10, 10}, {200, 200}, {10, 11}, {10, 10}};
+  const CellLadder ladder(g, points);
+  EXPECT_EQ(ladder.size(), 4u);
+  // Level 0: {10,10} twice, the others once each.
+  const auto hist0 = LadderLevel(g, ladder, 0);
+  ASSERT_EQ(hist0.size(), 3u);
+  EXPECT_EQ(hist0.at(g.CellKeyOf({10, 10}, 0)).second, 2);
+  EXPECT_EQ(hist0.at(g.CellKeyOf({10, 11}, 0)).second, 1);
+  EXPECT_EQ(hist0.at(g.CellKeyOf({200, 200}, 0)).first,
+            g.CellOf({200, 200}, 0));
+
+  // Every level partitions the points into the cells CellOf assigns.
+  for (int level = 0; level <= g.max_level(); ++level) {
+    std::map<uint64_t, int64_t> expected;
+    for (const Point& p : points) ++expected[g.CellKeyOf(p, level)];
+    const auto hist = LadderLevel(g, ladder, level);
+    ASSERT_EQ(hist.size(), expected.size()) << "level " << level;
+    for (const auto& [key, cc] : hist) {
+      EXPECT_EQ(cc.second, expected.at(key)) << "level " << level;
+    }
+  }
+}
+
+TEST(CellLadderTest, EmptyInput) {
   const Universe u = MakeUniverse(16, 1);
   ShiftedGrid g(u, 41);
-  EXPECT_TRUE(BuildCellHistogram(g, {}, 2).empty());
+  const CellLadder ladder(g, {});
+  EXPECT_EQ(ladder.size(), 0u);
+  EXPECT_TRUE(LadderLevel(g, ladder, 2).empty());
 }
 
 TEST(ShiftedGridTest, DegenerateUniverseDeltaOne) {

@@ -53,7 +53,7 @@ TEST(HistogramEntryTest, KeyAndValueRoundTrip) {
     for (int64_t count : {int64_t{1}, int64_t{7}, int64_t{100}}) {
       IbltEntry raw;
       raw.key = HistogramEntryKey(grid, cell, level, count);
-      raw.value = HistogramEntryValue(grid, cell, level, count, n);
+      HistogramEntryValue(grid, cell, level, count, n, &raw.value);
       raw.sign = 1;
       LevelDiffEntry parsed;
       ASSERT_TRUE(ParseHistogramEntry(grid, level, n, raw, &parsed));
@@ -70,7 +70,7 @@ TEST(HistogramEntryTest, CountZeroOrTooLargeRejected) {
   const Cell cell = grid.CellOf({10}, 2);
   IbltEntry raw;
   raw.key = HistogramEntryKey(grid, cell, 2, 5);
-  raw.value = HistogramEntryValue(grid, cell, 2, 5, /*n=*/4);  // count > n
+  HistogramEntryValue(grid, cell, 2, 5, /*n=*/4, &raw.value);  // count > n
   LevelDiffEntry parsed;
   EXPECT_FALSE(ParseHistogramEntry(grid, 2, 4, raw, &parsed));
 }
@@ -81,7 +81,7 @@ TEST(HistogramEntryTest, KeyMismatchRejected) {
   const Cell cell = grid.CellOf({10}, 2);
   IbltEntry raw;
   raw.key = 12345;  // inconsistent with the payload
-  raw.value = HistogramEntryValue(grid, cell, 2, 3, 100);
+  HistogramEntryValue(grid, cell, 2, 3, 100, &raw.value);
   LevelDiffEntry parsed;
   EXPECT_FALSE(ParseHistogramEntry(grid, 2, 100, raw, &parsed));
 }

@@ -21,6 +21,29 @@ TEST(BitWidthForUniverseTest, KnownValues) {
   EXPECT_EQ(BitWidthForUniverse(uint64_t{1} << 40), 40);
 }
 
+// BitPacker must lay records out byte for byte like BitWriter, including
+// fields that straddle its 64-bit word, full-width and zero-width fields,
+// and high bits above a field's width (masked off).
+TEST(BitPackerTest, MatchesBitWriter) {
+  Rng rng(17);
+  std::vector<uint8_t> packed;
+  for (int record = 0; record < 500; ++record) {
+    std::vector<int> widths(static_cast<size_t>(rng.Uniform(0, 6)));
+    for (int& w : widths) w = static_cast<int>(rng.Uniform(0, 64));
+    int total = 0;
+    for (int w : widths) total += w;
+    BitWriter writer;
+    BitPacker packer(total, &packed);
+    for (int w : widths) {
+      const uint64_t value = rng.Next64();
+      writer.WriteBits(value, w);
+      packer.WriteBits(value, w);
+    }
+    packer.Flush();
+    EXPECT_EQ(packed, writer.bytes()) << "record " << record;
+  }
+}
+
 TEST(BitIoTest, SingleBits) {
   BitWriter w;
   const bool pattern[] = {true, false, true, true, false, false, true};
