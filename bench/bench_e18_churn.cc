@@ -23,12 +23,12 @@
 // protocol-level successes, match_driver = ok / syncs and must be 1 in
 // every row.
 //
-// Expected shape: cached serving beats rebuild serving at every churn
-// level, by >= 2x at 32 clients under low churn (0% / 1%). The margin
-// narrows as churn rises — a churn batch costs O(batch · levels) sketch
-// maintenance, so at 10%-of-the-set-per-sync the maintenance approaches a
-// rebuild's O(n · levels) — which is the honest crossover of the cached
-// design, not a regression.
+// Expected shape: cached serving beats rebuild serving by >= 2x at 32
+// clients with no churn, and still wins at 1% churn. At 10% churn per sync
+// it loses: a batch then costs O(batch · levels) maintenance of the
+// quadtree family plus an O(n) point-set copy, which approaches a rebuild's
+// O(n · levels), and every sync waits on one. That crossover is measured,
+// not hidden; moving it is an open item.
 
 #include <chrono>
 #include <cstdio>
@@ -249,9 +249,10 @@ int main() {
   using namespace rsr;
   bench::Banner(
       "E18", "canonical sketch store: cached vs rebuilt serving under churn",
-      "cached quadtree serving beats the rebuild baseline at every churn "
-      "level, >= 2x at 32 clients under low churn; every served result "
-      "matches the driver on its pinned generation (match_driver = 1)");
+      "cached quadtree serving >= 2x the rebuild baseline at 32 clients "
+      "without churn and ahead at 1% churn, behind at 10%; every served "
+      "result matches the driver on its pinned generation "
+      "(match_driver = 1)");
   bench::Row({"mode", "clients", "churn_pct", "ok", "decoded",
               "syncs_per_sec", "match_driver"});
 

@@ -88,13 +88,27 @@ class ShiftedGrid {
 /// (Chan's xor-MSB trick), which orders by Morton key for any d without
 /// building one. After the sort, neighbours i and i+1 share their level-ℓ
 /// cell iff the OR of their coordinate XORs is below 2^ℓ, so a level's runs
-/// cost one shift and one compare per point.
+/// cost one shift and one compare per point. The same order answers a
+/// single cell's count by binary search, and absorbs a batch of mutations
+/// by one merge, so a ladder can be kept current under churn.
 class CellLadder {
  public:
   CellLadder(const ShiftedGrid& grid, const PointSet& points);
 
   /// Number of points (duplicates included).
   size_t size() const { return splits_.size(); }
+
+  /// Number of points in the level-`level` cell `cell`: a dyadic cell's
+  /// points are one run of the Z-order starting at the first point not
+  /// below its least corner, so this is a binary search for the run's
+  /// start and a gallop to its end, O(d (log n + log count)).
+  int64_t CountInCell(const Cell& cell, int level) const;
+
+  /// The ladder of this set after removing one copy of each of `erases`
+  /// (every one must be present) and adding `inserts`: the sorted batch is
+  /// merged into the order, O(n·d + b log b) for a batch of b, no re-sort.
+  CellLadder Updated(const ShiftedGrid& grid, const PointSet& erases,
+                     const PointSet& inserts) const;
 
   /// Calls fn(const Cell& cell, int64_t count) once per occupied
   /// level-`level` cell, in Z-order. The cell is a reused buffer, valid
@@ -116,6 +130,10 @@ class CellLadder {
   }
 
  private:
+  explicit CellLadder(size_t d) : d_(d) {}
+  /// Fills splits_ from coords_.
+  void Split();
+
   size_t d_;
   std::vector<uint64_t> coords_;  // n × d shifted coordinates, Z-ordered
   /// splits_[i]: OR over j of coords(i)[j] ^ coords(i+1)[j]; the last

@@ -1,13 +1,13 @@
 #include "lshrecon/mlsh_recon.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "hash/mix.h"
 #include "recon/session.h"
 #include "riblt/riblt.h"
+#include "riblt/riblt_recon.h"
 #include "util/check.h"
 
 namespace rsr {
@@ -199,32 +199,11 @@ class MlshBob : public recon::PartySessionBase {
       // Bob-side point to its nearest not-yet-taken own point; those are
       // the points he replaces. |XA| == |XB| when |alice| == |bob|, so the
       // final size is preserved.
-      std::vector<char> taken(bob.size(), 0);
-      for (const Point& x : xb) {
-        double best = std::numeric_limits<double>::infinity();
-        size_t best_index = bob.size();
-        for (size_t i = 0; i < bob.size(); ++i) {
-          if (taken[i]) continue;
-          const double dist = Distance(x, bob[i], params_.metric);
-          if (dist < best) {
-            best = dist;
-            best_index = i;
-          }
-        }
-        if (best_index < bob.size()) taken[best_index] = 1;
-      }
-
-      PointSet final_set;
-      final_set.reserve(bob.size());
-      for (size_t i = 0; i < bob.size(); ++i) {
-        if (!taken[i]) final_set.push_back(bob[i]);
-      }
-      for (Point& p : xa) final_set.push_back(std::move(p));
-
       result_.success = true;
       result_.chosen_level = static_cast<int>(li);
       result_.decoded_entries = xa.size() + xb.size();
-      result_.bob_final = std::move(final_set);
+      result_.bob_final =
+          RetireAndAdopt(bob, xb, std::move(xa), params_.metric);
       break;
     }
     Finish();

@@ -52,7 +52,7 @@ bool ParseHistogramEntry(const ShiftedGrid& grid, int level, size_t n,
 
 void SketchLevelHistogram(const ShiftedGrid& grid, const CellLadder& ladder,
                           int level, size_t n, Iblt* iblt,
-                          StrataEstimator* probe, CellCounts* cell_counts) {
+                          StrataEstimator* probe) {
   std::vector<uint8_t> value;
   ladder.ForEachCell(level, [&](const Cell& cell, int64_t count) {
     const uint64_t key = HistogramEntryKey(grid, cell, level, count);
@@ -61,9 +61,6 @@ void SketchLevelHistogram(const ShiftedGrid& grid, const CellLadder& ladder,
       iblt->Insert(key, value);
     }
     if (probe != nullptr) probe->Insert(key);
-    if (cell_counts != nullptr) {
-      cell_counts->emplace(grid.CellKey(cell, level), count);
-    }
   });
 }
 
@@ -96,12 +93,6 @@ std::optional<std::vector<LevelDiffEntry>> TryDecodeLevelDiff(
 
 PointSet RepairBob(const ShiftedGrid& grid, const PointSet& bob, int level,
                    const std::vector<LevelDiffEntry>& diff) {
-  // Index Bob's points by their level-ℓ cell so surplus can be deleted.
-  std::unordered_map<uint64_t, std::vector<size_t>> bob_cells;
-  for (size_t i = 0; i < bob.size(); ++i) {
-    bob_cells[grid.CellKeyOf(bob[i], level)].push_back(i);
-  }
-
   // Collect, per differing cell, Alice's decoded count. Bob's own count
   // comes from his local index (the decoded Bob-side entries are redundant
   // with local state; they are used as a consistency check only).
@@ -111,37 +102,39 @@ PointSet RepairBob(const ShiftedGrid& grid, const PointSet& bob, int level,
   };
   std::unordered_map<uint64_t, CellDelta> deltas;
   for (const LevelDiffEntry& entry : diff) {
-    const uint64_t cell_key = grid.CellKey(entry.cell, level);
-    auto [it, inserted] = deltas.try_emplace(cell_key);
+    const auto [it, inserted] =
+        deltas.try_emplace(grid.CellKey(entry.cell, level));
     if (inserted) it->second.cell = entry.cell;
-    if (entry.sign > 0) {
-      it->second.alice_count = entry.count;
-    } else {
-      // Bob-side pair: his histogram really must contain this count.
-      const auto own = bob_cells.find(cell_key);
-      const int64_t own_count =
-          own == bob_cells.end()
-              ? 0
-              : static_cast<int64_t>(own->second.size());
-      RSR_DCHECK(own_count == entry.count);
-      (void)own_count;
-    }
+    if (entry.sign > 0) it->second.alice_count = entry.count;
+  }
+
+  // Index Bob's points in the differing cells by their level-ℓ cell, so
+  // surplus can be deleted; points elsewhere are only hashed.
+  std::unordered_map<uint64_t, std::vector<size_t>> bob_cells;
+  for (const auto& [cell_key, delta] : deltas) bob_cells.try_emplace(cell_key);
+  for (size_t i = 0; i < bob.size(); ++i) {
+    const auto own = bob_cells.find(grid.CellKeyOf(bob[i], level));
+    if (own != bob_cells.end()) own->second.push_back(i);
+  }
+  for (const LevelDiffEntry& entry : diff) {
+    if (entry.sign > 0) continue;
+    // Bob-side pair: his histogram really must contain this count.
+    RSR_DCHECK(static_cast<int64_t>(
+                   bob_cells.at(grid.CellKey(entry.cell, level)).size()) ==
+               entry.count);
   }
 
   std::vector<char> removed(bob.size(), 0);
   PointSet additions;
   for (const auto& [cell_key, delta] : deltas) {
-    const auto own = bob_cells.find(cell_key);
-    const int64_t bob_count =
-        own == bob_cells.end() ? 0 : static_cast<int64_t>(own->second.size());
-    const int64_t change = delta.alice_count - bob_count;
+    const std::vector<size_t>& own = bob_cells.at(cell_key);
+    const int64_t change = delta.alice_count - static_cast<int64_t>(own.size());
     if (change > 0) {
       const Point rep = grid.CellRepresentative(delta.cell, level);
       for (int64_t c = 0; c < change; ++c) additions.push_back(rep);
     } else if (change < 0) {
-      RSR_DCHECK(own != bob_cells.end());
       for (int64_t c = 0; c < -change; ++c) {
-        removed[own->second[static_cast<size_t>(c)]] = 1;
+        removed[own[static_cast<size_t>(c)]] = 1;
       }
     }
   }

@@ -23,7 +23,6 @@
 #define RSR_RECON_QUADTREE_RECON_H_
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "geometry/grid.h"
@@ -60,17 +59,13 @@ void HistogramEntryValue(const ShiftedGrid& grid, const Cell& cell, int level,
 bool ParseHistogramEntry(const ShiftedGrid& grid, int level, size_t n,
                          const IbltEntry& entry, LevelDiffEntry* out);
 
-/// A level histogram without its cells: grid cell key -> point count.
-using CellCounts = std::unordered_map<uint64_t, int64_t>;
-
 /// The one histogram -> sketch loop. Every (cell, count) entry of the
 /// level-`level` histogram of `ladder`'s points goes into `iblt`
-/// (HistogramEntryKey + HistogramEntryValue), into `probe` (the key) and
-/// into `cell_counts` (CellKey -> count). Null targets are skipped.
+/// (HistogramEntryKey + HistogramEntryValue) and into `probe` (the key).
+/// Null targets are skipped.
 void SketchLevelHistogram(const ShiftedGrid& grid, const CellLadder& ladder,
                           int level, size_t n, Iblt* iblt,
-                          StrataEstimator* probe = nullptr,
-                          CellCounts* cell_counts = nullptr);
+                          StrataEstimator* probe = nullptr);
 
 /// Builds a party's level-ℓ histogram IBLT (one level; a party sketching
 /// several levels sorts one CellLadder and calls SketchLevelHistogram).

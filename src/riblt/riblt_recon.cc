@@ -1,6 +1,7 @@
 #include "riblt/riblt_recon.h"
 
 #include <limits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,60 @@ RibltConfig RibltOneShotConfig(const Universe& universe,
   config.count_bits = params.count_bits;
   config.seed = Hash64(0x726c7431ULL, seed);  // "rlt1" tag
   return config;
+}
+
+PointSet RetireAndAdopt(const PointSet& bob, const PointSet& retire,
+                        PointSet adopt, Metric metric) {
+  // Bob's positions holding each retired value, in index order, with a
+  // cursor past the ones already taken.
+  struct Copies {
+    std::vector<size_t> positions;
+    size_t next = 0;
+  };
+  struct ValueHash {
+    size_t operator()(const Point& p) const { return PointKey(p, 0); }
+  };
+  std::unordered_map<Point, Copies, ValueHash> copies;
+  copies.reserve(retire.size());
+  for (const Point& x : retire) copies.try_emplace(x);
+  for (size_t i = 0; i < bob.size(); ++i) {
+    const auto it = copies.find(bob[i]);
+    if (it != copies.end()) it->second.positions.push_back(i);
+  }
+
+  std::vector<char> taken(bob.size(), 0);
+  for (const Point& x : retire) {
+    // Distance 0 is the least possible, so the nearest untaken point of a
+    // held value is its first untaken copy.
+    Copies& held = copies.at(x);
+    while (held.next < held.positions.size() &&
+           taken[held.positions[held.next]]) {
+      ++held.next;
+    }
+    if (held.next < held.positions.size()) {
+      taken[held.positions[held.next++]] = 1;
+      continue;
+    }
+    double best = std::numeric_limits<double>::infinity();
+    size_t best_index = bob.size();
+    for (size_t i = 0; i < bob.size(); ++i) {
+      if (taken[i]) continue;
+      const double dist = Distance(x, bob[i], metric);
+      if (dist < best) {
+        best = dist;
+        best_index = i;
+      }
+    }
+    if (best_index < bob.size()) taken[best_index] = 1;
+  }
+
+  PointSet final_set;
+  final_set.reserve(bob.size() + adopt.size());
+  for (size_t i = 0; i < bob.size(); ++i) {
+    if (!taken[i]) final_set.push_back(bob[i]);
+  }
+  for (Point& p : adopt) final_set.push_back(std::move(p));
+  return final_set;
 }
 
 namespace {
@@ -121,29 +176,10 @@ class RibltOneShotBob : public recon::PartySessionBase {
           (entry.sign > 0 ? xa : xb).push_back(value);
         }
       }
-      std::vector<char> taken(bob.size(), 0);
-      for (const Point& x : xb) {
-        double best = std::numeric_limits<double>::infinity();
-        size_t best_index = bob.size();
-        for (size_t i = 0; i < bob.size(); ++i) {
-          if (taken[i]) continue;
-          const double dist = Distance(x, bob[i], params_.metric);
-          if (dist < best) {
-            best = dist;
-            best_index = i;
-          }
-        }
-        if (best_index < bob.size()) taken[best_index] = 1;
-      }
-      PointSet final_set;
-      final_set.reserve(bob.size());
-      for (size_t i = 0; i < bob.size(); ++i) {
-        if (!taken[i]) final_set.push_back(bob[i]);
-      }
-      for (Point& p : xa) final_set.push_back(std::move(p));
       result_.success = true;
       result_.decoded_entries = xa.size() + xb.size();
-      result_.bob_final = std::move(final_set);
+      result_.bob_final =
+          RetireAndAdopt(bob, xb, std::move(xa), params_.metric);
     }
     Finish();
     return NoMessages();

@@ -54,6 +54,18 @@ RibltConfig RibltOneShotConfig(const Universe& universe,
                                const RibltReconParams& params, size_t n,
                                uint64_t seed);
 
+/// Bob's repair from a decoded RIBLT difference (riblt-oneshot and
+/// mlsh-riblt): retires one of his points per value of `retire` (the -1
+/// side), in decode order, then appends `adopt` (the +1 side). A value
+/// retires the untaken point nearest to it under `metric`, the first such
+/// index on ties; a value Bob holds untaken is therefore its first untaken
+/// copy, found through one pass over `bob` rather than a scan per value.
+/// Only values without such a copy (averaged-value residue, points Bob no
+/// longer holds) pay the O(|bob|) nearest-point scan. A value finding no
+/// untaken point retires nothing.
+PointSet RetireAndAdopt(const PointSet& bob, const PointSet& retire,
+                        PointSet adopt, Metric metric);
+
 class RibltReconciler : public recon::Reconciler {
  public:
   RibltReconciler(const recon::ProtocolContext& context,

@@ -123,7 +123,7 @@ AsyncSyncServer::AsyncSyncServer(PointSet canonical,
       trace_gen_(options_.trace_seed, kAsyncHelloSpanSalt),
       store_(std::move(canonical),
              SketchStoreOptions{
-                 options_.context, options_.params, options_.serve_from_cache,
+                 options_.context, options_.params,
                  MakeStoreMetrics(&obs_.registry(), options_.latency_probes)}),
       registry_(options_.registry != nullptr
                     ? options_.registry
@@ -451,8 +451,9 @@ void AsyncSyncServer::HandleHello(Conn* conn, transport::Message message) {
     conn->snapshot = store_.Snapshot();
     served_seq = replica_seq_;
   }
-  conn->bob = protocol->MakeBobSession(conn->snapshot->points(),
-                                       conn->snapshot.get());
+  conn->bob = protocol->MakeBobSession(
+      conn->snapshot->points(),
+      options_.serve_from_cache ? conn->snapshot.get() : nullptr);
   conn->phase = Conn::Phase::kSession;
 
   AcceptFrame ack;

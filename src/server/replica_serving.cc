@@ -4,22 +4,18 @@
 #include <utility>
 
 #include "recon/exact_recon.h"
+#include "util/check.h"
 
 namespace rsr {
 namespace server {
 
 StrataEstimator SnapshotStrata(const SketchSnapshot& snapshot,
                                const recon::ProtocolContext& context) {
-  const StrataConfig config = recon::ExactReconStrataConfig(context.seed);
-  std::optional<StrataEstimator> cached = snapshot.ExactStrata(config);
-  if (cached.has_value()) return *std::move(cached);
-  StrataEstimator estimator(config);
-  for (const auto& [key, point] :
-       recon::ExactKeyedPoints(snapshot.points(), context.seed)) {
-    (void)point;
-    estimator.Insert(key);
-  }
-  return estimator;
+  std::optional<StrataEstimator> strata =
+      snapshot.ExactStrata(recon::ExactReconStrataConfig(context.seed));
+  RSR_CHECK_MSG(strata.has_value(),
+                "the host's context must be the one its store was built with");
+  return *std::move(strata);
 }
 
 LogBatchFrame BuildLogBatch(const LogFetchFrame& fetch,

@@ -24,10 +24,11 @@ namespace rsr {
 namespace server {
 
 /// The exact-keys strata estimator of `snapshot`'s point set under the
-/// baseline config recon::ExactReconStrataConfig(context.seed): the cached
-/// one when the snapshot materializes sketches, built from the points
-/// otherwise. This is the estimator every ExactBob session ships, so a
-/// repair sized from it matches what the repair protocol will see.
+/// baseline config recon::ExactReconStrataConfig(context.seed), served by
+/// the snapshot's exact-strata family (materialized on first use).
+/// `context` must be the one the snapshot's store was built with. This is
+/// the estimator every ExactBob session ships, so a repair sized from it
+/// matches what the repair protocol will see.
 StrataEstimator SnapshotStrata(const SketchSnapshot& snapshot,
                                const recon::ProtocolContext& context);
 

@@ -86,7 +86,7 @@ SyncServer::SyncServer(PointSet canonical, SyncServerOptions options)
       trace_gen_(options_.trace_seed, kHelloSpanSalt),
       store_(std::move(canonical),
              SketchStoreOptions{
-                 options_.context, options_.params, options_.serve_from_cache,
+                 options_.context, options_.params,
                  MakeStoreMetrics(&obs_.registry(), options_.latency_probes)}),
       registry_(options_.registry != nullptr
                     ? options_.registry
@@ -192,8 +192,8 @@ void SyncServer::ServeConnection(net::ByteStream* stream) {
     snapshot = store_.Snapshot();
     served_seq = replica_seq_;
   }
-  const std::unique_ptr<recon::PartySession> bob =
-      protocol->MakeBobSession(snapshot->points(), snapshot.get());
+  const std::unique_ptr<recon::PartySession> bob = protocol->MakeBobSession(
+      snapshot->points(), options_.serve_from_cache ? snapshot.get() : nullptr);
 
   {
     AcceptFrame ack;

@@ -67,10 +67,11 @@ struct SyncServerOptions {
   /// Runaway-protocol safeguard, as in recon::DrivePair.
   size_t max_deliveries = 1 << 16;
   /// Serve Bob sessions from the SketchStore's cached canonical sketches
-  /// (computed once, maintained incrementally under ApplyUpdate) instead
-  /// of rebuilding them from the set per connection. Results are
-  /// bit-identical either way; false is the rebuild baseline measured by
-  /// bench_e18_churn.
+  /// (each family built once, on first demand, then maintained under
+  /// ApplyUpdate) instead of rebuilding them from the set per connection.
+  /// Results are bit-identical either way; false passes sessions no
+  /// provider, so the store builds nothing for them — the rebuild
+  /// baseline measured by bench_e18_churn.
   bool serve_from_cache = true;
   /// Protocol registry to negotiate against; nullptr = the global one.
   const recon::ProtocolRegistry* registry = nullptr;

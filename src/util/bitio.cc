@@ -1,27 +1,59 @@
 #include "util/bitio.h"
 
 #include <bit>
+#include <cstring>
 
 #include "util/check.h"
 
 namespace rsr {
 
+namespace {
+
+// The low `bytes` (<= 8) bytes of `word`, stored / loaded little-endian:
+// BitWriter's LSB-first layout, a whole word at a time.
+void StoreLittle(uint64_t word, uint8_t* out, size_t bytes) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &word, bytes);
+  } else {
+    for (size_t i = 0; i < bytes; ++i) {
+      out[i] = static_cast<uint8_t>(word >> (8 * i));
+    }
+  }
+}
+
+uint64_t LoadLittle(const uint8_t* in, size_t bytes) {
+  uint64_t word = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&word, in, bytes);
+  } else {
+    for (size_t i = 0; i < bytes; ++i) {
+      word |= static_cast<uint64_t>(in[i]) << (8 * i);
+    }
+  }
+  return word;
+}
+
+}  // namespace
+
 void BitWriter::WriteBits(uint64_t value, int bits) {
   RSR_DCHECK(bits >= 0 && bits <= 64);
-  if (bits < 64) value &= (bits == 0) ? 0 : ((~uint64_t{0}) >> (64 - bits));
-  int written = 0;
-  while (written < bits) {
-    const size_t byte_index = bit_count_ >> 3;
-    const int bit_offset = static_cast<int>(bit_count_ & 7);
-    if (byte_index >= bytes_.size()) bytes_.push_back(0);
-    const int room = 8 - bit_offset;
-    const int take = (bits - written < room) ? (bits - written) : room;
-    const uint8_t chunk =
-        static_cast<uint8_t>((value >> written) & ((1u << take) - 1));
-    bytes_[byte_index] |= static_cast<uint8_t>(chunk << bit_offset);
-    bit_count_ += static_cast<size_t>(take);
-    written += take;
+  if (bits == 0) return;
+  if (bits < 64) value &= (uint64_t{1} << bits) - 1;
+  const int offset = static_cast<int>(bit_count_ & 7);
+  size_t index = bit_count_ >> 3;
+  bit_count_ += static_cast<size_t>(bits);
+  if (offset != 0) {
+    // Top up the trailing partial byte first.
+    bytes_[index] |= static_cast<uint8_t>(value << offset);
+    const int room = 8 - offset;
+    if (bits <= room) return;
+    value >>= room;
+    ++index;
   }
+  // Byte-aligned now, with at most 64 bits left: one word store.
+  const size_t end = (bit_count_ + 7) >> 3;
+  bytes_.resize(end);
+  StoreLittle(value, bytes_.data() + index, end - index);
 }
 
 void BitWriter::WriteVarint(uint64_t value) {
@@ -47,20 +79,24 @@ void BitWriter::AlignToByte() {
 bool BitReader::ReadBits(int bits, uint64_t* out) {
   RSR_DCHECK(bits >= 0 && bits <= 64);
   if (pos_ + static_cast<size_t>(bits) > size_bits_) return false;
-  uint64_t value = 0;
-  int read = 0;
-  while (read < bits) {
-    const size_t byte_index = pos_ >> 3;
-    const int bit_offset = static_cast<int>(pos_ & 7);
-    const int room = 8 - bit_offset;
-    const int take = (bits - read < room) ? (bits - read) : room;
-    const uint64_t chunk =
-        (static_cast<uint64_t>(data_[byte_index]) >> bit_offset) &
-        ((uint64_t{1} << take) - 1);
-    value |= chunk << read;
-    pos_ += static_cast<size_t>(take);
-    read += take;
+  if (bits == 0) {
+    *out = 0;
+    return true;
   }
+  // The bits span at most 9 bytes, [index, end), all inside the buffer;
+  // a whole word is loaded when the buffer has one from `index` on.
+  const size_t index = pos_ >> 3;
+  const int offset = static_cast<int>(pos_ & 7);
+  pos_ += static_cast<size_t>(bits);
+  const size_t end = (pos_ + 7) >> 3;
+  const size_t available = (size_bits_ >> 3) - index;
+  uint64_t value = available >= 8 ? LoadLittle(data_ + index, 8)
+                                   : LoadLittle(data_ + index, available);
+  value >>= offset;
+  if (end - index > 8) {
+    value |= static_cast<uint64_t>(data_[index + 8]) << (64 - offset);
+  }
+  if (bits < 64) value &= (uint64_t{1} << bits) - 1;
   *out = value;
   return true;
 }

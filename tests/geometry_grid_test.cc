@@ -206,6 +206,46 @@ TEST(CellLadderTest, CountsAndKeys) {
   }
 }
 
+TEST(CellLadderTest, UpdatedLadderCountsLikeAFreshOne) {
+  // d = 3 and a small universe, so cells hold many points and duplicates
+  // are common; erases take copies of held points, some duplicated.
+  const Universe u = MakeUniverse(1 << 5, 3);
+  ShiftedGrid g(u, 43);
+  Rng rng(44);
+  const auto random_point = [&] {
+    return Point{rng.Uniform(0, 31), rng.Uniform(0, 31), rng.Uniform(0, 31)};
+  };
+  PointSet points(300);
+  for (Point& p : points) p = random_point();
+  CellLadder ladder(g, points);
+  for (int step = 0; step < 6; ++step) {
+    PointSet erases, inserts;
+    for (int i = 0; i < 25 && !points.empty(); ++i) {
+      const size_t at = rng.Below(points.size());
+      erases.push_back(points[at]);
+      points.erase(points.begin() + static_cast<ptrdiff_t>(at));
+    }
+    for (int i = 0; i < 20 + step * 5; ++i) inserts.push_back(random_point());
+    points.insert(points.end(), inserts.begin(), inserts.end());
+    ladder = ladder.Updated(g, erases, inserts);
+    const CellLadder fresh(g, points);
+    ASSERT_EQ(ladder.size(), points.size());
+    for (int level = 0; level <= g.max_level(); ++level) {
+      const auto hist = LadderLevel(g, ladder, level);
+      EXPECT_EQ(hist, LadderLevel(g, fresh, level)) << "level " << level;
+      // CountInCell agrees for occupied cells, and for empty neighbours.
+      for (const auto& [key, cc] : hist) {
+        EXPECT_EQ(ladder.CountInCell(cc.first, level), cc.second);
+        Cell next = cc.first;
+        next[0] += 1;
+        if (hist.count(g.CellKey(next, level)) == 0) {
+          EXPECT_EQ(ladder.CountInCell(next, level), 0);
+        }
+      }
+    }
+  }
+}
+
 TEST(CellLadderTest, EmptyInput) {
   const Universe u = MakeUniverse(16, 1);
   ShiftedGrid g(u, 41);

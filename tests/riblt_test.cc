@@ -1,11 +1,13 @@
 #include "riblt/riblt.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
 
 #include "geometry/metric.h"
+#include "riblt/riblt_recon.h"
 #include "util/random.h"
 
 namespace rsr {
@@ -296,6 +298,69 @@ TEST_P(RibltReconSweep, SymmetricDifferenceByKeys) {
 
 INSTANTIATE_TEST_SUITE_P(DiffSizes, RibltReconSweep,
                          ::testing::Values(1, 4, 16, 48));
+
+// The greedy matching RetireAndAdopt replaced: a nearest-point scan over
+// every untaken point of Bob's per retired value.
+PointSet ReferenceRetireAndAdopt(const PointSet& bob, const PointSet& retire,
+                                 const PointSet& adopt, Metric metric) {
+  std::vector<char> taken(bob.size(), 0);
+  for (const Point& x : retire) {
+    double best = std::numeric_limits<double>::infinity();
+    size_t best_index = bob.size();
+    for (size_t i = 0; i < bob.size(); ++i) {
+      if (taken[i]) continue;
+      const double dist = Distance(x, bob[i], metric);
+      if (dist < best) {
+        best = dist;
+        best_index = i;
+      }
+    }
+    if (best_index < bob.size()) taken[best_index] = 1;
+  }
+  PointSet final_set;
+  for (size_t i = 0; i < bob.size(); ++i) {
+    if (!taken[i]) final_set.push_back(bob[i]);
+  }
+  final_set.insert(final_set.end(), adopt.begin(), adopt.end());
+  return final_set;
+}
+
+TEST(RetireAndAdoptTest, MatchesNearestPointScan) {
+  // Coordinates in [0, 5) make duplicates common on both sides; retired
+  // values are exact copies of Bob's points, copies nudged by one (the
+  // averaged-value residue a noisy decode leaves), points Bob may or may
+  // not hold, and points far outside his set. Retiring more copies of a
+  // value than Bob holds, and more values than he has points, both occur.
+  const Metric metrics[] = {Metric::kL1, Metric::kL2, Metric::kLinf,
+                            Metric::kHamming};
+  Rng rng(4242);
+  const auto random_point = [&](int64_t hi) {
+    return Point{rng.Uniform(0, hi - 1), rng.Uniform(0, hi - 1)};
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    const Metric metric = metrics[trial % 4];
+    PointSet bob(static_cast<size_t>(rng.Uniform(0, 40)));
+    for (Point& p : bob) p = random_point(5);
+    PointSet retire(static_cast<size_t>(rng.Uniform(0, 24)));
+    for (Point& x : retire) {
+      const int64_t kind = bob.empty() ? 2 : rng.Uniform(0, 3);
+      if (kind <= 1) {
+        x = bob[static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(bob.size()) - 1))];
+        if (kind == 1) x[static_cast<size_t>(rng.Uniform(0, 1))] += 1;
+      } else if (kind == 2) {
+        x = random_point(7);
+      } else {
+        x = {100 + rng.Uniform(0, 9), -rng.Uniform(0, 9)};
+      }
+    }
+    PointSet adopt(static_cast<size_t>(rng.Uniform(0, 4)));
+    for (Point& p : adopt) p = random_point(5);
+    EXPECT_EQ(RetireAndAdopt(bob, retire, adopt, metric),
+              ReferenceRetireAndAdopt(bob, retire, adopt, metric))
+        << "trial " << trial;
+  }
+}
 
 }  // namespace
 }  // namespace rsr

@@ -7,14 +7,21 @@
 //    cached sketch kind — quadtree level IBLTs, adaptive probes, the
 //    exact strata estimator and keyed list, MLSH ladder RIBLTs, the
 //    one-shot RIBLT.
-// 2. Width-boundary rebuild: an unbalanced trace that crosses a histogram
-//    count-width boundary (|S| passing a power of two) must also end
-//    bit-identical (the store takes the from-scratch path there).
-// 3. Snapshot pinning under concurrency (run under TSan in CI): sessions
-//    pinned to an old generation finish bit-identical to the driver on
-//    that generation's set while ApplyUpdate churns the store.
+//    Every such test asks for all families on the starting snapshot, so
+//    the trace exercises the incremental path, and checks through
+//    rsr_store_materializations_total that no family was rebuilt on it.
+// 2. Width-boundary drop: an unbalanced trace that crosses a histogram
+//    count-width or RIBLT sum-width boundary must drop exactly the
+//    affected families, which then rebuild bit-identical on demand.
+// 3. Laziness: a family is absent (and unmaintained) until asked for, and
+//    a stale generation asked late serves its own set's bytes.
+// 4. Concurrency (run under TSan in CI): sessions pinned to an old
+//    generation finish bit-identical to the driver on that generation's
+//    set while ApplyUpdate churns the store, and lazy builds racing
+//    ApplyUpdate serve correct bytes.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -27,6 +34,7 @@
 
 #include "lshrecon/mlsh_recon.h"
 #include "net/tcp.h"
+#include "obs/metrics.h"
 #include "recon/exact_recon.h"
 #include "recon/params.h"
 #include "recon/quadtree_recon.h"
@@ -63,6 +71,89 @@ PointSet Cloud(size_t n, uint64_t seed) {
   spec.shape = workload::CloudShape::kClusters;
   Rng rng(seed);
   return workload::GenerateCloud(spec, &rng);
+}
+
+constexpr SketchFamily kAllFamilies[] = {
+    SketchFamily::kQuadtreeIblt, SketchFamily::kQuadtreeProbe,
+    SketchFamily::kExactStrata,  SketchFamily::kExactKeyed,
+    SketchFamily::kMlsh,         SketchFamily::kOneShotRiblt};
+
+/// A store wired to its own registry, so tests can read the per-family
+/// materialization counters and live gauges.
+struct InstrumentedStore {
+  explicit InstrumentedStore(PointSet points)
+      : store(std::move(points),
+              SketchStoreOptions{Ctx(), Params(),
+                                 MakeStoreMetrics(&registry, false)}) {}
+
+  uint64_t Materializations(SketchFamily family) const {
+    return registry.CounterValue("rsr_store_materializations_total",
+                                 {{"family", SketchFamilyName(family)}});
+  }
+  int64_t Live(SketchFamily family) const {
+    return registry.GaugeValue("rsr_store_family_live",
+                               {{"family", SketchFamilyName(family)}});
+  }
+
+  obs::MetricsRegistry registry;  // declared first: outlives the store
+  SketchStore store;
+};
+
+/// Asserts that `snapshot` holds every family without being asked, and
+/// that each family was built exactly `builds` times so far — i.e. the
+/// batches since the first request all took the incremental path.
+void ExpectAllCarried(const InstrumentedStore& s,
+                      const SketchSnapshot& snapshot, uint64_t builds = 1) {
+  for (SketchFamily family : kAllFamilies) {
+    EXPECT_TRUE(snapshot.Materialized(family)) << SketchFamilyName(family);
+    EXPECT_EQ(s.Materializations(family), builds) << SketchFamilyName(family);
+    EXPECT_EQ(s.Live(family), 1) << SketchFamilyName(family);
+  }
+}
+
+/// Per family: whether a batch taking the set from `from` to `to` points
+/// keeps the widths its sketches serialize with (so the store carries it).
+std::array<bool, kSketchFamilyCount> KeptWidths(size_t from, size_t to) {
+  const recon::ProtocolContext ctx = Ctx();
+  const recon::ProtocolParams params = Params().Resolved();
+  const auto same = [](const RibltConfig& a, const RibltConfig& b) {
+    return a.KeySumBits() == b.KeySumBits() &&
+           a.CoordSumBits() == b.CoordSumBits();
+  };
+  std::array<bool, kSketchFamilyCount> kept;
+  kept.fill(true);
+  kept[static_cast<size_t>(SketchFamily::kQuadtreeIblt)] =
+      recon::HistogramCountBits(from) == recon::HistogramCountBits(to);
+  kept[static_cast<size_t>(SketchFamily::kMlsh)] =
+      same(lshrecon::MlshLevelConfig(ctx.universe, params.mlsh, from, 0,
+                                     ctx.seed),
+           lshrecon::MlshLevelConfig(ctx.universe, params.mlsh, to, 0,
+                                     ctx.seed));
+  kept[static_cast<size_t>(SketchFamily::kOneShotRiblt)] =
+      same(RibltOneShotConfig(ctx.universe, params.riblt, from, ctx.seed),
+           RibltOneShotConfig(ctx.universe, params.riblt, to, ctx.seed));
+  return kept;
+}
+
+/// After a batch from `from` to `to` points: exactly the families whose
+/// widths it keeps were carried into `snapshot`, and nothing was rebuilt
+/// (`builds` holds each family's build count so far). The dropped ones
+/// are counted as rebuilt, since the scratch comparison that follows asks
+/// for them again.
+void ExpectCarriedAcross(const InstrumentedStore& s,
+                         const SketchSnapshot& snapshot, size_t from,
+                         size_t to,
+                         std::array<uint64_t, kSketchFamilyCount>* builds) {
+  const std::array<bool, kSketchFamilyCount> kept = KeptWidths(from, to);
+  for (SketchFamily family : kAllFamilies) {
+    const size_t f = static_cast<size_t>(family);
+    EXPECT_EQ(snapshot.Materialized(family), kept[f])
+        << SketchFamilyName(family);
+    EXPECT_EQ(s.Materializations(family), (*builds)[f])
+        << SketchFamilyName(family);
+    EXPECT_EQ(s.Live(family), kept[f] ? 1 : 0) << SketchFamilyName(family);
+    if (!kept[f]) ++(*builds)[f];
+  }
 }
 
 std::vector<uint8_t> Bits(const Iblt& table) {
@@ -171,7 +262,8 @@ void ExpectSnapshotMatchesScratch(const SketchSnapshot& snapshot,
 
 TEST(SketchStoreTest, IncrementalTraceMatchesFromScratchBitForBit) {
   PointSet mirror = Cloud(96, 31337);
-  SketchStore store(mirror, SketchStoreOptions{Ctx(), Params(), true, {}});
+  InstrumentedStore s(mirror);
+  SketchStore& store = s.store;
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
 
   workload::ChurnSpec spec;
@@ -184,6 +276,7 @@ TEST(SketchStoreTest, IncrementalTraceMatchesFromScratchBitForBit) {
     workload::ApplyChurnBatch(batch, &mirror);
     const auto snapshot = store.ApplyUpdate(batch.inserts, batch.erases);
     EXPECT_EQ(snapshot->generation(), static_cast<uint64_t>(step + 1));
+    ExpectAllCarried(s, *snapshot);
     ExpectSnapshotMatchesScratch(*snapshot, mirror);
   }
 }
@@ -194,34 +287,46 @@ TEST(SketchStoreTest, DuplicatePointsKeepOccurrenceKeysConsistent) {
   // must match a from-scratch canonicalisation throughout.
   PointSet mirror = Cloud(16, 42);
   const Point dup = mirror.front();
-  SketchStore store(mirror, SketchStoreOptions{Ctx(), Params(), true, {}});
+  InstrumentedStore s(mirror);
+  SketchStore& store = s.store;
+  ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
   const PointSet three_copies = {dup, dup, dup};
   store.ApplyUpdate(three_copies, {});
   mirror.insert(mirror.end(), three_copies.begin(), three_copies.end());
+  ExpectAllCarried(s, *store.Snapshot());
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
 
   store.ApplyUpdate({}, {dup, dup});
   workload::ChurnBatch erase_two;
   erase_two.erases = {dup, dup};
   workload::ApplyChurnBatch(erase_two, &mirror);
+  ExpectAllCarried(s, *store.Snapshot());
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
 }
 
 TEST(SketchStoreTest, WidthBoundaryCrossingRebuilds) {
   // 120 -> 140 inserts crosses the HistogramCountBits boundary at 127
-  // (bits of n + 1), forcing the from-scratch path; then an unbalanced
-  // erase-only batch shrinks back across it.
+  // (bits of n + 1), dropping the level IBLTs, which then rebuild on
+  // demand; then an unbalanced erase-only batch shrinks back across it.
+  ASSERT_FALSE(KeptWidths(120, 140)[static_cast<size_t>(
+      SketchFamily::kQuadtreeIblt)]);
   PointSet mirror = Cloud(120, 77);
-  SketchStore store(mirror, SketchStoreOptions{Ctx(), Params(), true, {}});
+  InstrumentedStore s(mirror);
+  SketchStore& store = s.store;
+  ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
+  std::array<uint64_t, kSketchFamilyCount> builds;
+  builds.fill(1);
   const PointSet grow = Cloud(20, 78);
   store.ApplyUpdate(grow, {});
   mirror.insert(mirror.end(), grow.begin(), grow.end());
+  ExpectCarriedAcross(s, *store.Snapshot(), 120, 140, &builds);
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
 
   workload::ChurnBatch shrink;
   shrink.erases = PointSet(mirror.begin(), mirror.begin() + 20);
   store.ApplyUpdate({}, shrink.erases);
   workload::ApplyChurnBatch(shrink, &mirror);
+  ExpectCarriedAcross(s, *store.Snapshot(), 140, 120, &builds);
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
 }
 
@@ -232,7 +337,9 @@ TEST(SketchStoreTest, EraseAndReinsertSameKeyInOneBatchBitIdentical) {
   // sketch bit-identical to a fresh rebuild — the -1/+1 pair must cancel
   // exactly in the strata, the histograms and both RIBLT families.
   PointSet mirror = Cloud(64, 4242);
-  SketchStore store(mirror, SketchStoreOptions{Ctx(), Params(), true, {}});
+  InstrumentedStore s(mirror);
+  SketchStore& store = s.store;
+  ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
   Rng rng(7);
   workload::ChurnBatch batch;
   batch.erases = {mirror[3], mirror[10]};
@@ -242,6 +349,7 @@ TEST(SketchStoreTest, EraseAndReinsertSameKeyInOneBatchBitIdentical) {
                                           &rng)};
   workload::ApplyChurnBatch(batch, &mirror);
   const auto snapshot = store.ApplyUpdate(batch.inserts, batch.erases);
+  ExpectAllCarried(s, *snapshot);
   ExpectSnapshotMatchesScratch(*snapshot, mirror);
 
   // Same-key erase+reinsert alone (a replayed no-op batch) as well. Note
@@ -252,6 +360,7 @@ TEST(SketchStoreTest, EraseAndReinsertSameKeyInOneBatchBitIdentical) {
   noop.inserts = {mirror[5]};
   store.ApplyUpdate(noop.inserts, noop.erases);
   workload::ApplyChurnBatch(noop, &mirror);
+  ExpectAllCarried(s, *store.Snapshot());
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
 }
 
@@ -260,11 +369,20 @@ TEST(SketchStoreTest, RibltWidthBoundaryWithoutHistogramBoundaryRebuilds) {
   // the RIBLT max_entries = 2n + 2 from 126 to 128, widening the
   // serialized sum fields. The cached one-shot and MLSH tables must be
   // rebuilt, or their serialization would keep the stale widths.
+  const std::array<bool, kSketchFamilyCount> kept = KeptWidths(62, 63);
+  ASSERT_TRUE(kept[static_cast<size_t>(SketchFamily::kQuadtreeIblt)]);
+  ASSERT_FALSE(kept[static_cast<size_t>(SketchFamily::kOneShotRiblt)]);
+  ASSERT_FALSE(kept[static_cast<size_t>(SketchFamily::kMlsh)]);
   PointSet mirror = Cloud(62, 2026);
-  SketchStore store(mirror, SketchStoreOptions{Ctx(), Params(), true, {}});
+  InstrumentedStore s(mirror);
+  SketchStore& store = s.store;
+  ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
+  std::array<uint64_t, kSketchFamilyCount> builds;
+  builds.fill(1);
   const PointSet grow = Cloud(1, 2027);
   store.ApplyUpdate(grow, {});
   mirror.insert(mirror.end(), grow.begin(), grow.end());
+  ExpectCarriedAcross(s, *store.Snapshot(), 62, 63, &builds);
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
 
   // And back down across the same boundary with an erase-only batch.
@@ -272,12 +390,19 @@ TEST(SketchStoreTest, RibltWidthBoundaryWithoutHistogramBoundaryRebuilds) {
   shrink.erases = {mirror.back()};
   store.ApplyUpdate({}, shrink.erases);
   workload::ApplyChurnBatch(shrink, &mirror);
+  ExpectCarriedAcross(s, *store.Snapshot(), 63, 62, &builds);
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
 }
 
 TEST(SketchStoreTest, ErasingAbsentPointsIsIgnoredConsistently) {
-  PointSet mirror = Cloud(32, 9);
-  SketchStore store(mirror, SketchStoreOptions{Ctx(), Params(), true, {}});
+  // 40 -> 39 points crosses no width boundary, so the absent erase is
+  // exercised on the incremental path.
+  const std::array<bool, kSketchFamilyCount> kept = KeptWidths(40, 39);
+  ASSERT_TRUE(std::all_of(kept.begin(), kept.end(), [](bool k) { return k; }));
+  PointSet mirror = Cloud(40, 9);
+  InstrumentedStore s(mirror);
+  SketchStore& store = s.store;
+  ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
   // A corner point, verified absent from the generated cloud.
   Point absent(static_cast<size_t>(Ctx().universe.d),
                Ctx().universe.delta - 1);
@@ -287,31 +412,187 @@ TEST(SketchStoreTest, ErasingAbsentPointsIsIgnoredConsistently) {
   workload::ChurnBatch batch;
   batch.erases = erases;
   workload::ApplyChurnBatch(batch, &mirror);
+  ExpectAllCarried(s, *store.Snapshot());
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
 }
 
-TEST(SketchStoreTest, UnmaterializedStoreDeclinesButTracksPoints) {
+TEST(SketchStoreTest, FamilyIsAbsentAndUnmaintainedUntilAskedFor) {
   PointSet mirror = Cloud(48, 12);
-  SketchStore store(mirror, SketchStoreOptions{Ctx(), Params(), false, {}});
-  const auto snapshot = store.Snapshot();
-  EXPECT_EQ(snapshot->points(), mirror);
-  const ShiftedGrid grid(Ctx().universe, Ctx().seed);
-  const IbltConfig config = recon::LevelIbltConfig(
-      grid, 3, mirror.size(), Params().Resolved().quadtree, Ctx().seed);
-  EXPECT_FALSE(snapshot->QuadtreeLevelIblt(config, 3).has_value());
-  EXPECT_EQ(snapshot->ExactKeyedPoints(Ctx().seed), nullptr);
+  InstrumentedStore s(mirror);
+  SketchStore& store = s.store;
+  workload::ChurnSpec spec;
+  spec.fraction = 0.1;
+  Rng rng(13);
+  const auto churn = [&] {
+    const workload::ChurnBatch batch =
+        workload::MakeChurnBatch(mirror, Ctx().universe, spec, &rng);
+    workload::ApplyChurnBatch(batch, &mirror);
+    return store.ApplyUpdate(batch.inserts, batch.erases);
+  };
+  churn();
+  churn();
+  for (SketchFamily family : kAllFamilies) {
+    EXPECT_FALSE(store.Snapshot()->Materialized(family))
+        << SketchFamilyName(family);
+    EXPECT_EQ(s.Materializations(family), 0u) << SketchFamilyName(family);
+    EXPECT_EQ(s.Live(family), 0) << SketchFamilyName(family);
+  }
+
+  // Asking for one family builds that family alone...
+  const RibltConfig config = RibltOneShotConfig(
+      Ctx().universe, Params().Resolved().riblt, mirror.size(), Ctx().seed);
+  ASSERT_TRUE(store.Snapshot()->OneShotRiblt(config).has_value());
+  const auto asked = SketchFamily::kOneShotRiblt;
+  EXPECT_EQ(s.Materializations(asked), 1u);
+  EXPECT_EQ(s.Live(asked), 1);
+
+  // ...and from then on the store maintains that family alone.
+  for (int step = 0; step < 3; ++step) {
+    const auto snapshot = churn();
+    for (SketchFamily family : kAllFamilies) {
+      const bool live = family == asked;
+      EXPECT_EQ(snapshot->Materialized(family), live)
+          << SketchFamilyName(family);
+      EXPECT_EQ(s.Materializations(family), live ? 1u : 0u)
+          << SketchFamilyName(family);
+      EXPECT_EQ(s.Live(family), live ? 1 : 0) << SketchFamilyName(family);
+    }
+  }
+  Riblt scratch(config);
+  for (const Point& p : mirror) scratch.Insert(PointKey(p, Ctx().seed), p);
+  EXPECT_EQ(Bits(*store.Snapshot()->OneShotRiblt(config)), Bits(scratch));
+}
+
+TEST(SketchStoreTest, StaleGenerationServesItsOwnBytes) {
+  PointSet mirror = Cloud(40, 21);
+  InstrumentedStore s(mirror);
+  SketchStore& store = s.store;
+  // The generation pinned here is asked only after two more batches have
+  // been published.
+  const auto pinned = store.Snapshot();
+  const PointSet pinned_points = mirror;
+  workload::ChurnSpec spec;
+  spec.fraction = 0.1;
+  Rng rng(22);
+  for (int step = 0; step < 2; ++step) {
+    const workload::ChurnBatch batch =
+        workload::MakeChurnBatch(mirror, Ctx().universe, spec, &rng);
+    workload::ApplyChurnBatch(batch, &mirror);
+    store.ApplyUpdate(batch.inserts, batch.erases);
+  }
+  ExpectSnapshotMatchesScratch(*pinned, pinned_points);
+  for (SketchFamily family : kAllFamilies) {
+    // The late builds are of a stale generation: the published one still
+    // holds no family, and its gauges say so.
+    EXPECT_EQ(s.Materializations(family), 1u) << SketchFamilyName(family);
+    EXPECT_EQ(s.Live(family), 0) << SketchFamilyName(family);
+    EXPECT_FALSE(store.Snapshot()->Materialized(family))
+        << SketchFamilyName(family);
+  }
+  ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
+  for (SketchFamily family : kAllFamilies) {
+    EXPECT_EQ(s.Materializations(family), 2u) << SketchFamilyName(family);
+    EXPECT_EQ(s.Live(family), 1) << SketchFamilyName(family);
+  }
 }
 
 TEST(SketchStoreTest, ConfigMismatchDeclines) {
   const PointSet points = Cloud(32, 5);
-  SketchStore store(points, SketchStoreOptions{Ctx(), Params(), true, {}});
+  SketchStore store(points, SketchStoreOptions{Ctx(), Params(), {}});
   const auto snapshot = store.Snapshot();
   const ShiftedGrid grid(Ctx().universe, Ctx().seed);
   IbltConfig config = recon::LevelIbltConfig(
       grid, 3, points.size(), Params().Resolved().quadtree, Ctx().seed);
+  IbltConfig other = config;
+  other.seed ^= 1;  // different public coins -> must decline, not serve
+  EXPECT_FALSE(snapshot->QuadtreeLevelIblt(other, 3).has_value());
+  // A declined request builds nothing.
+  EXPECT_FALSE(snapshot->Materialized(SketchFamily::kQuadtreeIblt));
   EXPECT_TRUE(snapshot->QuadtreeLevelIblt(config, 3).has_value());
-  config.seed ^= 1;  // different public coins -> must decline, not serve
-  EXPECT_FALSE(snapshot->QuadtreeLevelIblt(config, 3).has_value());
+  EXPECT_TRUE(snapshot->Materialized(SketchFamily::kQuadtreeIblt));
+  EXPECT_FALSE(snapshot->QuadtreeLevelIblt(other, 3).has_value());
+}
+
+/// Replicas of `canonical` drifted by Gaussian noise, one per seed.
+std::vector<PointSet> DriftedReplicas(const PointSet& canonical,
+                                      size_t count, uint64_t seed) {
+  std::vector<PointSet> replicas(count);
+  for (size_t i = 0; i < count; ++i) {
+    Rng rng(seed + i);
+    replicas[i].reserve(canonical.size());
+    for (const Point& p : canonical) {
+      replicas[i].push_back(workload::PerturbPoint(
+          p, Ctx().universe, workload::NoiseKind::kGaussian, 0.5, &rng));
+    }
+  }
+  return replicas;
+}
+
+/// Asserts a served outcome equals the in-process driver run against the
+/// set of the generation it was pinned to.
+void ExpectMatchesDriver(const SyncOutcome& outcome, const char* protocol,
+                         const PointSet& replica, const PointSet& canonical) {
+  ASSERT_TRUE(outcome.handshake_ok) << protocol;
+  const auto reconciler = recon::MakeReconciler(protocol, Ctx(), Params());
+  transport::Channel channel;
+  const recon::ReconResult expected =
+      reconciler->Run(replica, canonical, &channel);
+  EXPECT_EQ(outcome.result.success, expected.success) << protocol;
+  EXPECT_EQ(outcome.result.error, expected.error) << protocol;
+  EXPECT_EQ(outcome.result.chosen_level, expected.chosen_level) << protocol;
+  EXPECT_EQ(outcome.result.decoded_entries, expected.decoded_entries)
+      << protocol;
+  if (expected.success) {
+    EXPECT_EQ(outcome.result.bob_final, expected.bob_final) << protocol;
+  }
+}
+
+constexpr const char* kCachedProtocols[] = {
+    "quadtree",   "single-grid",   "quadtree-adaptive",
+    "exact-iblt", "mlsh-riblt",    "riblt-oneshot"};
+
+TEST(SketchStoreTest, HostNotServingFromCacheMatchesDriverAndBuildsNothing) {
+  const PointSet canonical = Cloud(96, 31);
+  SyncServerOptions options;
+  options.context = Ctx();
+  options.params = Params();
+  options.worker_threads = 2;
+  options.serve_from_cache = false;
+  SyncServer server(canonical, options);
+  ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
+  const std::vector<PointSet> replicas =
+      DriftedReplicas(canonical, std::size(kCachedProtocols), 300);
+
+  SyncClientOptions client_options;
+  client_options.context = Ctx();
+  client_options.params = Params();
+  const SyncClient client(client_options);
+  workload::ChurnSpec spec;
+  spec.fraction = 0.05;
+  Rng rng(301);
+  for (int round = 0; round < 2; ++round) {
+    const auto snapshot = server.snapshot();
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      auto stream = net::TcpStream::Connect("127.0.0.1", server.port());
+      ASSERT_NE(stream, nullptr);
+      const SyncOutcome outcome =
+          client.Sync(stream.get(), kCachedProtocols[i], replicas[i]);
+      EXPECT_EQ(outcome.server_generation, snapshot->generation());
+      ExpectMatchesDriver(outcome, kCachedProtocols[i], replicas[i],
+                          snapshot->points());
+    }
+    const workload::ChurnBatch batch = workload::MakeChurnBatch(
+        snapshot->points(), Ctx().universe, spec, &rng);
+    server.ApplyUpdate(batch.inserts, batch.erases);
+  }
+  server.Stop();
+  EXPECT_EQ(server.metrics_registry().SumCounters(
+                "rsr_store_materializations_total"),
+            0u);
+  for (SketchFamily family : kAllFamilies) {
+    EXPECT_FALSE(server.snapshot()->Materialized(family))
+        << SketchFamilyName(family);
+  }
 }
 
 // --- Concurrency: sessions pinned to old snapshots vs ApplyUpdate. ---
@@ -340,16 +621,8 @@ TEST(SketchStoreConcurrencyTest, PinnedSessionsFinishCorrectlyUnderChurn) {
   const char* kProtocols[kClients] = {"quadtree",      "exact-iblt",
                                       "mlsh-riblt",    "riblt-oneshot",
                                       "quadtree-adaptive", "quadtree"};
-  std::vector<PointSet> replicas(kClients);
-  for (size_t i = 0; i < kClients; ++i) {
-    const Universe universe = Ctx().universe;
-    Rng rng(600 + i);
-    replicas[i].reserve(canonical.size());
-    for (const Point& p : canonical) {
-      replicas[i].push_back(workload::PerturbPoint(
-          p, universe, workload::NoiseKind::kGaussian, 0.5, &rng));
-    }
-  }
+  const std::vector<PointSet> replicas =
+      DriftedReplicas(canonical, kClients, 600);
 
   std::vector<std::vector<SyncOutcome>> outcomes(
       kClients, std::vector<SyncOutcome>(kRounds));
@@ -396,25 +669,86 @@ TEST(SketchStoreConcurrencyTest, PinnedSessionsFinishCorrectlyUnderChurn) {
   for (size_t i = 0; i < kClients; ++i) {
     for (size_t round = 0; round < kRounds; ++round) {
       const SyncOutcome& outcome = outcomes[i][round];
-      ASSERT_TRUE(outcome.handshake_ok) << kProtocols[i];
       const auto it = gens.find(outcome.server_generation);
       ASSERT_NE(it, gens.end()) << kProtocols[i];
-      const auto reconciler =
-          recon::MakeReconciler(kProtocols[i], Ctx(), Params());
-      transport::Channel channel;
-      const recon::ReconResult expected =
-          reconciler->Run(replicas[i], it->second->points(), &channel);
-      EXPECT_EQ(outcome.result.success, expected.success) << kProtocols[i];
-      EXPECT_EQ(outcome.result.error, expected.error) << kProtocols[i];
-      EXPECT_EQ(outcome.result.chosen_level, expected.chosen_level)
-          << kProtocols[i];
-      EXPECT_EQ(outcome.result.decoded_entries, expected.decoded_entries)
-          << kProtocols[i];
-      if (expected.success) {
-        EXPECT_EQ(outcome.result.bob_final, expected.bob_final)
-            << kProtocols[i];
-      }
+      ExpectMatchesDriver(outcome, kProtocols[i], replicas[i],
+                          it->second->points());
     }
+  }
+}
+
+TEST(SketchStoreConcurrencyTest, LazyBuildsRacingApplyUpdateServeTheirSet) {
+  // Readers ask random families of whatever generation is current while a
+  // writer churns: a build may race the writer carrying (or dropping) the
+  // same family. Every snapshot any reader touched must then serve exactly
+  // its own generation's set.
+  PointSet mirror = Cloud(60, 77);
+  SketchStore store(mirror, SketchStoreOptions{Ctx(), Params(), {}});
+  std::map<uint64_t, PointSet> sets = {{0, mirror}};
+  std::mutex seen_mu;
+  std::vector<std::shared_ptr<const SketchSnapshot>> seen;
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(900 + r);
+      const recon::ProtocolParams params = Params().Resolved();
+      const ShiftedGrid grid(Ctx().universe, Ctx().seed);
+      while (!stop.load()) {
+        const auto snapshot = store.Snapshot();
+        const size_t n = snapshot->size();
+        switch (rng.Next64() % 4) {
+          case 0: {
+            const int level = recon::ProtocolLevels(grid, params.quadtree)[0];
+            snapshot->QuadtreeLevelIblt(
+                recon::LevelIbltConfig(grid, level, n, params.quadtree,
+                                       Ctx().seed),
+                level);
+            break;
+          }
+          case 1:
+            snapshot->ExactStrata(recon::ExactReconStrataConfig(Ctx().seed));
+            break;
+          case 2:
+            snapshot->MlshLevelRiblt(
+                lshrecon::MlshLevelConfig(Ctx().universe, params.mlsh, n, 0,
+                                          Ctx().seed),
+                0);
+            break;
+          default:
+            snapshot->OneShotRiblt(RibltOneShotConfig(
+                Ctx().universe, params.riblt, n, Ctx().seed));
+            break;
+        }
+        std::lock_guard<std::mutex> lock(seen_mu);
+        if (seen.empty() || seen.back() != snapshot) seen.push_back(snapshot);
+      }
+    });
+  }
+  // Unbalanced batches, so some cross a width boundary (62/63 points).
+  Rng rng(901);
+  for (int step = 0; step < 24; ++step) {
+    workload::ChurnBatch batch;
+    if (rng.Next64() % 2 == 0) {
+      batch.inserts = Cloud(1 + rng.Next64() % 3, 1000 + step);
+    } else {
+      batch.erases = {mirror[rng.Next64() % mirror.size()]};
+    }
+    workload::ApplyChurnBatch(batch, &mirror);
+    const auto snapshot = store.ApplyUpdate(batch.inserts, batch.erases);
+    sets[snapshot->generation()] = mirror;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  std::map<uint64_t, std::shared_ptr<const SketchSnapshot>> distinct;
+  for (const auto& snapshot : seen) distinct[snapshot->generation()] = snapshot;
+  distinct[store.generation()] = store.Snapshot();
+  for (const auto& [generation, snapshot] : distinct) {
+    SCOPED_TRACE(generation);
+    ExpectSnapshotMatchesScratch(*snapshot, sets.at(generation));
   }
 }
 

@@ -176,5 +176,79 @@ TEST_P(BitIoFuzzSweep, MixedWidthRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BitIoFuzzSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
+// Bit-at-a-time reference of BitWriter's LSB-first layout: stream bit i is
+// bit i % 8 of byte i / 8.
+std::vector<uint8_t> ReferencePack(const std::vector<bool>& bits) {
+  std::vector<uint8_t> bytes((bits.size() + 7) / 8, 0);
+  for (size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) bytes[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+  }
+  return bytes;
+}
+
+uint64_t ReferenceRead(const std::vector<uint8_t>& bytes, size_t start,
+                       int width) {
+  uint64_t value = 0;
+  for (int b = 0; b < width; ++b) {
+    const size_t i = start + static_cast<size_t>(b);
+    value |= static_cast<uint64_t>((bytes[i / 8] >> (i % 8)) & 1) << b;
+  }
+  return value;
+}
+
+TEST(BitIoTest, WordWritesMatchBitAtATimeReference) {
+  // Every start offset within a byte (the lead write), then every width
+  // 0..64 with unmasked high bits, in random order.
+  Rng rng(2024);
+  for (int trial = 0; trial < 64; ++trial) {
+    BitWriter w;
+    std::vector<bool> bits;
+    const auto write = [&](uint64_t value, int width) {
+      w.WriteBits(value, width);
+      for (int b = 0; b < width; ++b) bits.push_back((value >> b) & 1);
+    };
+    write(rng.Next64(), trial % 8);
+    for (int i = 0; i < 65; ++i) {
+      write(rng.Next64(), static_cast<int>(rng.Below(65)));
+    }
+    for (int width = 0; width <= 64; ++width) write(rng.Next64(), width);
+    ASSERT_EQ(w.bit_count(), bits.size()) << "trial " << trial;
+    ASSERT_EQ(w.bytes(), ReferencePack(bits)) << "trial " << trial;
+  }
+}
+
+TEST(BitIoTest, ReadsAtEveryOffsetMatchBitAtATimeReference) {
+  // Buffers of exactly 0..17 bytes (a sanitizer build flags any load past
+  // the end); from every start bit, every width 0..64: the read succeeds
+  // iff the bits are there, and then equals the reference.
+  Rng rng(77);
+  for (size_t size = 0; size <= 17; ++size) {
+    std::vector<uint8_t> bytes(size);
+    for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.Below(256));
+    for (size_t start = 0; start <= size * 8; ++start) {
+      for (int width = 0; width <= 64; ++width) {
+        BitReader r(bytes.data(), bytes.size());
+        uint64_t skipped = 0;
+        for (size_t left = start; left > 0;) {
+          const int step = static_cast<int>(left < 64 ? left : 64);
+          ASSERT_TRUE(r.ReadBits(step, &skipped));
+          left -= static_cast<size_t>(step);
+        }
+        uint64_t value = ~uint64_t{0};
+        const bool fits = start + static_cast<size_t>(width) <= size * 8;
+        ASSERT_EQ(r.ReadBits(width, &value), fits)
+            << size << " bytes, bit " << start << ", width " << width;
+        if (fits) {
+          ASSERT_EQ(value, ReferenceRead(bytes, start, width))
+              << size << " bytes, bit " << start << ", width " << width;
+          ASSERT_EQ(r.bits_consumed(), start + static_cast<size_t>(width));
+        } else {
+          ASSERT_EQ(r.bits_consumed(), start);  // underrun consumes nothing
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rsr
