@@ -104,6 +104,39 @@ void BM_LadderBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LadderBuild)->Arg(1024)->Arg(16384);
 
+// The histogram -> IBLT kernel alone: the ladder is sorted once outside
+// the loop, and every ladder level's entries go through the entry codec
+// into its table. Items are histogram entries, so the rate reads as ns per
+// IBLT insert (key, value pack and q cell updates).
+void BM_LevelSketch(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const Universe u = MakeUniverse(1 << 20, 2);
+  const ShiftedGrid grid(u, 8);
+  const recon::QuadtreeParams params;
+  Rng rng(9);
+  PointSet points;
+  for (size_t i = 0; i < n; ++i) {
+    points.push_back({rng.Uniform(0, (1 << 20) - 1),
+                      rng.Uniform(0, (1 << 20) - 1)});
+  }
+  const CellLadder ladder(grid, points);
+  const std::vector<int> levels = recon::ProtocolLevels(grid, params);
+  size_t entries = 0;
+  for (int level : levels) {
+    ladder.ForEachCell(level, [&](const Cell&, int64_t) { ++entries; });
+  }
+  for (auto _ : state) {
+    for (int level : levels) {
+      Iblt table(recon::LevelIbltConfig(grid, level, n, params, 8));
+      recon::SketchLevelHistogram(grid, ladder, level, n, &table);
+      benchmark::DoNotOptimize(table);
+    }
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * entries));
+}
+BENCHMARK(BM_LevelSketch)->Arg(16384);
+
 void BM_ExactEmd(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(10);

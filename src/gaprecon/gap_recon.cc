@@ -262,14 +262,13 @@ class GapAlice : public recon::PartySessionBase {
 // Bob: estimates the entry-key difference from Alice's opening, ships an
 // IBLT of his entry keys (doubled on each retry), and appends the points
 // Alice finally transmits.
-class GapBob : public recon::PartySessionBase {
+class GapBob : public recon::BobSessionBase {
  public:
   GapBob(const recon::ProtocolContext& context, const GapParams& params,
-         PointSet points)
-      : context_(context), params_(params), points_(std::move(points)) {
+         const PointSet& points)
+      : BobSessionBase(points), context_(context), params_(params) {
     const double rho = params_.RhoHat(context_.universe.d);
     RSR_CHECK_MSG(rho < 1.0, "gap model requires r2 > r1 * d");
-    result_.bob_final = points_;
   }
 
   std::vector<transport::Message> Start() override { return NoMessages(); }
@@ -332,14 +331,16 @@ class GapBob : public recon::PartySessionBase {
         FailWith(recon::SessionError::kMalformedMessage);
         return NoMessages();
       }
+      PointSet final_set = points_;
       for (uint64_t i = 0; i < count; ++i) {
         Point p;
         if (!UnpackPoint(context_.universe, &pr, &p)) {
           FailWith(recon::SessionError::kMalformedMessage);
           return NoMessages();
         }
-        result_.bob_final.push_back(std::move(p));
+        final_set.push_back(std::move(p));
       }
+      SetFinal(std::move(final_set));
       result_.transmitted = static_cast<size_t>(count);
       result_.success = true;
       Finish();
@@ -367,7 +368,6 @@ class GapBob : public recon::PartySessionBase {
 
   recon::ProtocolContext context_;
   GapParams params_;
-  PointSet points_;
   State state_ = State::kAwaitStrata;
   EntrySet entries_;
   uint64_t target_ = 0;

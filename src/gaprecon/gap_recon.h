@@ -91,6 +91,7 @@ class GapReconciler : public recon::Reconciler {
       : context_(context), params_(params) {}
 
   std::string Name() const override { return "gap-lattice"; }
+  using recon::Reconciler::MakeBobSession;  // and its deleted temporaries
   std::unique_ptr<recon::PartySession> MakeAliceSession(
       const PointSet& points) const override;
   std::unique_ptr<recon::PartySession> MakeBobSession(

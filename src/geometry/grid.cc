@@ -1,6 +1,7 @@
 #include "geometry/grid.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "hash/mix.h"
@@ -42,8 +43,12 @@ Cell ShiftedGrid::ParentCell(const Cell& cell) const {
   return parent;
 }
 
+uint64_t ShiftedGrid::LevelKeySeed(int level) const {
+  return Hash64(static_cast<uint64_t>(level), key_seed_);
+}
+
 uint64_t ShiftedGrid::CellKey(const Cell& cell, int level) const {
-  uint64_t h = Hash64(static_cast<uint64_t>(level), key_seed_);
+  uint64_t h = LevelKeySeed(level);
   for (int64_t c : cell) h = HashCombine(h, static_cast<uint64_t>(c));
   return h;
 }
@@ -52,7 +57,7 @@ uint64_t ShiftedGrid::CellKeyOf(const Point& p, int level) const {
   // CellKey(CellOf(p, level), level) without materializing the cell.
   RSR_DCHECK(universe_.Contains(p));
   RSR_DCHECK(level >= 0 && level <= levels_);
-  uint64_t h = Hash64(static_cast<uint64_t>(level), key_seed_);
+  uint64_t h = LevelKeySeed(level);
   for (size_t i = 0; i < p.size(); ++i) {
     h = HashCombine(h, static_cast<uint64_t>((p[i] + shift_[i]) >> level));
   }
@@ -102,7 +107,8 @@ bool ShiftedGrid::UnpackCell(int level, BitReader* in, Cell* out) const {
 namespace {
 
 /// Z-order (Morton) comparison of two shifted coordinate vectors, through
-/// the coordinate whose XOR has the highest set bit.
+/// the coordinate whose XOR has the highest set bit; at equal highest bits
+/// the lower coordinate index decides.
 bool ZLess(size_t d, const uint64_t* a, const uint64_t* b) {
   size_t dim = 0;
   uint64_t top = 0;
@@ -117,132 +123,262 @@ bool ZLess(size_t d, const uint64_t* a, const uint64_t* b) {
   return a[dim] < b[dim];
 }
 
+/// Appends `points` shifted onto the grid to `shifted` (point-major).
+void AppendShifted(const ShiftedGrid& grid, const PointSet& points,
+                   std::vector<uint64_t>* shifted) {
+  const size_t d = static_cast<size_t>(grid.universe().d);
+  const Point& shift = grid.shift();
+  shifted->reserve(shifted->size() + points.size() * d);
+  for (const Point& p : points) {
+    RSR_DCHECK(grid.universe().Contains(p));
+    for (size_t j = 0; j < d; ++j) {
+      shifted->push_back(static_cast<uint64_t>(p[j] + shift[j]));
+    }
+  }
+}
+
+/// Morton keys of n shifted coordinate vectors of `bits` bits each (d ·
+/// bits ≤ 64): bit b of coordinate j lands at b·d + (d − 1 − j), so a key
+/// compares like ZLess — higher bits first, and at one bit position the
+/// lower coordinate index first. Each coordinate byte is spread through a
+/// 256-entry table.
+std::vector<uint64_t> MortonKeys(size_t d, int bits,
+                                 const std::vector<uint64_t>& shifted) {
+  RSR_DCHECK(d * static_cast<size_t>(bits) <= 64);
+  // spread[v]: bit b of v moved to bit b·d (bits past 63 dropped; a
+  // coordinate never has them).
+  uint64_t spread[256];
+  spread[0] = 0;
+  for (uint64_t v = 1; v < 256; ++v) {
+    spread[v] = (d < 64 ? spread[v >> 1] << d : 0) | (v & 1);
+  }
+  const size_t bytes = (static_cast<size_t>(bits) + 7) / 8;
+  const size_t n = d == 0 ? 0 : shifted.size() / d;
+  std::vector<uint64_t> keys(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t* c = shifted.data() + i * d;
+    uint64_t key = 0;
+    for (size_t j = 0; j < d; ++j) {
+      for (size_t k = 0; k < bytes; ++k) {
+        key |= spread[(c[j] >> (8 * k)) & 0xff] << (8 * k * d + (d - 1 - j));
+      }
+    }
+    keys[i] = key;
+  }
+  return keys;
+}
+
+/// The permutation listing `keys` in ascending order: an LSD radix sort,
+/// one stable counting pass per key byte that varies.
+std::vector<uint32_t> RadixOrder(const std::vector<uint64_t>& keys) {
+  const size_t n = keys.size();
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  std::vector<std::array<uint32_t, 256>> counts(8);
+  for (auto& c : counts) c.fill(0);
+  for (uint64_t key : keys) {
+    for (size_t b = 0; b < 8; ++b) ++counts[b][(key >> (8 * b)) & 0xff];
+  }
+  std::vector<uint32_t> next(n);
+  for (size_t b = 0; b < 8; ++b) {
+    std::array<uint32_t, 256>& count = counts[b];
+    if (n == 0 || count[(keys[0] >> (8 * b)) & 0xff] == n) continue;
+    uint32_t sum = 0;
+    for (uint32_t& c : count) {
+      const uint32_t here = c;
+      c = sum;
+      sum += here;
+    }
+    for (uint32_t i : order) next[count[(keys[i] >> (8 * b)) & 0xff]++] = i;
+    order.swap(next);
+  }
+  return order;
+}
+
+/// Below this many points, Morton keys are sorted by comparison.
+constexpr size_t kRadixMinPoints = 256;
+
+/// Sorts the point-major `shifted` (n × d) into Z-order, and returns the
+/// permutation applied: sorted point i was shifted point order[i].
+std::vector<uint32_t> SortZOrder(const ShiftedGrid& grid,
+                                 std::vector<uint64_t>* shifted) {
+  const size_t d = static_cast<size_t>(grid.universe().d);
+  const size_t n = shifted->size() / d;
+  RSR_CHECK(n <= UINT32_MAX);  // the sorts permute 32-bit indices
+  // Shifted coordinates are below 2^(L+1).
+  const int bits = grid.max_level() + 1;
+  std::vector<uint32_t> order;
+  if (d * static_cast<size_t>(bits) <= 64) {
+    const std::vector<uint64_t> keys = MortonKeys(d, bits, *shifted);
+    if (n >= kRadixMinPoints) {
+      order = RadixOrder(keys);
+    } else {  // a batch: too few keys to pay for the radix passes' counts
+      order.resize(n);
+      std::iota(order.begin(), order.end(), uint32_t{0});
+      std::sort(order.begin(), order.end(),
+                [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
+    }
+  } else {
+    order.resize(n);
+    std::iota(order.begin(), order.end(), uint32_t{0});
+    const uint64_t* data = shifted->data();
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return ZLess(d, data + size_t{a} * d, data + size_t{b} * d);
+    });
+  }
+  std::vector<uint64_t> sorted(n * d);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy_n(shifted->data() + size_t{order[i]} * d, d,
+                sorted.data() + i * d);
+  }
+  shifted->swap(sorted);
+  return order;
+}
+
 /// `points` shifted onto the grid, n × d, in Z-order.
 std::vector<uint64_t> ShiftedZOrder(const ShiftedGrid& grid,
                                     const PointSet& points) {
-  const size_t n = points.size();
-  const size_t d = static_cast<size_t>(grid.universe().d);
-  RSR_CHECK(n <= UINT32_MAX);  // the sort permutes 32-bit indices
-  const Point& shift = grid.shift();
-  std::vector<uint64_t> shifted(n * d);
-  for (size_t i = 0; i < n; ++i) {
-    RSR_DCHECK(grid.universe().Contains(points[i]));
-    for (size_t j = 0; j < d; ++j) {
-      shifted[i * d + j] = static_cast<uint64_t>(points[i][j] + shift[j]);
-    }
-  }
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), uint32_t{0});
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return ZLess(d, shifted.data() + size_t{a} * d,
-                 shifted.data() + size_t{b} * d);
-  });
-  std::vector<uint64_t> sorted(n * d);
-  for (size_t i = 0; i < n; ++i) {
-    std::copy_n(shifted.data() + size_t{order[i]} * d, d,
-                sorted.data() + i * d);
-  }
-  return sorted;
+  std::vector<uint64_t> shifted;
+  AppendShifted(grid, points, &shifted);
+  SortZOrder(grid, &shifted);
+  return shifted;
 }
 
 }  // namespace
 
 CellLadder::CellLadder(const ShiftedGrid& grid, const PointSet& points)
     : d_(static_cast<size_t>(grid.universe().d)),
-      coords_(ShiftedZOrder(grid, points)) {
-  Split();
-}
+      coords_(ShiftedZOrder(grid, points)),
+      splits_(Splits(d_, coords_)) {}
 
-void CellLadder::Split() {
-  const size_t n = coords_.size() / d_;
-  splits_.resize(n);
+std::vector<uint64_t> CellLadder::Splits(size_t d,
+                                         const std::vector<uint64_t>& coords) {
+  const size_t n = coords.size() / d;
+  std::vector<uint64_t> splits(n);
   for (size_t i = 0; i + 1 < n; ++i) {
     uint64_t split = 0;
-    for (size_t j = 0; j < d_; ++j) {
-      split |= coords_[i * d_ + j] ^ coords_[(i + 1) * d_ + j];
+    for (size_t j = 0; j < d; ++j) {
+      split |= coords[i * d + j] ^ coords[(i + 1) * d + j];
     }
-    splits_[i] = split;
+    splits[i] = split;
   }
-  if (n > 0) splits_[n - 1] = ~uint64_t{0};
+  if (n > 0) splits[n - 1] = ~uint64_t{0};
+  return splits;
 }
 
-int64_t CellLadder::CountInCell(const Cell& cell, int level) const {
-  RSR_DCHECK(cell.size() == d_);
-  const size_t n = size();
-  // The run starts at the first point not Z-below the cell's least corner.
-  std::vector<uint64_t> least(d_);
-  for (size_t j = 0; j < d_; ++j) {
-    least[j] = static_cast<uint64_t>(cell[j]) << level;
-  }
-  size_t lo = 0;
-  size_t hi = n;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (ZLess(d_, coords_.data() + mid * d_, least.data())) {
-      lo = mid + 1;
+CellLadder CellLadder::Updated(const CellMoves& moves) const {
+  RSR_CHECK(moves.base_ == this);
+  CellLadder next(d_);
+  next.coords_.reserve(coords_.size() + moves.coords_.size());
+  const auto copy_base = [&](size_t from, size_t to) {
+    next.coords_.insert(next.coords_.end(), coords_.begin() + from * d_,
+                        coords_.begin() + to * d_);
+  };
+  size_t i = 0;  // next base point to copy
+  for (size_t m = 0; m < moves.moves_.size(); ++m) {
+    // Moves are Z-sorted and positions are their lower bounds, so the
+    // base points before this move's position come first; erases of one
+    // value take its copies in turn from there.
+    const size_t to = std::max(i, moves.positions_[m]);
+    copy_base(i, to);
+    i = to;
+    const uint64_t* p = moves.coords_.data() + m * d_;
+    if (moves.moves_[m] > 0) {
+      next.coords_.insert(next.coords_.end(), p, p + d_);
     } else {
-      hi = mid;
+      RSR_CHECK_MSG(i < size() && std::equal(p, p + d_, &coords_[i * d_]),
+                    "CellLadder::Updated: an erased point is absent");
+      ++i;
     }
   }
-  const size_t first = lo;
+  copy_base(i, size());
+  next.splits_ = Splits(d_, next.coords_);
+  return next;
+}
+
+CellMoves::CellMoves(const ShiftedGrid& grid, const CellLadder& base,
+                     const PointSet& erases, const PointSet& inserts)
+    : base_(&base), d_(static_cast<size_t>(grid.universe().d)) {
+  AppendShifted(grid, erases, &coords_);
+  AppendShifted(grid, inserts, &coords_);
+  const std::vector<uint32_t> order = SortZOrder(grid, &coords_);
+  moves_.reserve(order.size());
+  for (uint32_t from : order) moves_.push_back(from < erases.size() ? -1 : 1);
+  splits_ = CellLadder::Splits(d_, coords_);
+  // Lower bounds in the base order; the moves are sorted, so each search
+  // starts where the previous one ended.
+  const uint64_t* held = base.coords_.data();
+  positions_.resize(order.size());
+  size_t lo = 0;
+  for (size_t m = 0; m < order.size(); ++m) {
+    const uint64_t* p = coords_.data() + m * d_;
+    size_t hi = base.size();
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (ZLess(d_, held + mid * d_, p)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    positions_[m] = lo;
+  }
+  run_lo_ = positions_;
+  run_hi_ = positions_;
+}
+
+void CellMoves::Widen(const Cell& cell, int level, size_t* lo,
+                      size_t* hi) const {
+  // A cell's base points are one run, and the moved point that seeded
+  // [*lo, *hi) lies in the cell, so the run is found by galloping out
+  // from the current bounds, then bisecting the last step.
+  const size_t n = base_->size();
+  const uint64_t* held = base_->coords_.data();
   const auto inside = [&](size_t i) {
-    const uint64_t* p = coords_.data() + i * d_;
+    const uint64_t* p = held + i * d_;
     for (size_t j = 0; j < d_; ++j) {
       if ((p[j] >> level) != static_cast<uint64_t>(cell[j])) return false;
     }
     return true;
   };
-  // Gallop to the run's end: most cells a batch touches hold a point or
-  // two, so this usually costs a probe or two, not a second search.
-  lo = first;  // [first, lo) is inside the cell
-  size_t probe = first;
-  for (size_t step = 1; probe < n && inside(probe); step *= 2) {
-    lo = probe + 1;
-    probe += step;
+  size_t first_in = *lo;  // [first_in, *lo) is inside
+  size_t floor = 0;       // the run starts in [floor, first_in]
+  for (size_t step = 1; first_in > 0; step *= 2) {
+    const size_t probe = first_in > step ? first_in - step : 0;
+    if (!inside(probe)) {
+      floor = probe + 1;
+      break;
+    }
+    first_in = probe;
   }
-  hi = std::min(probe, n);  // the run ends in [lo, hi]
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
+  while (floor < first_in) {
+    const size_t mid = floor + (first_in - floor) / 2;
     if (inside(mid)) {
-      lo = mid + 1;
+      first_in = mid;
     } else {
-      hi = mid;
+      floor = mid + 1;
     }
   }
-  return static_cast<int64_t>(lo - first);
-}
-
-CellLadder CellLadder::Updated(const ShiftedGrid& grid, const PointSet& erases,
-                               const PointSet& inserts) const {
-  const std::vector<uint64_t> gone = ShiftedZOrder(grid, erases);
-  const std::vector<uint64_t> added = ShiftedZOrder(grid, inserts);
-  const size_t n = size();
-  const size_t n_gone = erases.size();
-  const size_t n_added = inserts.size();
-  RSR_CHECK(n_gone <= n);
-  CellLadder next(d_);
-  next.coords_.reserve((n - n_gone + n_added) * d_);
-  size_t i = 0;  // next held point
-  size_t g = 0;  // next erased point
-  size_t a = 0;  // next inserted point
-  while (i < n || a < n_added) {
-    const uint64_t* held = coords_.data() + i * d_;
-    if (i < n && g < n_gone && std::equal(held, held + d_, &gone[g * d_])) {
-      ++i;  // one erased copy
-      ++g;
-      continue;
+  *lo = first_in;
+  size_t end_in = *hi;  // [*hi, end_in) is inside
+  size_t ceiling = n;   // the run ends in [end_in, ceiling]
+  for (size_t step = 1; end_in < n; step *= 2) {
+    const size_t probe = std::min(end_in + step - 1, n - 1);
+    if (!inside(probe)) {
+      ceiling = probe;
+      break;
     }
-    const uint64_t* take = held;
-    if (i == n || (a < n_added && ZLess(d_, &added[a * d_], held))) {
-      take = &added[a++ * d_];
-    } else {
-      ++i;
-    }
-    next.coords_.insert(next.coords_.end(), take, take + d_);
+    end_in = probe + 1;
   }
-  RSR_CHECK_MSG(g == n_gone, "CellLadder::Updated: an erased point is absent");
-  next.Split();
-  return next;
+  while (end_in < ceiling) {
+    const size_t mid = end_in + (ceiling - end_in) / 2;
+    if (inside(mid)) {
+      end_in = mid + 1;
+    } else {
+      ceiling = mid;
+    }
+  }
+  *hi = end_in;
 }
 
 }  // namespace rsr

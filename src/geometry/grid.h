@@ -18,6 +18,7 @@
 
 #include "geometry/point.h"
 #include "util/bitio.h"
+#include "util/check.h"
 
 namespace rsr {
 
@@ -51,6 +52,11 @@ class ShiftedGrid {
   /// 64-bit key identifying (level, cell) — used as IBLT key.
   uint64_t CellKey(const Cell& cell, int level) const;
 
+  /// The hash every level-`level` cell key starts from: CellKey folds the
+  /// cell's coordinates into it with HashCombine. Callers keying many cells
+  /// of one level hoist it.
+  uint64_t LevelKeySeed(int level) const;
+
   /// Convenience: CellKey(CellOf(p, level), level).
   uint64_t CellKeyOf(const Point& p, int level) const;
 
@@ -83,14 +89,19 @@ class ShiftedGrid {
 ///
 /// Points sharing a level-ℓ cell agree on every bit ≥ ℓ of every shifted
 /// coordinate, i.e. on a prefix of their bit-interleaved (Morton) key, so
-/// they are contiguous in Z-order at every level at once. The sort compares
-/// two points through the coordinate whose XOR has the highest set bit
-/// (Chan's xor-MSB trick), which orders by Morton key for any d without
-/// building one. After the sort, neighbours i and i+1 share their level-ℓ
-/// cell iff the OR of their coordinate XORs is below 2^ℓ, so a level's runs
-/// cost one shift and one compare per point. The same order answers a
-/// single cell's count by binary search, and absorbs a batch of mutations
-/// by one merge, so a ladder can be kept current under churn.
+/// they are contiguous in Z-order at every level at once. When the key
+/// fits a word — d · (L + 1) ≤ 64, L = max_level() — the sort builds it
+/// and radix-sorts it, 8 bits a pass; otherwise it compares two points
+/// through the coordinate whose XOR has the highest set bit (Chan's
+/// xor-MSB trick), which orders by Morton key without building one. Both
+/// give the same order: points with equal keys are equal. After the sort,
+/// neighbours i and i+1 share their level-ℓ cell iff the OR of their
+/// coordinate XORs is below 2^ℓ, so a level's runs cost one shift and one
+/// compare per point. The same order locates a batch of mutations
+/// (CellMoves) and absorbs it by one merge, so a ladder can be kept
+/// current under churn.
+class CellMoves;
+
 class CellLadder {
  public:
   CellLadder(const ShiftedGrid& grid, const PointSet& points);
@@ -98,47 +109,110 @@ class CellLadder {
   /// Number of points (duplicates included).
   size_t size() const { return splits_.size(); }
 
-  /// Number of points in the level-`level` cell `cell`: a dyadic cell's
-  /// points are one run of the Z-order starting at the first point not
-  /// below its least corner, so this is a binary search for the run's
-  /// start and a gallop to its end, O(d (log n + log count)).
-  int64_t CountInCell(const Cell& cell, int level) const;
-
-  /// The ladder of this set after removing one copy of each of `erases`
-  /// (every one must be present) and adding `inserts`: the sorted batch is
-  /// merged into the order, O(n·d + b log b) for a batch of b, no re-sort.
-  CellLadder Updated(const ShiftedGrid& grid, const PointSet& erases,
-                     const PointSet& inserts) const;
+  /// The ladder of this set after `moves` (which must have been sorted
+  /// against this ladder): every run between two moved points is copied
+  /// whole, so the cost is O(n·d) word copies plus the batch, no re-sort.
+  CellLadder Updated(const CellMoves& moves) const;
 
   /// Calls fn(const Cell& cell, int64_t count) once per occupied
   /// level-`level` cell, in Z-order. The cell is a reused buffer, valid
   /// only during the call.
   template <typename Fn>
   void ForEachCell(int level, Fn&& fn) const {
-    const size_t n = size();
-    Cell cell(d_);
+    ForEachRun(d_, coords_, splits_, level,
+               [&](const Cell& cell, size_t first, size_t end) {
+                 fn(cell, static_cast<int64_t>(end - first));
+               });
+  }
+
+ private:
+  friend class CellMoves;
+
+  explicit CellLadder(size_t d) : d_(d) {}
+
+  /// Calls fn(cell, first, end) once per level-`level` run [first, end) of
+  /// the Z-ordered `coords` (n × d) whose neighbour splits are `splits`.
+  template <typename Fn>
+  static void ForEachRun(size_t d, const std::vector<uint64_t>& coords,
+                         const std::vector<uint64_t>& splits, int level,
+                         Fn&& fn) {
+    Cell cell(d);
     size_t start = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if ((splits_[i] >> level) == 0) continue;
-      const uint64_t* first = coords_.data() + start * d_;
-      for (size_t j = 0; j < d_; ++j) {
+    for (size_t i = 0; i < splits.size(); ++i) {
+      if ((splits[i] >> level) == 0) continue;
+      const uint64_t* first = coords.data() + start * d;
+      for (size_t j = 0; j < d; ++j) {
         cell[j] = static_cast<int64_t>(first[j] >> level);
       }
-      fn(static_cast<const Cell&>(cell), static_cast<int64_t>(i + 1 - start));
+      fn(static_cast<const Cell&>(cell), start, i + 1);
       start = i + 1;
     }
   }
 
- private:
-  explicit CellLadder(size_t d) : d_(d) {}
-  /// Fills splits_ from coords_.
-  void Split();
+  /// splits[i]: OR over j of coords(i)[j] ^ coords(i+1)[j]; the last entry
+  /// is all ones, so every level closes its final run there.
+  static std::vector<uint64_t> Splits(size_t d,
+                                      const std::vector<uint64_t>& coords);
 
   size_t d_;
   std::vector<uint64_t> coords_;  // n × d shifted coordinates, Z-ordered
-  /// splits_[i]: OR over j of coords(i)[j] ^ coords(i+1)[j]; the last
-  /// entry is all ones, so every level closes its final run there.
   std::vector<uint64_t> splits_;
+};
+
+/// One batch of point moves — erases count −1, inserts +1 — against a
+/// ladder of the set before the batch, sorted once in the ladder's
+/// Z-order, so that at every level the cells the batch touches are runs of
+/// it, exactly as a ladder's cells are. Each moved point also records
+/// where it falls in the base ladder, so a touched cell's count there is
+/// the width of a run around that position: visiting levels finest first,
+/// a cell's run is its first child cell's run widened by a gallop each
+/// way, O(log growth) per level rather than a search from scratch.
+class CellMoves {
+ public:
+  /// `base` must outlive the moves; every erase must be held by it.
+  CellMoves(const ShiftedGrid& grid, const CellLadder& base,
+            const PointSet& erases, const PointSet& inserts);
+
+  /// Calls fn(const Cell& cell, int64_t before, int64_t net) once per
+  /// level-`level` cell holding a moved point, in Z-order: `before` is the
+  /// cell's count in the base ladder and `net` the batch's change to it
+  /// (0 when its moves cancel). The cell is a reused buffer. Levels must
+  /// be visited in increasing order.
+  template <typename Fn>
+  void ForEachCell(int level, Fn&& fn) {
+    RSR_DCHECK(level >= last_level_);
+    last_level_ = level;
+    CellLadder::ForEachRun(
+        d_, coords_, splits_, level,
+        [&](const Cell& cell, size_t first, size_t end) {
+          int64_t net = 0;
+          for (size_t i = first; i < end; ++i) net += moves_[i];
+          // `first` began a run at every finer level visited, so its
+          // base run is that of its finest cell so far.
+          Widen(cell, level, &run_lo_[first], &run_hi_[first]);
+          fn(cell, static_cast<int64_t>(run_hi_[first] - run_lo_[first]),
+             net);
+        });
+  }
+
+ private:
+  friend class CellLadder;
+
+  /// Widens [*lo, *hi), a run of base points inside the level-`level` cell
+  /// `cell`, to all of the cell's base points.
+  void Widen(const Cell& cell, int level, size_t* lo, size_t* hi) const;
+
+  const CellLadder* base_;
+  size_t d_;
+  std::vector<uint64_t> coords_;  // Z-ordered, as in CellLadder
+  std::vector<uint64_t> splits_;
+  std::vector<int8_t> moves_;      // −1 or +1 per point of coords_
+  std::vector<size_t> positions_;  // first base point not Z-below each
+  /// Per moved point: the base run of its cell at the last level visited
+  /// (kept current only for points that begin a run).
+  std::vector<size_t> run_lo_;
+  std::vector<size_t> run_hi_;
+  int last_level_ = 0;
 };
 
 }  // namespace rsr

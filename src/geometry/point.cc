@@ -1,5 +1,8 @@
 #include "geometry/point.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "hash/mix.h"
 #include "util/check.h"
 
@@ -35,6 +38,70 @@ bool UnpackPoint(const Universe& universe, BitReader* in, Point* out) {
     uint64_t v = 0;
     if (!in->ReadBits(bits, &v)) return false;
     (*out)[static_cast<size_t>(i)] = static_cast<int64_t>(v);
+  }
+  return true;
+}
+
+PointPacker::PointPacker(const Universe& universe, BitWriter* out)
+    : universe_(universe),
+      out_(out),
+      bits_(universe.BitsPerCoord()),
+      mask_(bits_ == 0 ? 0 : (uint64_t{1} << bits_) - 1) {}
+
+void PointPacker::Add(const Point& p) {
+  RSR_DCHECK(universe_.Contains(p));
+  if (bits_ == 0) return;  // one-value coordinates take no bits
+  for (int64_t c : p) {
+    const uint64_t v = static_cast<uint64_t>(c) & mask_;
+    word_ |= v << pending_;
+    pending_ += bits_;
+    if (pending_ < 64) continue;
+    out_->WriteBits(word_, 64);
+    pending_ -= 64;
+    // The bits of v that did not fit; none if the word was empty.
+    word_ = pending_ == 0 ? 0 : v >> (bits_ - pending_);
+  }
+}
+
+void PackPoints(const Universe& universe, const PointSet& points,
+                BitWriter* out) {
+  PointPacker packer(universe, out);
+  for (const Point& p : points) packer.Add(p);
+  packer.Flush();
+}
+
+bool UnpackPoints(const Universe& universe, size_t count, BitReader* in,
+                  PointSet* out) {
+  const size_t d = static_cast<size_t>(universe.d);
+  const int bits = universe.BitsPerCoord();
+  if (count > 0 && in->bits_remaining() / count / d <
+                       static_cast<size_t>(bits)) {
+    return false;
+  }
+  size_t unread = count * d * static_cast<size_t>(bits);
+  const uint64_t mask = bits == 0 ? 0 : (uint64_t{1} << bits) - 1;
+  uint64_t word = 0;
+  int held = 0;  // unconsumed bits of word, below `bits` between reads
+  for (size_t i = 0; i < count; ++i) {
+    Point p(d);
+    for (int64_t& c : p) {
+      uint64_t v = word;
+      if (held < bits) {
+        // Top up from the next (at most 64) bits of the stream.
+        const int take = static_cast<int>(std::min<size_t>(unread, 64));
+        uint64_t next = 0;
+        in->ReadBits(take, &next);
+        unread -= static_cast<size_t>(take);
+        v |= next << held;
+        word = next >> (bits - held);
+        held += take - bits;
+      } else {
+        word >>= bits;
+        held -= bits;
+      }
+      c = static_cast<int64_t>(v & mask);
+    }
+    out->push_back(std::move(p));
   }
   return true;
 }

@@ -49,6 +49,37 @@ void PackPoint(const Universe& universe, const Point& p, BitWriter* out);
 /// Reads a point packed by PackPoint. Returns false on underrun.
 bool UnpackPoint(const Universe& universe, BitReader* in, Point* out);
 
+/// PackPoint over a sequence of points, back to back: the same bits,
+/// gathered into 64-bit words before they are written. Call Flush() after
+/// the last point.
+class PointPacker {
+ public:
+  PointPacker(const Universe& universe, BitWriter* out);
+
+  void Add(const Point& p);
+
+  /// Writes the trailing partial word.
+  void Flush() { out_->WriteBits(word_, pending_); }
+
+ private:
+  const Universe& universe_;
+  BitWriter* const out_;
+  const int bits_;
+  const uint64_t mask_;
+  uint64_t word_ = 0;
+  int pending_ = 0;  // bits held in word_, below 64 between coordinates
+};
+
+/// PointPacker over a whole set.
+void PackPoints(const Universe& universe, const PointSet& points,
+                BitWriter* out);
+
+/// Appends `count` points packed by PackPoint(s) to `out`, reading whole
+/// words. Returns false, consuming nothing, when the reader holds fewer
+/// than count points' bits.
+bool UnpackPoints(const Universe& universe, size_t count, BitReader* in,
+                  PointSet* out);
+
 /// Seeded 64-bit hash of a point's exact coordinates.
 uint64_t PointKey(const Point& p, uint64_t seed);
 

@@ -1,10 +1,15 @@
 #include "iblt/iblt.h"
 
-#include <deque>
+#include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "util/check.h"
 
 namespace rsr {
+
+static_assert(std::endian::native == std::endian::little,
+              "IBLT value words are stored and XORed as little-endian");
 
 size_t IbltConfig::RoundedCells() const {
   RSR_CHECK(q >= 1);
@@ -25,37 +30,60 @@ Iblt::Iblt(const IbltConfig& config)
     : config_(config),
       m_(config.RoundedCells()),
       value_bytes_((static_cast<size_t>(config.value_bits) + 7) / 8),
+      value_words_((static_cast<size_t>(config.value_bits) + 63) / 64),
       indexer_(config.seed, config.q, m_),
       checksum_(config.seed ^ 0x636865636bULL),  // "check" tag
       counts_(m_, 0),
       key_xor_(m_, 0),
       check_xor_(m_, 0),
-      values_(m_ * value_bytes_, 0) {
+      values_(m_ * value_bytes_ + value_words_ * 8 - value_bytes_, 0) {
   RSR_CHECK(config.value_bits >= 0);
   RSR_CHECK(config.checksum_bits >= 1 && config.checksum_bits <= 64);
   RSR_CHECK(config.count_bits >= 2 && config.count_bits <= 64);
 }
 
-void Iblt::Apply(uint64_t key, const std::vector<uint8_t>& value,
-                 int direction) {
-  RSR_CHECK_MSG(value.size() == value_bytes_, "value width mismatch");
+void Iblt::Apply(uint64_t key, const uint64_t* value, int direction) {
+  RSR_DCHECK(config_.value_bits % 64 == 0 ||
+             value[value_words_ - 1] >> (config_.value_bits % 64) == 0);
   const uint64_t check = checksum_.Truncated(key, config_.checksum_bits);
   for (int j = 0; j < config_.q; ++j) {
     const size_t cell = indexer_.Cell(key, j);
     counts_[cell] += direction;
     key_xor_[cell] ^= key;
     check_xor_[cell] ^= check;
+    // The last word may run into the next cell or the padding; its bits
+    // there are zero, so those bytes are rewritten unchanged.
     uint8_t* dst = values_.data() + cell * value_bytes_;
-    for (size_t b = 0; b < value_bytes_; ++b) dst[b] ^= value[b];
+    for (size_t w = 0; w < value_words_; ++w, dst += 8) {
+      uint64_t word;
+      std::memcpy(&word, dst, 8);
+      word ^= value[w];
+      std::memcpy(dst, &word, 8);
+    }
+  }
+}
+
+void Iblt::ApplyBytes(uint64_t key, const std::vector<uint8_t>& value,
+                      int direction) {
+  RSR_CHECK_MSG(value.size() == value_bytes_, "value width mismatch");
+  std::vector<uint64_t> words(value_words_, 0);
+  if (value_bytes_ > 0) std::memcpy(words.data(), value.data(), value_bytes_);
+  Apply(key, words.data(), direction);
+}
+
+void Iblt::LoadValue(size_t cell, uint64_t* words) const {
+  std::fill_n(words, value_words_, 0);
+  if (value_bytes_ > 0) {
+    std::memcpy(words, values_.data() + cell * value_bytes_, value_bytes_);
   }
 }
 
 void Iblt::Insert(uint64_t key, const std::vector<uint8_t>& value) {
-  Apply(key, value, +1);
+  ApplyBytes(key, value, +1);
 }
 
 void Iblt::Erase(uint64_t key, const std::vector<uint8_t>& value) {
-  Apply(key, value, -1);
+  ApplyBytes(key, value, -1);
 }
 
 void Iblt::Subtract(const Iblt& other) {
@@ -69,7 +97,7 @@ void Iblt::Subtract(const Iblt& other) {
     key_xor_[i] ^= other.key_xor_[i];
     check_xor_[i] ^= other.check_xor_[i];
   }
-  for (size_t i = 0; i < values_.size(); ++i) values_[i] ^= other.values_[i];
+  for (size_t i = 0; i < value_span(); ++i) values_[i] ^= other.values_[i];
 }
 
 bool Iblt::IsEmpty() const {
@@ -77,18 +105,24 @@ bool Iblt::IsEmpty() const {
     if (counts_[i] != 0 || key_xor_[i] != 0 || check_xor_[i] != 0)
       return false;
   }
-  for (uint8_t b : values_) {
-    if (b != 0) return false;
-  }
-  return true;
+  const auto end =
+      values_.begin() + static_cast<std::ptrdiff_t>(value_span());
+  return std::all_of(values_.begin(), end, [](uint8_t b) { return b == 0; });
 }
 
-IbltDecodeResult Iblt::Decode(size_t max_entries) const {
-  IbltDecodeResult result;
+IbltDecodeResult Iblt::Decode(size_t max_entries) const& {
   // Peeling mutates the table, so work on a copy (tables are O(k) cells).
   Iblt work = *this;
+  return std::move(work).Decode(max_entries);
+}
 
-  std::deque<size_t> queue;
+IbltDecodeResult Iblt::Decode(size_t max_entries) && {
+  IbltDecodeResult result;
+  std::vector<uint64_t> value(value_words_);
+  // FIFO of cells to examine: [head, end) of `queue`.
+  std::vector<size_t> queue;
+  queue.reserve(2 * m_);
+  size_t head = 0;
   std::vector<char> queued(m_, 0);
   auto maybe_enqueue = [&](size_t cell) {
     if (!queued[cell]) {
@@ -98,28 +132,27 @@ IbltDecodeResult Iblt::Decode(size_t max_entries) const {
   };
   for (size_t i = 0; i < m_; ++i) maybe_enqueue(i);
 
-  while (!queue.empty()) {
-    const size_t cell = queue.front();
-    queue.pop_front();
+  while (head < queue.size()) {
+    const size_t cell = queue[head++];
     queued[cell] = 0;
 
-    const int64_t count = work.counts_[cell];
+    const int64_t count = counts_[cell];
     if (count != 1 && count != -1) continue;
-    const uint64_t key = work.key_xor_[cell];
-    const uint64_t expect =
-        work.checksum_.Truncated(key, config_.checksum_bits);
-    if (work.check_xor_[cell] != expect) continue;  // not pure
+    const uint64_t key = key_xor_[cell];
+    const uint64_t expect = checksum_.Truncated(key, config_.checksum_bits);
+    if (check_xor_[cell] != expect) continue;  // not pure
 
     IbltEntry entry;
     entry.key = key;
     entry.sign = static_cast<int>(count);
-    entry.value.assign(work.values_.begin() +
-                           static_cast<std::ptrdiff_t>(cell * value_bytes_),
-                       work.values_.begin() +
-                           static_cast<std::ptrdiff_t>((cell + 1) *
-                                                       value_bytes_));
-    // Remove the entry from the table; re-examine every touched cell.
-    work.Apply(key, entry.value, -entry.sign);
+    const auto first =
+        values_.begin() + static_cast<std::ptrdiff_t>(cell * value_bytes_);
+    entry.value.assign(first,
+                       first + static_cast<std::ptrdiff_t>(value_bytes_));
+    // Remove the entry from the table (through a copy: the pure cell is
+    // one of those it clears); re-examine every touched cell.
+    LoadValue(cell, value.data());
+    Apply(key, value.data(), -entry.sign);
     for (int j = 0; j < config_.q; ++j) maybe_enqueue(indexer_.Cell(key, j));
 
     result.entries.push_back(std::move(entry));
@@ -129,7 +162,7 @@ IbltDecodeResult Iblt::Decode(size_t max_entries) const {
     }
   }
 
-  result.success = work.IsEmpty();
+  result.success = IsEmpty();
   return result;
 }
 
@@ -138,14 +171,14 @@ void Iblt::Serialize(BitWriter* out) const {
     out->WriteBits(static_cast<uint64_t>(counts_[i]), config_.count_bits);
     out->WriteBits(key_xor_[i], 64);
     out->WriteBits(check_xor_[i], config_.checksum_bits);
+    // Whole words, as Apply stores them; WriteBits keeps only the low
+    // `take` bits, so a last word's reach into the next cell is dropped.
     const uint8_t* src = values_.data() + i * value_bytes_;
-    int remaining = config_.value_bits;
-    size_t byte = 0;
-    while (remaining > 0) {
-      const int take = remaining < 8 ? remaining : 8;
-      out->WriteBits(src[byte], take);
-      remaining -= take;
-      ++byte;
+    for (int remaining = config_.value_bits; remaining > 0;
+         remaining -= 64, src += 8) {
+      uint64_t word;
+      std::memcpy(&word, src, 8);
+      out->WriteBits(word, std::min(remaining, 64));
     }
   }
 }
@@ -167,15 +200,12 @@ std::optional<Iblt> Iblt::Deserialize(const IbltConfig& config,
     if (!in->ReadBits(config.checksum_bits, &table.check_xor_[i]))
       return std::nullopt;
     uint8_t* dst = table.values_.data() + i * table.value_bytes_;
-    int remaining = config.value_bits;
-    size_t byte = 0;
-    while (remaining > 0) {
-      const int take = remaining < 8 ? remaining : 8;
-      uint64_t v = 0;
-      if (!in->ReadBits(take, &v)) return std::nullopt;
-      dst[byte] = static_cast<uint8_t>(v);
-      remaining -= take;
-      ++byte;
+    for (int remaining = config.value_bits; remaining > 0;
+         remaining -= 64, dst += 8) {
+      const int take = std::min(remaining, 64);
+      uint64_t word = 0;
+      if (!in->ReadBits(take, &word)) return std::nullopt;
+      std::memcpy(dst, &word, static_cast<size_t>(take + 7) / 8);
     }
   }
   return table;

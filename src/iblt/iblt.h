@@ -14,6 +14,11 @@
 //   key_xor    — XOR of their keys,
 //   check_xor  — XOR of their key checksums (truncated to checksum_bits),
 //   value_xor  — XOR of their fixed-width value payloads.
+// Values are stored cell-major, value_bytes() bytes per cell, and updated a
+// 64-bit word at a time; the buffer carries a few zero bytes of padding past
+// the last cell so that cell's final word stays in bounds. An update's word
+// has zero bits beyond value_bits, so it never changes a neighbour's bytes
+// or the padding, and the padding is never serialized.
 // A cell is "pure" when count == ±1 and check_xor equals the checksum of
 // key_xor; peeling pure cells until the table empties recovers everything
 // with high probability once m exceeds ~1.3x the number of surviving
@@ -77,14 +82,22 @@ class Iblt {
   const IbltConfig& config() const { return config_; }
   size_t cells() const { return m_; }
   size_t value_bytes() const { return value_bytes_; }
+  /// 64-bit words of one value: ceil(value_bits / 64).
+  size_t value_words() const { return value_words_; }
 
-  /// Adds an entry. `value` must have exactly value_bytes() bytes (pass an
-  /// empty vector when value_bits == 0); bits beyond value_bits must be 0.
-  void Insert(uint64_t key, const std::vector<uint8_t>& value);
+  /// Adds an entry. `value` points at value_words() words holding the
+  /// payload in BitWriter's LSB-first layout (little-endian words); bits
+  /// beyond value_bits must be 0. Unread when value_bits == 0.
+  void Insert(uint64_t key, const uint64_t* value) { Apply(key, value, +1); }
 
   /// Removes an entry (inverse of Insert; valid even if the entry was never
   /// inserted — the cell fields simply go negative, which is the mechanism
   /// reconciliation relies on).
+  void Erase(uint64_t key, const uint64_t* value) { Apply(key, value, -1); }
+
+  /// Byte-vector forms of Insert/Erase: `value` must have exactly
+  /// value_bytes() bytes (empty when value_bits == 0).
+  void Insert(uint64_t key, const std::vector<uint8_t>& value);
   void Erase(uint64_t key, const std::vector<uint8_t>& value);
 
   /// Cell-wise this -= other. Configurations must match exactly.
@@ -94,7 +107,10 @@ class Iblt {
   /// If `max_entries` > 0 decoding aborts (reporting failure) as soon as
   /// more than max_entries entries have been extracted — used by protocols
   /// that only accept small differences.
-  IbltDecodeResult Decode(size_t max_entries = 0) const;
+  IbltDecodeResult Decode(size_t max_entries = 0) const&;
+  /// The same, peeling a table about to be discarded in place instead of
+  /// a copy of it.
+  IbltDecodeResult Decode(size_t max_entries = 0) &&;
 
   /// True if every cell is zero (e.g. after subtracting an equal table).
   bool IsEmpty() const;
@@ -107,19 +123,26 @@ class Iblt {
                                          BitReader* in);
 
  private:
-  struct PeelState;
-
-  void Apply(uint64_t key, const std::vector<uint8_t>& value, int direction);
+  void Apply(uint64_t key, const uint64_t* value, int direction);
+  void ApplyBytes(uint64_t key, const std::vector<uint8_t>& value,
+                  int direction);
+  /// Copies cell `cell`'s value into value_words() words, zero-extended.
+  void LoadValue(size_t cell, uint64_t* words) const;
+  /// Bytes of values_ that belong to cells (the rest is padding).
+  size_t value_span() const { return m_ * value_bytes_; }
 
   IbltConfig config_;
   size_t m_;
   size_t value_bytes_;
+  size_t value_words_;
   IndexHasher indexer_;
   Checksum checksum_;
   std::vector<int64_t> counts_;
   std::vector<uint64_t> key_xor_;
   std::vector<uint64_t> check_xor_;
-  std::vector<uint8_t> values_;  // m_ * value_bytes_, cell-major
+  // m_ * value_bytes_ cell-major bytes, then value_words_ * 8 -
+  // value_bytes_ bytes of zero padding.
+  std::vector<uint8_t> values_;
 };
 
 }  // namespace rsr

@@ -111,16 +111,15 @@ class MlshAlice : public recon::PartySessionBase {
   PointSet points_;
 };
 
-class MlshBob : public recon::PartySessionBase {
+class MlshBob : public recon::BobSessionBase {
  public:
   MlshBob(const recon::ProtocolContext& context, const MlshParams& params,
-          PointSet points, const recon::CanonicalSketchProvider* sketches)
-      : context_(context),
+          const PointSet& points,
+          const recon::CanonicalSketchProvider* sketches)
+      : BobSessionBase(points),
+        context_(context),
         params_(params),
-        points_(std::move(points)),
-        sketches_(sketches) {
-    result_.bob_final = points_;
-  }
+        sketches_(sketches) {}
 
   std::vector<transport::Message> Start() override { return NoMessages(); }
 
@@ -202,8 +201,7 @@ class MlshBob : public recon::PartySessionBase {
       result_.success = true;
       result_.chosen_level = static_cast<int>(li);
       result_.decoded_entries = xa.size() + xb.size();
-      result_.bob_final =
-          RetireAndAdopt(bob, xb, std::move(xa), params_.metric);
+      SetFinal(RetireAndAdopt(bob, xb, std::move(xa), params_.metric));
       break;
     }
     Finish();
@@ -213,7 +211,6 @@ class MlshBob : public recon::PartySessionBase {
  private:
   recon::ProtocolContext context_;
   MlshParams params_;
-  PointSet points_;
   const recon::CanonicalSketchProvider* sketches_;
 };
 

@@ -87,6 +87,7 @@ class MlshReconciler : public recon::Reconciler {
       : context_(context), params_(params) {}
 
   std::string Name() const override { return "mlsh-riblt"; }
+  using recon::Reconciler::MakeBobSession;  // and its deleted temporaries
   std::unique_ptr<recon::PartySession> MakeAliceSession(
       const PointSet& points) const override;
   std::unique_ptr<recon::PartySession> MakeBobSession(

@@ -156,11 +156,11 @@ class ExactAlice : public PartySessionBase {
 
 // Bob: opens with his strata estimator, then decodes each IBLT reply,
 // requesting a doubled table on failure while attempts remain.
-class ExactBob : public PartySessionBase {
+class ExactBob : public BobSessionBase {
  public:
   ExactBob(const ProtocolContext& context, const ExactReconParams& params,
-           PointSet points, const CanonicalSketchProvider* sketches)
-      : context_(context), params_(params), points_(std::move(points)) {
+           const PointSet& points, const CanonicalSketchProvider* sketches)
+      : BobSessionBase(points), context_(context), params_(params) {
     // The keyed list itself is shareable canonical state (the sort is the
     // per-session cost worth skipping); the difference-sized IBLT below is
     // not — its size comes from the client's estimate.
@@ -175,7 +175,6 @@ class ExactBob : public PartySessionBase {
       cached_strata_ =
           sketches->ExactStrata(ExactReconStrataConfig(context_.seed));
     }
-    result_.bob_final = points_;
   }
 
   std::vector<transport::Message> Start() override {
@@ -255,7 +254,7 @@ class ExactBob : public PartySessionBase {
         for (Point& p : additions) final_set.push_back(std::move(p));
         result_.success = true;
         result_.decoded_entries = decoded.entries.size();
-        result_.bob_final = std::move(final_set);
+        SetFinal(std::move(final_set));
         Finish();
         return NoMessages();
       }
@@ -274,7 +273,6 @@ class ExactBob : public PartySessionBase {
  private:
   ProtocolContext context_;
   ExactReconParams params_;
-  PointSet points_;
   std::shared_ptr<const KeyedPointList> keyed_;
   std::optional<StrataEstimator> cached_strata_;
   size_t attempt_ = 0;

@@ -66,6 +66,7 @@ class ExactReconciler : public Reconciler {
       : context_(context), params_(params) {}
 
   std::string Name() const override { return "exact-iblt"; }
+  using Reconciler::MakeBobSession;  // and its deleted temporaries
   std::unique_ptr<PartySession> MakeAliceSession(
       const PointSet& points) const override;
   std::unique_ptr<PartySession> MakeBobSession(

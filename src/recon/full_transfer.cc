@@ -34,12 +34,10 @@ class FullTransferAlice : public PartySessionBase {
   PointSet points_;
 };
 
-class FullTransferBob : public PartySessionBase {
+class FullTransferBob : public BobSessionBase {
  public:
-  FullTransferBob(const ProtocolContext& context, PointSet points)
-      : context_(context) {
-    result_.bob_final = std::move(points);
-  }
+  FullTransferBob(const ProtocolContext& context, const PointSet& points)
+      : BobSessionBase(points), context_(context) {}
 
   std::vector<transport::Message> Start() override { return NoMessages(); }
 
@@ -65,7 +63,7 @@ class FullTransferBob : public PartySessionBase {
       }
       received.push_back(std::move(p));
     }
-    result_.bob_final = std::move(received);
+    SetFinal(std::move(received));
     result_.success = true;
     Finish();
     return NoMessages();

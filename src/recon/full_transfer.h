@@ -21,6 +21,7 @@ class FullTransferReconciler : public Reconciler {
       : context_(context) {}
 
   std::string Name() const override { return "full-transfer"; }
+  using Reconciler::MakeBobSession;  // and its deleted temporaries
   std::unique_ptr<PartySession> MakeAliceSession(
       const PointSet& points) const override;
   std::unique_ptr<PartySession> MakeBobSession(

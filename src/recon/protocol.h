@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "geometry/metric.h"
 #include "geometry/point.h"
@@ -56,6 +57,38 @@ struct ReconResult {
   SessionError error = SessionError::kNone;  ///< Transport-level failure.
 };
 
+/// S'_B as a repair of Bob's input: `*base` minus the points flagged in
+/// `removed`, in order, then `additions`. Lets a repair be shipped
+/// straight from the set it was computed against, without a copy.
+struct RepairedSet {
+  const PointSet* base = nullptr;
+  std::vector<char> removed;  ///< One flag per point of *base.
+  PointSet additions;
+
+  /// Calls fn(const Point&) on every point of S'_B, in order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (size_t i = 0; i < base->size(); ++i) {
+      if (!removed[i]) fn((*base)[i]);
+    }
+    for (const Point& p : additions) fn(p);
+  }
+
+  size_t size() const {
+    size_t kept = 0;
+    for (char r : removed) kept += r ? 0 : 1;
+    return kept + additions.size();
+  }
+
+  /// S'_B as a set of its own.
+  PointSet Materialize() const {
+    PointSet out;
+    out.reserve(size());
+    ForEach([&](const Point& p) { out.push_back(p); });
+    return out;
+  }
+};
+
 /// Context shared by both parties (public coins: the seed is common
 /// knowledge and derives every hash function and shift).
 struct ProtocolContext {
@@ -80,10 +113,12 @@ class Reconciler {
   virtual std::unique_ptr<PartySession> MakeAliceSession(
       const PointSet& points) const = 0;
 
-  /// Creates Bob's endpoint. `points` is S_B; Bob's session owns the
-  /// deliverable result.
+  /// Creates Bob's endpoint. `points` is S_B, which the session borrows:
+  /// it must outlive the session (a temporary does not compile). Bob's
+  /// session owns the deliverable result.
   virtual std::unique_ptr<PartySession> MakeBobSession(
       const PointSet& points) const = 0;
+  std::unique_ptr<PartySession> MakeBobSession(PointSet&&) const = delete;
 
   /// Creates Bob's endpoint with an optional canonical sketch cache
   /// (recon/sketch_provider.h). `sketches` must describe exactly `points`;
@@ -95,6 +130,8 @@ class Reconciler {
   virtual std::unique_ptr<PartySession> MakeBobSession(
       const PointSet& points,
       const CanonicalSketchProvider* sketches) const;  // recon/driver.cc
+  std::unique_ptr<PartySession> MakeBobSession(
+      PointSet&&, const CanonicalSketchProvider*) const = delete;
 
   /// True for the EMD-model protocols, whose analysis (and sketch sizing)
   /// assumes |S_A| == |S_B|. The in-process driver enforces it with a

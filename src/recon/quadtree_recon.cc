@@ -21,13 +21,48 @@ uint64_t HistogramEntryKey(const ShiftedGrid& grid, const Cell& cell,
                      static_cast<uint64_t>(count));
 }
 
+HistogramEntryCodec::HistogramEntryCodec(const ShiftedGrid& grid, int level,
+                                         size_t n)
+    : level_seed_(grid.LevelKeySeed(level)),
+      coord_bits_(grid.CellCoordBits(level)),
+      count_bits_(HistogramCountBits(n)),
+      value_bits_(HistogramValueBits(grid, level, n)),
+      words_((static_cast<size_t>(value_bits_) + 63) / 64) {}
+
+uint64_t HistogramEntryCodec::Key(const Cell& cell, int64_t count) const {
+  uint64_t h = level_seed_;  // CellKey, then the count: HistogramEntryKey
+  for (int64_t c : cell) h = HashCombine(h, static_cast<uint64_t>(c));
+  return HashCombine(h, static_cast<uint64_t>(count));
+}
+
+const uint64_t* HistogramEntryCodec::Pack(const Cell& cell, int64_t count) {
+  uint64_t* out = words_.data();
+  uint64_t word = 0;
+  int pending = 0;  // bits held in word, below 64 between fields
+  const auto put = [&](uint64_t value, int bits) {
+    RSR_DCHECK(bits == 64 || value >> bits == 0);
+    word |= value << pending;
+    pending += bits;
+    if (pending < 64) return;
+    *out++ = word;
+    pending -= 64;
+    // The bits of `value` that did not fit; none if the word was empty.
+    word = pending == 0 ? 0 : value >> (bits - pending);
+  };
+  for (int64_t c : cell) put(static_cast<uint64_t>(c), coord_bits_);
+  put(static_cast<uint64_t>(count), count_bits_);
+  if (pending > 0) *out = word;
+  return words_.data();
+}
+
 void HistogramEntryValue(const ShiftedGrid& grid, const Cell& cell, int level,
                          int64_t count, size_t n, std::vector<uint8_t>* out) {
-  BitPacker packer(HistogramValueBits(grid, level, n), out);
-  const int coord_bits = grid.CellCoordBits(level);
-  for (int64_t c : cell) packer.WriteBits(static_cast<uint64_t>(c), coord_bits);
-  packer.WriteBits(static_cast<uint64_t>(count), HistogramCountBits(n));
-  packer.Flush();
+  HistogramEntryCodec codec(grid, level, n);
+  const uint64_t* words = codec.Pack(cell, count);
+  out->resize((static_cast<size_t>(codec.value_bits()) + 7) / 8);
+  for (size_t i = 0; i < out->size(); ++i) {
+    (*out)[i] = static_cast<uint8_t>(words[i / 8] >> (8 * (i % 8)));
+  }
 }
 
 bool ParseHistogramEntry(const ShiftedGrid& grid, int level, size_t n,
@@ -53,13 +88,11 @@ bool ParseHistogramEntry(const ShiftedGrid& grid, int level, size_t n,
 void SketchLevelHistogram(const ShiftedGrid& grid, const CellLadder& ladder,
                           int level, size_t n, Iblt* iblt,
                           StrataEstimator* probe) {
-  std::vector<uint8_t> value;
+  HistogramEntryCodec codec(grid, level, n);
+  RSR_CHECK(iblt == nullptr || iblt->config().value_bits == codec.value_bits());
   ladder.ForEachCell(level, [&](const Cell& cell, int64_t count) {
-    const uint64_t key = HistogramEntryKey(grid, cell, level, count);
-    if (iblt != nullptr) {
-      HistogramEntryValue(grid, cell, level, count, n, &value);
-      iblt->Insert(key, value);
-    }
+    const uint64_t key = codec.Key(cell, count);
+    if (iblt != nullptr) iblt->Insert(key, codec.Pack(cell, count));
     if (probe != nullptr) probe->Insert(key);
   });
 }
@@ -73,11 +106,10 @@ Iblt BuildLevelIblt(const ShiftedGrid& grid, const PointSet& points,
 }
 
 std::optional<std::vector<LevelDiffEntry>> TryDecodeLevelDiff(
-    const ShiftedGrid& grid, int level, size_t n, const Iblt& alice_iblt,
+    const ShiftedGrid& grid, int level, size_t n, Iblt alice_iblt,
     const Iblt& bob_iblt, size_t budget) {
-  Iblt diff = alice_iblt;
-  diff.Subtract(bob_iblt);
-  const IbltDecodeResult decoded = diff.Decode(budget);
+  alice_iblt.Subtract(bob_iblt);
+  const IbltDecodeResult decoded = std::move(alice_iblt).Decode(budget);
   if (!decoded.success) return std::nullopt;
   std::vector<LevelDiffEntry> entries;
   entries.reserve(decoded.entries.size());
@@ -91,8 +123,8 @@ std::optional<std::vector<LevelDiffEntry>> TryDecodeLevelDiff(
   return entries;
 }
 
-PointSet RepairBob(const ShiftedGrid& grid, const PointSet& bob, int level,
-                   const std::vector<LevelDiffEntry>& diff) {
+RepairedSet RepairBob(const ShiftedGrid& grid, const PointSet& bob,
+                      int level, const std::vector<LevelDiffEntry>& diff) {
   // Collect, per differing cell, Alice's decoded count. Bob's own count
   // comes from his local index (the decoded Bob-side entries are redundant
   // with local state; they are used as a consistency check only).
@@ -109,11 +141,31 @@ PointSet RepairBob(const ShiftedGrid& grid, const PointSet& bob, int level,
   }
 
   // Index Bob's points in the differing cells by their level-ℓ cell, so
-  // surplus can be deleted; points elsewhere are only hashed.
+  // surplus can be deleted. A 4096-bit filter over the differing cells
+  // (a multiply per coordinate) lets most points skip the cell key and the
+  // map probe.
   std::unordered_map<uint64_t, std::vector<size_t>> bob_cells;
-  for (const auto& [cell_key, delta] : deltas) bob_cells.try_emplace(cell_key);
+  const Point& shift = grid.shift();
+  const auto filter_slot = [&](auto cell_coord) {
+    uint64_t h = 0;
+    for (size_t j = 0; j < shift.size(); ++j) {
+      h = (h ^ static_cast<uint64_t>(cell_coord(j))) * 0x9e3779b97f4a7c15ULL;
+    }
+    return h >> 52;
+  };
+  std::vector<uint64_t> filter(64, 0);
+  for (const auto& [cell_key, delta] : deltas) {
+    bob_cells.try_emplace(cell_key);
+    const uint64_t slot =
+        filter_slot([&](size_t j) { return delta.cell[j]; });
+    filter[slot >> 6] |= uint64_t{1} << (slot & 63);
+  }
   for (size_t i = 0; i < bob.size(); ++i) {
-    const auto own = bob_cells.find(grid.CellKeyOf(bob[i], level));
+    const Point& p = bob[i];
+    const uint64_t slot =
+        filter_slot([&](size_t j) { return (p[j] + shift[j]) >> level; });
+    if (((filter[slot >> 6] >> (slot & 63)) & 1) == 0) continue;
+    const auto own = bob_cells.find(grid.CellKeyOf(p, level));
     if (own != bob_cells.end()) own->second.push_back(i);
   }
   for (const LevelDiffEntry& entry : diff) {
@@ -124,28 +176,22 @@ PointSet RepairBob(const ShiftedGrid& grid, const PointSet& bob, int level,
                entry.count);
   }
 
-  std::vector<char> removed(bob.size(), 0);
-  PointSet additions;
+  RepairedSet repaired;
+  repaired.base = &bob;
+  repaired.removed.assign(bob.size(), 0);
   for (const auto& [cell_key, delta] : deltas) {
     const std::vector<size_t>& own = bob_cells.at(cell_key);
     const int64_t change = delta.alice_count - static_cast<int64_t>(own.size());
     if (change > 0) {
       const Point rep = grid.CellRepresentative(delta.cell, level);
-      for (int64_t c = 0; c < change; ++c) additions.push_back(rep);
+      for (int64_t c = 0; c < change; ++c) repaired.additions.push_back(rep);
     } else if (change < 0) {
       for (int64_t c = 0; c < -change; ++c) {
-        removed[own[static_cast<size_t>(c)]] = 1;
+        repaired.removed[own[static_cast<size_t>(c)]] = 1;
       }
     }
   }
-
-  PointSet result;
-  result.reserve(bob.size());
-  for (size_t i = 0; i < bob.size(); ++i) {
-    if (!removed[i]) result.push_back(bob[i]);
-  }
-  for (Point& p : additions) result.push_back(std::move(p));
-  return result;
+  return repaired;
 }
 
 StrataConfig AdaptiveLevelProbeConfig(int level, uint64_t seed) {
@@ -200,16 +246,14 @@ class QuadtreeAlice : public PartySessionBase {
   CellLadder ladder_;  // Alice's set, sorted once for every level
 };
 
-class QuadtreeBob : public PartySessionBase {
+class QuadtreeBob : public BobSessionBase {
  public:
   QuadtreeBob(const ProtocolContext& context, const QuadtreeParams& params,
-              PointSet points, const CanonicalSketchProvider* sketches)
-      : context_(context),
+              const PointSet& points, const CanonicalSketchProvider* sketches)
+      : BobSessionBase(points),
+        context_(context),
         params_(params),
-        points_(std::move(points)),
-        sketches_(sketches) {
-    result_.bob_final = points_;
-  }
+        sketches_(sketches) {}
 
   std::vector<transport::Message> Start() override { return NoMessages(); }
 
@@ -227,12 +271,20 @@ class QuadtreeBob : public PartySessionBase {
     for (int level : ProtocolLevels(grid, params_)) {
       const IbltConfig config =
           LevelIbltConfig(grid, level, n, params_, context_.seed);
+      if (result_.success) {
+        // Already repaired: the other levels only have to be there, and
+        // Deserialize fails exactly when fewer bits remain than a level's.
+        if (!r.Skip(config.SerializedBits())) {
+          FailWith(SessionError::kMalformedMessage);
+          return NoMessages();
+        }
+        continue;
+      }
       std::optional<Iblt> alice_iblt = Iblt::Deserialize(config, &r);
       if (!alice_iblt.has_value()) {  // truncated qt-levels message
         FailWith(SessionError::kMalformedMessage);
         return NoMessages();
       }
-      if (result_.success) continue;  // already repaired; drain the stream
       std::optional<Iblt> bob_iblt =
           sketches_ != nullptr ? sketches_->QuadtreeLevelIblt(config, level)
                                : std::nullopt;
@@ -242,12 +294,12 @@ class QuadtreeBob : public PartySessionBase {
                              &bob_iblt.emplace(config));
       }
       std::optional<std::vector<LevelDiffEntry>> diff = TryDecodeLevelDiff(
-          grid, level, n, *alice_iblt, *bob_iblt, budget);
+          grid, level, n, *std::move(alice_iblt), *bob_iblt, budget);
       if (diff.has_value()) {
         result_.success = true;
         result_.chosen_level = level;
         result_.decoded_entries = diff->size();
-        result_.bob_final = RepairBob(grid, points_, level, *diff);
+        SetRepair(RepairBob(grid, points_, level, *diff));
       }
     }
     Finish();
@@ -257,7 +309,6 @@ class QuadtreeBob : public PartySessionBase {
  private:
   ProtocolContext context_;
   QuadtreeParams params_;
-  PointSet points_;
   const CanonicalSketchProvider* sketches_;
 };
 
@@ -317,18 +368,17 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
   CellLadder ladder_;  // Alice's set, sorted once for every request
 };
 
-class AdaptiveQuadtreeBob : public PartySessionBase {
+class AdaptiveQuadtreeBob : public BobSessionBase {
  public:
   AdaptiveQuadtreeBob(const ProtocolContext& context,
                       const QuadtreeParams& params, size_t max_attempts,
-                      PointSet points, const CanonicalSketchProvider* sketches)
-      : context_(context),
+                      const PointSet& points,
+                      const CanonicalSketchProvider* sketches)
+      : BobSessionBase(points),
+        context_(context),
         params_(params),
         max_attempts_(max_attempts),
-        points_(std::move(points)),
-        sketches_(sketches) {
-    result_.bob_final = points_;
-  }
+        sketches_(sketches) {}
 
   std::vector<transport::Message> Start() override { return NoMessages(); }
 
@@ -413,11 +463,11 @@ class AdaptiveQuadtreeBob : public PartySessionBase {
     SketchLevelHistogram(grid, *ladder_, chosen_, n, &bob_iblt);
     const size_t accept = static_cast<size_t>(target_entries_) << attempt_;
     std::optional<std::vector<LevelDiffEntry>> diff = TryDecodeLevelDiff(
-        grid, chosen_, n, *alice_iblt, bob_iblt, accept);
+        grid, chosen_, n, *std::move(alice_iblt), bob_iblt, accept);
     if (diff.has_value()) {
       result_.success = true;
       result_.decoded_entries = diff->size();
-      result_.bob_final = RepairBob(grid, points_, chosen_, *diff);
+      SetRepair(RepairBob(grid, points_, chosen_, *diff));
       Finish();
       return NoMessages();
     }
@@ -445,7 +495,6 @@ class AdaptiveQuadtreeBob : public PartySessionBase {
   ProtocolContext context_;
   QuadtreeParams params_;
   size_t max_attempts_;
-  PointSet points_;
   const CanonicalSketchProvider* sketches_;
   std::optional<CellLadder> ladder_;  // sorted on the first rebuild
   State state_ = State::kAwaitProbes;

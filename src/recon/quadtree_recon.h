@@ -48,9 +48,46 @@ struct LevelDiffEntry {
 uint64_t HistogramEntryKey(const ShiftedGrid& grid, const Cell& cell,
                            int level, int64_t count);
 
-/// Fixed-width value payload: packed cell id followed by the count, in
-/// BitWriter's LSB-first layout. Written into `out`, whose capacity is
-/// reused, so a caller looping over entries allocates at most once.
+/// One level's histogram entry codec: the per-level constants of an
+/// entry's key and value — the level's cell-key seed and the coordinate,
+/// count and value widths — hoisted out of the per-entry loop, so keying
+/// and packing an entry costs d + 1 hash combines and a few shifts and
+/// allocates nothing. Every histogram sketch update goes through it.
+class HistogramEntryCodec {
+ public:
+  /// The codec of level `level` for sets of size `n`.
+  HistogramEntryCodec(const ShiftedGrid& grid, int level, size_t n);
+
+  int value_bits() const { return value_bits_; }
+
+  /// HistogramEntryKey(grid, cell, level, count).
+  uint64_t Key(const Cell& cell, int64_t count) const;
+
+  /// The entry's value — the packed cell id, then the count, in
+  /// BitWriter's LSB-first layout — as the little-endian words
+  /// Iblt::Insert takes. Written to the codec's own buffer, valid until the
+  /// next call.
+  const uint64_t* Pack(const Cell& cell, int64_t count);
+
+  /// Adds / removes the entry (cell, count) to / from `iblt`, whose values
+  /// must be value_bits() wide.
+  void Insert(Iblt* iblt, const Cell& cell, int64_t count) {
+    iblt->Insert(Key(cell, count), Pack(cell, count));
+  }
+  void Erase(Iblt* iblt, const Cell& cell, int64_t count) {
+    iblt->Erase(Key(cell, count), Pack(cell, count));
+  }
+
+ private:
+  uint64_t level_seed_;
+  int coord_bits_;
+  int count_bits_;
+  int value_bits_;
+  std::vector<uint64_t> words_;
+};
+
+/// The codec's value as bytes: ceil(HistogramValueBits / 8) of them,
+/// written into `out`.
 void HistogramEntryValue(const ShiftedGrid& grid, const Cell& cell, int level,
                          int64_t count, size_t n, std::vector<uint8_t>* out);
 
@@ -60,9 +97,9 @@ bool ParseHistogramEntry(const ShiftedGrid& grid, int level, size_t n,
                          const IbltEntry& entry, LevelDiffEntry* out);
 
 /// The one histogram -> sketch loop. Every (cell, count) entry of the
-/// level-`level` histogram of `ladder`'s points goes into `iblt`
-/// (HistogramEntryKey + HistogramEntryValue) and into `probe` (the key).
-/// Null targets are skipped.
+/// level-`level` histogram of `ladder`'s points goes into `iblt` (through
+/// HistogramEntryCodec) and into `probe` (the key). Null targets are
+/// skipped.
 void SketchLevelHistogram(const ShiftedGrid& grid, const CellLadder& ladder,
                           int level, size_t n, Iblt* iblt,
                           StrataEstimator* probe = nullptr);
@@ -85,15 +122,17 @@ StrataEstimator BuildLevelProbe(const ShiftedGrid& grid,
                                 const PointSet& points, int level,
                                 uint64_t seed);
 
-/// Bob's repair step: applies the decoded occupancy differences to his set.
-/// Preserves |bob| exactly (the deltas sum to zero when |alice| == |bob|).
-PointSet RepairBob(const ShiftedGrid& grid, const PointSet& bob, int level,
-                   const std::vector<LevelDiffEntry>& diff);
+/// Bob's repair step: applies the decoded occupancy differences to his set,
+/// as a RepairedSet over `bob` (which must outlive it). Preserves |bob|
+/// exactly (the deltas sum to zero when |alice| == |bob|).
+RepairedSet RepairBob(const ShiftedGrid& grid, const PointSet& bob,
+                      int level, const std::vector<LevelDiffEntry>& diff);
 
 /// Attempts to decode the difference of two level IBLTs (alice - bob) into
 /// parsed entries, accepting at most `budget` entries. nullopt on failure.
+/// Alice's table is consumed: the difference is peeled in it.
 std::optional<std::vector<LevelDiffEntry>> TryDecodeLevelDiff(
-    const ShiftedGrid& grid, int level, size_t n, const Iblt& alice_iblt,
+    const ShiftedGrid& grid, int level, size_t n, Iblt alice_iblt,
     const Iblt& bob_iblt, size_t budget);
 
 /// One-shot (single round) robust reconciliation.
@@ -108,6 +147,7 @@ class QuadtreeReconciler : public Reconciler {
       : context_(context), params_(params) {}
 
   std::string Name() const override { return "quadtree"; }
+  using Reconciler::MakeBobSession;  // and its deleted temporaries
   std::unique_ptr<PartySession> MakeAliceSession(
       const PointSet& points) const override;
   std::unique_ptr<PartySession> MakeBobSession(
@@ -138,6 +178,7 @@ class AdaptiveQuadtreeReconciler : public Reconciler {
       : context_(context), params_(params), max_attempts_(max_attempts) {}
 
   std::string Name() const override { return "quadtree-adaptive"; }
+  using Reconciler::MakeBobSession;  // and its deleted temporaries
   std::unique_ptr<PartySession> MakeAliceSession(
       const PointSet& points) const override;
   std::unique_ptr<PartySession> MakeBobSession(

@@ -28,6 +28,7 @@
 #ifndef RSR_RECON_SESSION_H_
 #define RSR_RECON_SESSION_H_
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,12 @@ class PartySession {
   /// Moves the endpoint's result out. Meaningful once IsDone(); Bob's
   /// session holds the canonical deliverable.
   virtual ReconResult TakeResult() = 0;
+
+  /// For a host that only serializes S'_B: moves a repair out as a
+  /// RepairedSet over Bob's borrowed input — shipped without copying the
+  /// set — after which TakeResult leaves bob_final empty. nullopt (and
+  /// TakeResult unchanged) when the endpoint recorded no repair.
+  virtual std::optional<RepairedSet> TakeRepairedSet() { return std::nullopt; }
 };
 
 /// Shared boilerplate: a result slot, a done flag, and helpers to finish in
@@ -88,6 +95,54 @@ class PartySessionBase : public PartySession {
 
   ReconResult result_;
   bool done_ = false;
+};
+
+/// Base of Bob's endpoints. Bob borrows his set S_B: `points` must outlive
+/// the session, exactly as a sketch provider must (the serving hosts keep
+/// the snapshot both come from alive for the connection). The deliverable
+/// is built at most once: a session records it with SetFinal, or as a
+/// repair of S_B with SetRepair (materialized by TakeResult unless a host
+/// takes it with TakeRepairedSet), and TakeResult copies S_B only when
+/// nothing was recorded — on decode failure, on an error or malformed
+/// frame, or when the session never finished.
+class BobSessionBase : public PartySessionBase {
+ public:
+  ReconResult TakeResult() override {
+    if (repair_.has_value()) {
+      result_.bob_final = repair_->Materialize();
+      repair_.reset();
+    } else if (!has_final_) {
+      SetFinal(points_);
+    }
+    return PartySessionBase::TakeResult();
+  }
+
+  std::optional<RepairedSet> TakeRepairedSet() override {
+    std::optional<RepairedSet> repair = std::move(repair_);
+    repair_.reset();
+    return repair;
+  }
+
+ protected:
+  explicit BobSessionBase(const PointSet& points) : points_(points) {}
+
+  /// Records S'_B.
+  void SetFinal(PointSet final_set) {
+    result_.bob_final = std::move(final_set);
+    has_final_ = true;
+  }
+
+  /// Records S'_B as a repair of S_B (repair.base == &points_).
+  void SetRepair(RepairedSet repair) {
+    repair_ = std::move(repair);
+    has_final_ = true;
+  }
+
+  const PointSet& points_;
+
+ private:
+  bool has_final_ = false;
+  std::optional<RepairedSet> repair_;
 };
 
 }  // namespace recon

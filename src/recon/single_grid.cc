@@ -45,17 +45,16 @@ class SingleGridAlice : public PartySessionBase {
   PointSet points_;
 };
 
-class SingleGridBob : public PartySessionBase {
+class SingleGridBob : public BobSessionBase {
  public:
   SingleGridBob(const ProtocolContext& context, const QuadtreeParams& params,
-                int level, PointSet points,
+                int level, const PointSet& points,
                 const CanonicalSketchProvider* sketches)
-      : context_(context),
+      : BobSessionBase(points),
+        context_(context),
         params_(params),
         level_(level),
-        points_(std::move(points)),
         sketches_(sketches) {
-    result_.bob_final = points_;
     result_.chosen_level = level_;
   }
 
@@ -85,12 +84,13 @@ class SingleGridBob : public PartySessionBase {
       bob_iblt =
           BuildLevelIblt(grid, points_, level_, n, params_, context_.seed);
     }
-    std::optional<std::vector<LevelDiffEntry>> diff = TryDecodeLevelDiff(
-        grid, level_, n, *alice_iblt, *bob_iblt, params_.DecodeBudget());
+    std::optional<std::vector<LevelDiffEntry>> diff =
+        TryDecodeLevelDiff(grid, level_, n, *std::move(alice_iblt), *bob_iblt,
+                           params_.DecodeBudget());
     if (diff.has_value()) {
       result_.success = true;
       result_.decoded_entries = diff->size();
-      result_.bob_final = RepairBob(grid, points_, level_, *diff);
+      SetRepair(RepairBob(grid, points_, level_, *diff));
     }
     Finish();
     return NoMessages();
@@ -100,7 +100,6 @@ class SingleGridBob : public PartySessionBase {
   ProtocolContext context_;
   QuadtreeParams params_;
   int level_;
-  PointSet points_;
   const CanonicalSketchProvider* sketches_;
 };
 

@@ -30,6 +30,7 @@ class SingleGridReconciler : public Reconciler {
   std::string Name() const override {
     return "single-grid-L" + std::to_string(level_);
   }
+  using Reconciler::MakeBobSession;  // and its deleted temporaries
   std::unique_ptr<PartySession> MakeAliceSession(
       const PointSet& points) const override;
   std::unique_ptr<PartySession> MakeBobSession(

@@ -114,17 +114,15 @@ class RibltOneShotAlice : public recon::PartySessionBase {
   PointSet points_;
 };
 
-class RibltOneShotBob : public recon::PartySessionBase {
+class RibltOneShotBob : public recon::BobSessionBase {
  public:
   RibltOneShotBob(const recon::ProtocolContext& context,
-                  const RibltReconParams& params, PointSet points,
+                  const RibltReconParams& params, const PointSet& points,
                   const recon::CanonicalSketchProvider* sketches)
-      : context_(context),
+      : BobSessionBase(points),
+        context_(context),
         params_(params),
-        points_(std::move(points)),
-        sketches_(sketches) {
-    result_.bob_final = points_;
-  }
+        sketches_(sketches) {}
 
   std::vector<transport::Message> Start() override { return NoMessages(); }
 
@@ -178,8 +176,7 @@ class RibltOneShotBob : public recon::PartySessionBase {
       }
       result_.success = true;
       result_.decoded_entries = xa.size() + xb.size();
-      result_.bob_final =
-          RetireAndAdopt(bob, xb, std::move(xa), params_.metric);
+      SetFinal(RetireAndAdopt(bob, xb, std::move(xa), params_.metric));
     }
     Finish();
     return NoMessages();
@@ -188,7 +185,6 @@ class RibltOneShotBob : public recon::PartySessionBase {
  private:
   recon::ProtocolContext context_;
   RibltReconParams params_;
-  PointSet points_;
   const recon::CanonicalSketchProvider* sketches_;
 };
 

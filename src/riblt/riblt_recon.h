@@ -73,6 +73,7 @@ class RibltReconciler : public recon::Reconciler {
       : context_(context), params_(params) {}
 
   std::string Name() const override { return "riblt-oneshot"; }
+  using recon::Reconciler::MakeBobSession;  // and its deleted temporaries
   std::unique_ptr<recon::PartySession> MakeAliceSession(
       const PointSet& points) const override;
   std::unique_ptr<recon::PartySession> MakeBobSession(

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "recon/session.h"
@@ -129,7 +130,8 @@ AsyncSyncServer::AsyncSyncServer(PointSet canonical,
                     ? options_.registry
                     : &recon::ProtocolRegistry::Global()),
       replica_seq_gauge_(obs_.registry().GetGauge(
-          "rsr_replica_seq", "Replication position (journaled seq)")) {
+          "rsr_replica_seq", "Replication position (journaled seq)")),
+      pin_{store_.Snapshot()} {
   if (options_.latency_probes) {
     obs::MetricsRegistry& reg = obs_.registry();
     loop_metrics_.iteration_seconds =
@@ -210,14 +212,14 @@ SyncServerMetrics AsyncSyncServer::metrics() const {
 }
 
 std::string AsyncSyncServer::DumpStats() const {
-  uint64_t generation = 0;
-  uint64_t seq = 0;
-  {
-    MutexLock lock(replica_mu_);
-    generation = store_.Snapshot()->generation();
-    seq = replica_seq_;
-  }
-  return rsr::server::DumpStats(metrics(), generation, seq);
+  const Pin pin = CurrentPin();
+  return rsr::server::DumpStats(metrics(), pin.snapshot->generation(),
+                                pin.seq);
+}
+
+AsyncSyncServer::Pin AsyncSyncServer::CurrentPin() const {
+  MutexLock lock(pin_mu_);
+  return pin_;
 }
 
 std::shared_ptr<const SketchSnapshot> AsyncSyncServer::ApplyUpdate(
@@ -242,6 +244,8 @@ std::shared_ptr<const SketchSnapshot> AsyncSyncServer::ApplyUpdate(
     options_.changelog->Append(std::move(entry));
     replica_seq_gauge_->Set(static_cast<int64_t>(replica_seq_));
   }
+  MutexLock pin_lock(pin_mu_);
+  pin_ = Pin{snap, replica_seq_};
   return snap;
 }
 
@@ -442,15 +446,12 @@ void AsyncSyncServer::HandleHello(Conn* conn, transport::Message message) {
   AdoptTrace(conn, hello.trace, kAsyncHelloSpanSalt);
   conn->span.BeginPhase("rounds");
   // Pin the session to one immutable canonical generation; the snapshot
-  // stays alive on the conn for the session's lifetime. The replication
-  // position is read under the write path's lock so the pair is one
-  // consistent view.
-  uint64_t served_seq = 0;
-  {
-    MutexLock lock(replica_mu_);
-    conn->snapshot = store_.Snapshot();
-    served_seq = replica_seq_;
-  }
+  // stays alive on the conn for the session's lifetime (Bob borrows its
+  // points). ApplyUpdate publishes the snapshot with its replication
+  // position, so the pair is one consistent view.
+  const Pin pin = CurrentPin();
+  conn->snapshot = pin.snapshot;
+  const uint64_t served_seq = pin.seq;
   conn->bob = protocol->MakeBobSession(
       conn->snapshot->points(),
       options_.serve_from_cache ? conn->snapshot.get() : nullptr);
@@ -545,6 +546,9 @@ void AsyncSyncServer::HandleSessionMessage(Conn* conn,
 }
 
 void AsyncSyncServer::FinishSession(Conn* conn, SessionError pump_error) {
+  // A repair ships straight from the pinned set (no copy of it).
+  const std::optional<recon::RepairedSet> repaired =
+      conn->bob->TakeRepairedSet();
   recon::ReconResult result = conn->bob->TakeResult();
   if (pump_error != SessionError::kNone) {
     result.success = false;
@@ -559,7 +563,8 @@ void AsyncSyncServer::FinishSession(Conn* conn, SessionError pump_error) {
   frame.has_set = conn->want_result_set && result.success;
   frame.result = std::move(result);
   if (!frame.has_set) frame.result.bob_final.clear();
-  conn->SendTracked(EncodeResult(frame, options_.context.universe));
+  conn->SendTracked(EncodeResult(frame, options_.context.universe,
+                                 repaired.has_value() ? &*repaired : nullptr));
   // Like the threaded host: wait for the client to close rather than
   // racing it with unread bytes queued (which could RST the connection
   // and discard the result frame in flight).

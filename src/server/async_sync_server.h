@@ -235,6 +235,19 @@ class AsyncSyncServer {
   mutable Mutex replica_mu_;
   uint64_t replica_seq_ RSR_GUARDED_BY(replica_mu_) = 0;
 
+  /// What a session pins: one generation with its replication position.
+  struct Pin {
+    std::shared_ptr<const SketchSnapshot> snapshot;
+    uint64_t seq = 0;
+  };
+  /// Leaf lock over the published pin, which ApplyUpdate sets before it
+  /// releases replica_mu_. Sessions and "@accept" read only this, so they
+  /// never wait behind a batch being applied. LOCK ORDER: replica_mu_ →
+  /// pin_mu_; nothing nests inside.
+  mutable Mutex pin_mu_ RSR_ACQUIRED_AFTER(replica_mu_);
+  Pin pin_ RSR_GUARDED_BY(pin_mu_);
+  Pin CurrentPin() const;
+
   std::unique_ptr<net::TcpListener> listener_;
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t next_shard_ = 0;  ///< Round-robin cursor (accept path only).

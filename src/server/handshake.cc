@@ -144,7 +144,8 @@ bool DecodeReject(const transport::Message& message, RejectFrame* out) {
 }
 
 transport::Message EncodeResult(const ResultFrame& frame,
-                                const Universe& universe) {
+                                const Universe& universe,
+                                const recon::RepairedSet* repaired) {
   const recon::ReconResult& r = frame.result;
   BitWriter writer;
   writer.WriteBit(r.success);
@@ -155,8 +156,15 @@ transport::Message EncodeResult(const ResultFrame& frame,
   writer.WriteVarint(r.transmitted);
   writer.WriteBit(frame.has_set);
   if (frame.has_set) {
-    writer.WriteVarint(r.bob_final.size());
-    for (const Point& p : r.bob_final) PackPoint(universe, p, &writer);
+    if (repaired != nullptr) {
+      writer.WriteVarint(repaired->size());
+      PointPacker packer(universe, &writer);
+      repaired->ForEach([&](const Point& p) { packer.Add(p); });
+      packer.Flush();
+    } else {
+      writer.WriteVarint(r.bob_final.size());
+      PackPoints(universe, r.bob_final, &writer);
+    }
   }
   return transport::MakeMessage(kResultLabel, std::move(writer));
 }
@@ -196,10 +204,9 @@ bool DecodeResult(const transport::Message& message, const Universe& universe,
         static_cast<uint64_t>(std::max(1, universe.BitsPerPoint()));
     if (count > reader.bits_remaining() / per_point_bits) return false;
     r.bob_final.reserve(std::min<uint64_t>(count, uint64_t{1} << 20));
-    for (uint64_t i = 0; i < count; ++i) {
-      Point p;
-      if (!UnpackPoint(universe, &reader, &p)) return false;
-      r.bob_final.push_back(std::move(p));
+    if (!UnpackPoints(universe, static_cast<size_t>(count), &reader,
+                      &r.bob_final)) {
+      return false;
     }
   }
   return true;

@@ -252,37 +252,36 @@ void ForEachMutation(const Batch& batch, Fn&& fn) {
   for (const Point& p : batch.inserts) fn(p, +1);
 }
 
-/// Calls fn(level_index, cell, level, before, after) once per cell whose
-/// point count the batch changed, at every cached level: `before` from the
-/// ladder of the set before the batch, `after` from it plus the batch's
-/// net change to the cell. Updating a histogram sketch is then erase
-/// (cell, before), insert (cell, after).
+/// Advances `ladder` across the batch, first calling fn(level_index, cell,
+/// before, after) once per cell whose point count the batch changes, at
+/// every cached level: `before` is its count in the ladder before the
+/// batch, `after` that plus the batch's net change. Updating a histogram
+/// sketch is then erase (cell, before), insert (cell, after). The batch is
+/// sorted once, in the ladder's Z-order, so every level's changed cells
+/// are runs of it; the order cells are visited in does not matter, as
+/// sketch updates commute.
 template <typename Fn>
-void ForEachChangedCell(const Shape& shape, const CellLadder& before,
-                        const Batch& batch, Fn&& fn) {
-  std::vector<std::pair<Cell, int64_t>> moves;  // (cell, ±1) per mutation
-  moves.reserve(batch.erases.size() + batch.inserts.size());
+void AdvanceLadder(const Shape& shape, const Batch& batch, CellLadder* ladder,
+                   Fn&& fn) {
+  CellMoves moves(shape.grid, *ladder, batch.erases, batch.inserts);
   for (size_t li = 0; li < shape.levels.size(); ++li) {
-    const int level = shape.levels[li];
-    moves.clear();
-    ForEachMutation(batch, [&](const Point& p, int direction) {
-      moves.emplace_back(shape.grid.CellOf(p, level), direction);
+    moves.ForEachCell(shape.levels[li], [&](const Cell& cell, int64_t before,
+                                            int64_t net) {
+      if (net != 0) fn(li, cell, before, before + net);
     });
-    std::sort(moves.begin(), moves.end());
-    for (size_t i = 0; i < moves.size();) {
-      const Cell& cell = moves[i].first;
-      int64_t net = 0;
-      size_t j = i;
-      for (; j < moves.size() && moves[j].first == cell; ++j) {
-        net += moves[j].second;
-      }
-      if (net != 0) {
-        const int64_t old_count = before.CountInCell(cell, level);
-        fn(li, cell, level, old_count, old_count + net);
-      }
-      i = j;
-    }
   }
+  *ladder = ladder->Updated(moves);
+}
+
+/// One histogram entry codec per cached level, for sets of size n.
+std::vector<recon::HistogramEntryCodec> LevelCodecs(const Shape& shape,
+                                                    size_t n) {
+  std::vector<recon::HistogramEntryCodec> codecs;
+  codecs.reserve(shape.levels.size());
+  for (const int level : shape.levels) {
+    codecs.emplace_back(shape.grid, level, n);
+  }
+  return codecs;
 }
 
 /// Quadtree level histogram IBLTs, one per cached level. The upkeep is the
@@ -314,27 +313,18 @@ struct QuadtreeIbltFamily {
   static Sketch Advance(const Shape& shape, const Sketch& old,
                         const Batch& batch, Upkeep* ladder) {
     Sketch tables = old;
-    std::vector<uint8_t> value;
-    ForEachChangedCell(
-        shape, *ladder, batch,
-        [&](size_t li, const Cell& cell, int level, int64_t old_count,
-            int64_t new_count) {
-          if (old_count > 0) {
-            recon::HistogramEntryValue(shape.grid, cell, level, old_count,
-                                       batch.n, &value);
-            tables[li].Erase(recon::HistogramEntryKey(shape.grid, cell, level,
-                                                      old_count),
-                             value);
-          }
-          if (new_count > 0) {
-            recon::HistogramEntryValue(shape.grid, cell, level, new_count,
-                                       batch.n, &value);
-            tables[li].Insert(recon::HistogramEntryKey(shape.grid, cell, level,
-                                                       new_count),
-                              value);
-          }
-        });
-    *ladder = ladder->Updated(shape.grid, batch.erases, batch.inserts);
+    std::vector<recon::HistogramEntryCodec> codecs =
+        LevelCodecs(shape, batch.n);
+    AdvanceLadder(shape, batch, ladder,
+                  [&](size_t li, const Cell& cell, int64_t old_count,
+                      int64_t new_count) {
+                    if (old_count > 0) {
+                      codecs[li].Erase(&tables[li], cell, old_count);
+                    }
+                    if (new_count > 0) {
+                      codecs[li].Insert(&tables[li], cell, new_count);
+                    }
+                  });
     return tables;
   }
 };
@@ -366,19 +356,15 @@ struct QuadtreeProbeFamily {
   static Sketch Advance(const Shape& shape, const Sketch& old,
                         const Batch& batch, Upkeep* ladder) {
     Sketch probes = old;
-    ForEachChangedCell(shape, *ladder, batch,
-                       [&](size_t li, const Cell& cell, int level,
-                           int64_t old_count, int64_t new_count) {
-                         if (old_count > 0) {
-                           probes[li].Erase(recon::HistogramEntryKey(
-                               shape.grid, cell, level, old_count));
-                         }
-                         if (new_count > 0) {
-                           probes[li].Insert(recon::HistogramEntryKey(
-                               shape.grid, cell, level, new_count));
-                         }
-                       });
-    *ladder = ladder->Updated(shape.grid, batch.erases, batch.inserts);
+    const std::vector<recon::HistogramEntryCodec> codecs =
+        LevelCodecs(shape, batch.n);
+    AdvanceLadder(
+        shape, batch, ladder,
+        [&](size_t li, const Cell& cell, int64_t old_count,
+            int64_t new_count) {
+          if (old_count > 0) probes[li].Erase(codecs[li].Key(cell, old_count));
+          if (new_count > 0) probes[li].Insert(codecs[li].Key(cell, new_count));
+        });
     return probes;
   }
 };
@@ -575,14 +561,15 @@ const char* SketchFamilyName(SketchFamily family) {
 SketchStoreMetrics MakeStoreMetrics(obs::MetricsRegistry* registry,
                                     bool latency_probes) {
   SketchStoreMetrics metrics;
-  if (latency_probes) {
-    metrics.apply_seconds = registry->GetHistogram(
-        "rsr_store_apply_seconds", "SketchStore::ApplyUpdate wall time",
-        obs::DefaultLatencyBounds());
-  }
   for (size_t f = 0; f < kSketchFamilyCount; ++f) {
     const obs::LabelSet labels = {
         {"family", SketchFamilyName(static_cast<SketchFamily>(f))}};
+    if (latency_probes) {
+      metrics.apply_seconds[f] = registry->GetHistogram(
+          "rsr_store_apply_seconds",
+          "Wall time of carrying a live sketch family across one batch",
+          obs::DefaultLatencyBounds(), labels);
+    }
     metrics.materializations[f] = registry->GetCounter(
         "rsr_store_materializations_total",
         "From-scratch builds of a sketch family, in any generation", labels);
@@ -725,12 +712,17 @@ void SketchStore::CarryForward(const SketchSnapshot& head,
     sketch = from.sketch;
     upkeep = std::move(from.upkeep);  // head is no longer the writer's
   }
-  auto advanced = std::make_shared<const typename Family::Sketch>(
-      Family::Advance(*shape_,
-                      *static_cast<const typename Family::Sketch*>(
-                          sketch.get()),
-                      batch,
-                      static_cast<typename Family::Upkeep*>(upkeep.get())));
+  std::shared_ptr<const typename Family::Sketch> advanced;
+  {
+    ScopedTimer timer(
+        shape_->metrics.apply_seconds[static_cast<size_t>(Family::kId)]);
+    advanced = std::make_shared<const typename Family::Sketch>(
+        Family::Advance(*shape_,
+                        *static_cast<const typename Family::Sketch*>(
+                            sketch.get()),
+                        batch,
+                        static_cast<typename Family::Upkeep*>(upkeep.get())));
+  }
   SketchSnapshot::FamilySlot& to = next->slot(Family::kId);
   MutexLock lock(to.mu);
   to.sketch = std::move(advanced);
@@ -740,7 +732,6 @@ void SketchStore::CarryForward(const SketchSnapshot& head,
 std::shared_ptr<const SketchSnapshot> SketchStore::ApplyUpdate(
     const PointSet& inserts, const PointSet& erases) {
   MutexLock write_lock(write_mu_);
-  ScopedTimer timer(shape_->metrics.apply_seconds);
   std::shared_ptr<const SketchSnapshot> head;
   {
     MutexLock lock(mu_);

@@ -79,7 +79,9 @@ const char* SketchFamilyName(SketchFamily family);
 /// Optional store instrumentation (DESIGN.md §12). Pointers are not owned
 /// and must outlive the store; any may be null (that probe is disabled).
 struct SketchStoreMetrics {
-  obs::Histogram* apply_seconds = nullptr;  ///< ApplyUpdate wall time.
+  /// Per family: wall time of carrying it across one batch (its
+  /// Advance), observed once per ApplyUpdate that finds it live.
+  std::array<obs::Histogram*, kSketchFamilyCount> apply_seconds{};
   /// Per family: from-scratch builds, in any generation.
   std::array<obs::Counter*, kSketchFamilyCount> materializations{};
   /// Per family: 1 while the published generation holds it.
@@ -89,8 +91,9 @@ struct SketchStoreMetrics {
 };
 
 /// Registers the rsr_store_* instruments on `registry` and returns the
-/// bundle. The ApplyUpdate latency probe is gated on `latency_probes`
-/// (the counters and gauges are per-batch, never hot, and stay on).
+/// bundle. The per-family Advance latency probes are gated on
+/// `latency_probes` (the counters and gauges are per-batch, never hot,
+/// and stay on).
 SketchStoreMetrics MakeStoreMetrics(obs::MetricsRegistry* registry,
                                     bool latency_probes);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "recon/session.h"
@@ -96,7 +97,8 @@ SyncServer::SyncServer(PointSet canonical, SyncServerOptions options)
           "Replication position (last journaled seq folded into the set)")),
       repair_dirty_gauge_(obs_.registry().GetGauge(
           "rsr_replica_repair_dirty",
-          "1 after an approximate repair, until an exact one supersedes")) {}
+          "1 after an approximate repair, until an exact one supersedes")),
+      pin_{store_.Snapshot()} {}
 
 SyncServer::~SyncServer() { Stop(); }
 
@@ -182,16 +184,12 @@ void SyncServer::ServeConnection(net::ByteStream* stream) {
   AdoptTrace(io, hello.trace, kHelloSpanSalt);
   // Pin the session to one immutable canonical generation: the snapshot
   // (kept alive by this shared_ptr for the whole connection) supplies both
-  // the point set and, when caching is on, the precomputed sketches. The
-  // replication position is read under the same lock the write path holds,
-  // so the (snapshot, replica_seq) pair is one consistent view.
-  std::shared_ptr<const SketchSnapshot> snapshot;
-  uint64_t served_seq = 0;
-  {
-    MutexLock lock(replica_mu_);
-    snapshot = store_.Snapshot();
-    served_seq = replica_seq_;
-  }
+  // the point set Bob borrows and, when caching is on, the precomputed
+  // sketches. The write path publishes the snapshot with its replication
+  // position, so the (snapshot, replica_seq) pair is one consistent view.
+  const Pin pin = CurrentPin();
+  const std::shared_ptr<const SketchSnapshot>& snapshot = pin.snapshot;
+  const uint64_t served_seq = pin.seq;
   const std::unique_ptr<recon::PartySession> bob = protocol->MakeBobSession(
       snapshot->points(), options_.serve_from_cache ? snapshot.get() : nullptr);
 
@@ -245,6 +243,8 @@ void SyncServer::ServeConnection(net::ByteStream* stream) {
     }
   }
 
+  // A repair ships straight from the pinned set (no copy of it).
+  const std::optional<recon::RepairedSet> repaired = bob->TakeRepairedSet();
   result = bob->TakeResult();
   if (!pumped_ok) {
     result.success = false;
@@ -253,11 +253,13 @@ void SyncServer::ServeConnection(net::ByteStream* stream) {
 
   // ------------------------------------------------------------- result
   io.span.BeginPhase("result");
+  const bool success = result.success;
   ResultFrame result_frame;
-  result_frame.result = result;
-  result_frame.has_set = hello.want_result_set && result.success;
+  result_frame.has_set = hello.want_result_set && success;
+  result_frame.result = std::move(result);
   if (!result_frame.has_set) result_frame.result.bob_final.clear();
-  io.Send(EncodeResult(result_frame, options_.context.universe));
+  io.Send(EncodeResult(result_frame, options_.context.universe,
+                       repaired.has_value() ? &*repaired : nullptr));
   // Drain until the client closes: closing with unread bytes queued would
   // reset the connection and could discard the result frame in flight.
   size_t drained = 0;
@@ -266,7 +268,7 @@ void SyncServer::ServeConnection(net::ByteStream* stream) {
   }
   stream->Close();
 
-  SettleSession(io, hello.protocol, result.success, SecondsSince(start_time));
+  SettleSession(io, hello.protocol, success, SecondsSince(start_time));
 }
 
 void SyncServer::SettleSession(SessionIo& io, const std::string& name,
@@ -370,15 +372,10 @@ void SyncServer::ServePull(SessionIo& io, const transport::Message& first,
   io.span.set_protocol(std::string(kPullLabel) + ":" + pull.protocol);
   AdoptTrace(io, pull.trace, kPullSpanSalt);
 
-  std::shared_ptr<const SketchSnapshot> snapshot;
-  uint64_t served_seq = 0;
-  bool dirty = false;
-  {
-    MutexLock lock(replica_mu_);
-    snapshot = store_.Snapshot();
-    served_seq = replica_seq_;
-    dirty = repair_dirty_;
-  }
+  const Pin pin = CurrentPin();
+  const std::shared_ptr<const SketchSnapshot>& snapshot = pin.snapshot;
+  const uint64_t served_seq = pin.seq;
+  const bool dirty = pin.dirty;
   // The puller runs Bob; this host is Alice — the direction that moves the
   // PULLER's set toward this host's (see server/handshake.h).
   const std::unique_ptr<recon::PartySession> alice =
@@ -449,6 +446,7 @@ std::shared_ptr<const SketchSnapshot> SyncServer::ApplyUpdate(
     options_.changelog->Append(std::move(entry));
     replica_seq_gauge_->Set(static_cast<int64_t>(replica_seq_));
   }
+  PublishPin(snap);
   return snap;
 }
 
@@ -463,6 +461,7 @@ std::shared_ptr<const SketchSnapshot> SyncServer::ApplyReplicated(
   replica_seq_ = entry.seq;
   replica_seq_gauge_->Set(static_cast<int64_t>(replica_seq_));
   if (options_.changelog != nullptr) options_.changelog->Append(entry);
+  PublishPin(snap);
   return snap;
 }
 
@@ -483,7 +482,18 @@ std::shared_ptr<const SketchSnapshot> SyncServer::InstallRepair(
   }
   replica_seq_gauge_->Set(static_cast<int64_t>(replica_seq_));
   repair_dirty_gauge_->Set(repair_dirty_ ? 1 : 0);
+  PublishPin(snap);
   return snap;
+}
+
+void SyncServer::PublishPin(std::shared_ptr<const SketchSnapshot> snapshot) {
+  MutexLock lock(pin_mu_);
+  pin_ = Pin{std::move(snapshot), replica_seq_, repair_dirty_};
+}
+
+SyncServer::Pin SyncServer::CurrentPin() const {
+  MutexLock lock(pin_mu_);
+  return pin_;
 }
 
 uint64_t SyncServer::replica_seq() const {
@@ -497,14 +507,9 @@ bool SyncServer::repair_dirty() const {
 }
 
 std::string SyncServer::DumpStats() const {
-  uint64_t generation = 0;
-  uint64_t seq = 0;
-  {
-    MutexLock lock(replica_mu_);
-    generation = store_.Snapshot()->generation();
-    seq = replica_seq_;
-  }
-  return rsr::server::DumpStats(metrics(), generation, seq);
+  const Pin pin = CurrentPin();
+  return rsr::server::DumpStats(metrics(), pin.snapshot->generation(),
+                                pin.seq);
 }
 
 bool SyncServer::Start(std::unique_ptr<net::TcpListener> listener) {

@@ -261,6 +261,24 @@ class SyncServer {
   uint64_t replica_seq_ RSR_GUARDED_BY(replica_mu_) = 0;
   bool repair_dirty_ RSR_GUARDED_BY(replica_mu_) = false;
 
+  /// What a session pins: one generation with the replication state it
+  /// corresponds to.
+  struct Pin {
+    std::shared_ptr<const SketchSnapshot> snapshot;
+    uint64_t seq = 0;
+    bool dirty = false;
+  };
+  /// Publishes the current (snapshot, replica_seq_, repair_dirty_) as the
+  /// pin; every write path calls it before releasing replica_mu_.
+  void PublishPin(std::shared_ptr<const SketchSnapshot> snapshot)
+      RSR_REQUIRES(replica_mu_);
+  Pin CurrentPin() const;
+  /// Leaf lock over the published pin. Sessions and "@accept" read only
+  /// this, so they never wait behind a batch being applied under
+  /// replica_mu_. LOCK ORDER: replica_mu_ → pin_mu_; nothing nests inside.
+  mutable Mutex pin_mu_ RSR_ACQUIRED_AFTER(replica_mu_);
+  Pin pin_ RSR_GUARDED_BY(pin_mu_);
+
   std::unique_ptr<net::TcpListener> listener_;
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

@@ -47,46 +47,6 @@ class BitWriter {
   size_t bit_count_ = 0;
 };
 
-/// BitWriter's layout for one fixed-width record of `bits` bits, written
-/// into a caller's buffer: `out` is zero-filled to (bits + 7) / 8 bytes,
-/// reusing its capacity, so a loop packing many records into one buffer
-/// allocates at most once. Bits gather in a 64-bit word that is stored
-/// whole, little-endian, as it fills. Call Flush() after the last field.
-class BitPacker {
- public:
-  BitPacker(int bits, std::vector<uint8_t>* out) {
-    out->assign((static_cast<size_t>(bits) + 7) / 8, 0);
-    out_ = out->data();
-  }
-
-  /// Appends the low `bits` bits of `value` (0 <= bits <= 64).
-  void WriteBits(uint64_t value, int bits) {
-    if (bits < 64) value &= (uint64_t{1} << bits) - 1;
-    word_ |= value << pending_;
-    pending_ += bits;
-    if (pending_ < 64) return;
-    Store(word_, 8);
-    pending_ -= 64;
-    // The bits of `value` that did not fit; none if the word was empty.
-    word_ = pending_ == 0 ? 0 : value >> (bits - pending_);
-  }
-
-  /// Stores the trailing partial word, zero-padded to a byte.
-  void Flush() { Store(word_, (pending_ + 7) / 8); }
-
- private:
-  void Store(uint64_t word, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      out_[i] = static_cast<uint8_t>(word >> (8 * i));
-    }
-    out_ += bytes;
-  }
-
-  uint8_t* out_;
-  uint64_t word_ = 0;
-  int pending_ = 0;  // bits held in word_, below 64 between calls
-};
-
 /// Sequential reader over a buffer produced by BitWriter.
 class BitReader {
  public:
@@ -109,6 +69,14 @@ class BitReader {
 
   /// Skips to the next byte boundary.
   void AlignToByte();
+
+  /// Advances past `bits` bits. Returns false, consuming nothing, when
+  /// fewer remain.
+  bool Skip(size_t bits) {
+    if (bits > bits_remaining()) return false;
+    pos_ += bits;
+    return true;
+  }
 
   size_t bits_consumed() const { return pos_; }
   size_t bits_remaining() const { return size_bits_ - pos_; }

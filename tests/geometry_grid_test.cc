@@ -1,7 +1,11 @@
 #include "geometry/grid.h"
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -227,20 +231,145 @@ TEST(CellLadderTest, UpdatedLadderCountsLikeAFreshOne) {
     }
     for (int i = 0; i < 20 + step * 5; ++i) inserts.push_back(random_point());
     points.insert(points.end(), inserts.begin(), inserts.end());
-    ladder = ladder.Updated(g, erases, inserts);
     const CellLadder fresh(g, points);
+    CellMoves moves(g, ladder, erases, inserts);
+    for (int level = 0; level <= g.max_level(); ++level) {
+      // Every touched cell's count before the batch, and after it.
+      const auto before = LadderLevel(g, ladder, level);
+      const auto after = LadderLevel(g, fresh, level);
+      const auto count_in = [&](const auto& hist, const Cell& cell) {
+        const auto it = hist.find(g.CellKey(cell, level));
+        return it == hist.end() ? int64_t{0} : it->second.second;
+      };
+      std::set<uint64_t> touched;
+      moves.ForEachCell(level, [&](const Cell& cell, int64_t was,
+                                   int64_t net) {
+        EXPECT_TRUE(touched.insert(g.CellKey(cell, level)).second);
+        EXPECT_EQ(was, count_in(before, cell)) << "level " << level;
+        EXPECT_EQ(was + net, count_in(after, cell)) << "level " << level;
+      });
+      // Every cell whose count changed was visited.
+      for (const auto* hist : {&before, &after}) {
+        for (const auto& [key, cc] : *hist) {
+          if (count_in(before, cc.first) != count_in(after, cc.first)) {
+            EXPECT_EQ(touched.count(key), 1u) << "level " << level;
+          }
+        }
+      }
+    }
+    ladder = ladder.Updated(moves);
     ASSERT_EQ(ladder.size(), points.size());
     for (int level = 0; level <= g.max_level(); ++level) {
-      const auto hist = LadderLevel(g, ladder, level);
-      EXPECT_EQ(hist, LadderLevel(g, fresh, level)) << "level " << level;
-      // CountInCell agrees for occupied cells, and for empty neighbours.
-      for (const auto& [key, cc] : hist) {
-        EXPECT_EQ(ladder.CountInCell(cc.first, level), cc.second);
-        Cell next = cc.first;
-        next[0] += 1;
-        if (hist.count(g.CellKey(next, level)) == 0) {
-          EXPECT_EQ(ladder.CountInCell(next, level), 0);
-        }
+      EXPECT_EQ(LadderLevel(g, ladder, level), LadderLevel(g, fresh, level))
+          << "level " << level;
+    }
+  }
+}
+
+// An independent Z-order: shifted coordinates compared bit by bit from the
+// top, and at one bit position coordinate by coordinate — the Morton key,
+// never built.
+std::vector<std::vector<uint64_t>> ReferenceZOrder(const ShiftedGrid& g,
+                                                   const PointSet& points) {
+  std::vector<std::vector<uint64_t>> shifted;
+  for (const Point& p : points) {
+    std::vector<uint64_t>& c = shifted.emplace_back();
+    for (size_t j = 0; j < p.size(); ++j) {
+      c.push_back(static_cast<uint64_t>(p[j] + g.shift()[j]));
+    }
+  }
+  std::stable_sort(shifted.begin(), shifted.end(),
+                   [&](const auto& a, const auto& b) {
+                     for (int bit = g.max_level(); bit >= 0; --bit) {
+                       for (size_t j = 0; j < a.size(); ++j) {
+                         const uint64_t x = (a[j] >> bit) & 1;
+                         const uint64_t y = (b[j] >> bit) & 1;
+                         if (x != y) return x < y;
+                       }
+                     }
+                     return false;
+                   });
+  return shifted;
+}
+
+// The ladder's level-`level` cells in visiting order, with counts.
+std::vector<std::pair<Cell, int64_t>> LadderSequence(const CellLadder& ladder,
+                                                     int level) {
+  std::vector<std::pair<Cell, int64_t>> cells;
+  ladder.ForEachCell(level, [&](const Cell& cell, int64_t count) {
+    cells.emplace_back(cell, count);
+  });
+  return cells;
+}
+
+// The same from the reference order: runs of equal cells.
+std::vector<std::pair<Cell, int64_t>> ReferenceSequence(
+    const std::vector<std::vector<uint64_t>>& sorted, int level) {
+  std::vector<std::pair<Cell, int64_t>> cells;
+  for (const std::vector<uint64_t>& c : sorted) {
+    Cell cell;
+    for (uint64_t x : c) cell.push_back(static_cast<int64_t>(x >> level));
+    if (!cells.empty() && cells.back().first == cell) {
+      ++cells.back().second;
+    } else {
+      cells.emplace_back(cell, 1);
+    }
+  }
+  return cells;
+}
+
+// The ladder's sort — radix on Morton keys when d · (L + 1) fits 64 bits,
+// by comparison when it does not, and by comparison of keys for small
+// sets — visits cells exactly in the reference Z-order, at every level.
+TEST(CellLadderTest, SortsMatchAReferenceZOrder) {
+  struct Shape {
+    int d;
+    int64_t delta;
+  };
+  std::vector<Shape> shapes = {
+      {3, int64_t{1} << 20},  // d · (L + 1) = 63
+      {4, int64_t{1} << 15},  // 64
+      {2, int64_t{1} << 31},  // 64
+      {5, int64_t{1} << 12},  // 65: comparison sort
+  };
+  for (int d = 1; d <= 5; ++d) {
+    for (int64_t delta : {int64_t{1000}, int64_t{1} << 15, int64_t{1} << 20}) {
+      shapes.push_back({d, delta});
+    }
+  }
+  Rng rng(47);
+  for (const Shape& shape : shapes) {
+    const Universe u = MakeUniverse(shape.delta, shape.d);
+    const ShiftedGrid g(u, 53);
+    const auto random_point = [&] {
+      Point p(static_cast<size_t>(shape.d));
+      for (int64_t& c : p) {
+        c = static_cast<int64_t>(rng.Below(static_cast<uint64_t>(u.delta)));
+      }
+      return p;
+    };
+    std::vector<PointSet> sets = {{}, {random_point()}};
+    sets.push_back(PointSet(40, random_point()));  // all equal
+    for (size_t n : {size_t{50}, size_t{600}}) {
+      PointSet distinct(n), repeats;
+      for (Point& p : distinct) p = random_point();
+      // Duplicates: draws from a pool a tenth the size.
+      for (size_t i = 0; i < n; ++i) {
+        repeats.push_back(distinct[rng.Below(n / 10)]);
+      }
+      sets.push_back(std::move(distinct));
+      sets.push_back(std::move(repeats));
+    }
+    for (const PointSet& points : sets) {
+      SCOPED_TRACE("d " + std::to_string(shape.d) + " delta " +
+                   std::to_string(shape.delta) + " n " +
+                   std::to_string(points.size()));
+      const CellLadder ladder(g, points);
+      const auto reference = ReferenceZOrder(g, points);
+      for (int level = 0; level <= g.max_level(); ++level) {
+        ASSERT_EQ(LadderSequence(ladder, level),
+                  ReferenceSequence(reference, level))
+            << "level " << level;
       }
     }
   }

@@ -75,6 +75,57 @@ TEST(PointPackTest, UnderrunFails) {
   EXPECT_FALSE(UnpackPoint(u, &r, &p));
 }
 
+// PackPoints / UnpackPoints move exactly PackPoint's bits, at every
+// coordinate width (zero-width and word-straddling ones included) and
+// after a misaligned prefix; an underrun fails and consumes nothing.
+TEST(PointPackTest, WholeSetsMatchPointAtATime) {
+  Rng rng(91);
+  for (int64_t delta : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{1000},
+                        int64_t{1} << 20, (int64_t{1} << 40) + 7,
+                        int64_t{1} << 62}) {
+    for (int d : {1, 2, 3, 5}) {
+      const Universe u = MakeUniverse(delta, d);
+      const size_t point_bits = static_cast<size_t>(u.BitsPerPoint());
+      for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
+        PointSet points(n, Point(static_cast<size_t>(d)));
+        for (Point& p : points) {
+          for (int64_t& c : p) {
+            c = static_cast<int64_t>(rng.Below(static_cast<uint64_t>(delta)));
+          }
+        }
+        for (int prefix : {0, 3, 13}) {
+          BitWriter one, all;
+          one.WriteBits(0x1fff, prefix);
+          all.WriteBits(0x1fff, prefix);
+          for (const Point& p : points) PackPoint(u, p, &one);
+          PackPoints(u, points, &all);
+          ASSERT_EQ(all.bit_count(), one.bit_count());
+          ASSERT_EQ(all.bytes(), one.bytes())
+              << "delta " << delta << " d " << d << " n " << n;
+
+          BitReader r(all.bytes());
+          ASSERT_TRUE(r.Skip(static_cast<size_t>(prefix)));
+          PointSet read;
+          ASSERT_TRUE(UnpackPoints(u, n, &r, &read));
+          EXPECT_EQ(read, points);
+          EXPECT_EQ(r.bits_consumed(), static_cast<size_t>(prefix) +
+                                           n * point_bits);
+          if (point_bits == 0) continue;
+          // Eight more points than were written need more bits than a
+          // byte's padding holds.
+          BitReader short_reader(all.bytes());
+          ASSERT_TRUE(short_reader.Skip(static_cast<size_t>(prefix)));
+          PointSet none;
+          EXPECT_FALSE(UnpackPoints(u, n + 8, &short_reader, &none));
+          EXPECT_TRUE(none.empty());
+          EXPECT_EQ(short_reader.bits_consumed(),
+                    static_cast<size_t>(prefix));
+        }
+      }
+    }
+  }
+}
+
 TEST(PointKeyTest, SensitivityAndSeedDependence) {
   const Point a = {1, 2, 3};
   const Point b = {1, 2, 4};

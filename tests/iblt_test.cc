@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "hash/checksum.h"
+#include "hash/family.h"
 #include "iblt/sizing.h"
 #include "util/random.h"
 
@@ -232,6 +236,157 @@ TEST(IbltTest, SubtractAfterSerializationMatchesDirect) {
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.entries.size(), 8u);
   for (const IbltEntry& e : result.entries) EXPECT_EQ(e.sign, 1);
+}
+
+// The table as it was before values went word-wide: every field per cell,
+// the value XORed and serialized a byte at a time. Same hash functions.
+class ByteReferenceIblt {
+ public:
+  explicit ByteReferenceIblt(const IbltConfig& config)
+      : config_(config),
+        m_(config.RoundedCells()),
+        value_bytes_((static_cast<size_t>(config.value_bits) + 7) / 8),
+        indexer_(config.seed, config.q, m_),
+        checksum_(config.seed ^ 0x636865636bULL),
+        counts_(m_, 0),
+        keys_(m_, 0),
+        checks_(m_, 0),
+        values_(m_, std::vector<uint8_t>(value_bytes_, 0)) {}
+
+  const IndexHasher& indexer() const { return indexer_; }
+
+  void Apply(uint64_t key, const std::vector<uint8_t>& value, int direction) {
+    const uint64_t check = checksum_.Truncated(key, config_.checksum_bits);
+    for (int j = 0; j < config_.q; ++j) {
+      const size_t cell = indexer_.Cell(key, j);
+      counts_[cell] += direction;
+      keys_[cell] ^= key;
+      checks_[cell] ^= check;
+      for (size_t b = 0; b < value_bytes_; ++b) values_[cell][b] ^= value[b];
+    }
+  }
+
+  std::vector<uint8_t> Bytes() const {
+    BitWriter w;
+    for (size_t i = 0; i < m_; ++i) {
+      w.WriteBits(static_cast<uint64_t>(counts_[i]), config_.count_bits);
+      w.WriteBits(keys_[i], 64);
+      w.WriteBits(checks_[i], config_.checksum_bits);
+      for (int left = config_.value_bits, b = 0; left > 0; left -= 8, ++b) {
+        w.WriteBits(values_[i][static_cast<size_t>(b)], std::min(left, 8));
+      }
+    }
+    return std::move(w).TakeBytes();
+  }
+
+ private:
+  IbltConfig config_;
+  size_t m_;
+  size_t value_bytes_;
+  IndexHasher indexer_;
+  Checksum checksum_;
+  std::vector<int64_t> counts_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> checks_;
+  std::vector<std::vector<uint8_t>> values_;
+};
+
+template <typename Sketch>
+std::vector<uint8_t> SerializedBytes(const Sketch& table) {
+  BitWriter w;
+  table.Serialize(&w);
+  EXPECT_EQ(w.bit_count(), table.config().SerializedBits());
+  return std::move(w).TakeBytes();
+}
+
+// Word-wide Insert/Erase (pointer and byte-vector forms) against the
+// byte-at-a-time reference, at every value width from 1 to 130 bits: the
+// same serialized bytes, the same decode, and the padding past the last
+// cell — which every width but multiples of 64 has, and which the last
+// cell's word-wide updates reach into — never shows in Serialize,
+// Subtract, IsEmpty or Decode.
+TEST(IbltTest, WordWideUpdatesMatchByteAtATimeReference) {
+  Rng rng(61);
+  for (int value_bits = 1; value_bits <= 130; ++value_bits) {
+    SCOPED_TRACE("value_bits " + std::to_string(value_bits));
+    IbltConfig config = SmallConfig(value_bits, 70 + value_bits);
+    config.cells = 48;
+    Iblt table(config);
+    ByteReferenceIblt reference(config);
+    const size_t words = table.value_words();
+    ASSERT_EQ(words, (static_cast<size_t>(value_bits) + 63) / 64);
+    // Random full-width values, low bits first, as little-endian words.
+    const auto random_value = [&] {
+      std::vector<uint64_t> value(words);
+      for (size_t w = 0; w < words; ++w) {
+        const int bits = std::min(64, value_bits - 64 * static_cast<int>(w));
+        value[w] = bits == 64 ? rng.Next64()
+                              : rng.Next64() & ((uint64_t{1} << bits) - 1);
+      }
+      return value;
+    };
+    const auto bytes_of = [&](const std::vector<uint64_t>& value) {
+      std::vector<uint8_t> bytes(table.value_bytes());
+      for (size_t i = 0; i < bytes.size(); ++i) {
+        bytes[i] = static_cast<uint8_t>(value[i / 8] >> (8 * (i % 8)));
+      }
+      return bytes;
+    };
+    // One key whose last cell is the table's last cell, so its word-wide
+    // update runs into the padding.
+    uint64_t last_key = rng.Next64();
+    while (reference.indexer().Cell(last_key, config.q - 1) !=
+           table.cells() - 1) {
+      last_key = rng.Next64();
+    }
+    std::map<uint64_t, std::vector<uint8_t>> inserted;
+    for (int i = 0; i < 6; ++i) {
+      const uint64_t key = i == 0 ? last_key : rng.Next64();
+      const std::vector<uint64_t> value = random_value();
+      if (i % 2 == 0) {
+        table.Insert(key, value.data());
+      } else {
+        table.Insert(key, bytes_of(value));
+      }
+      reference.Apply(key, bytes_of(value), +1);
+      inserted[key] = bytes_of(value);
+    }
+    // An erase of an absent entry leaves a -1 entry behind.
+    const uint64_t absent = rng.Next64();
+    const std::vector<uint64_t> absent_value = random_value();
+    table.Erase(absent, absent_value.data());
+    reference.Apply(absent, bytes_of(absent_value), -1);
+
+    const std::vector<uint8_t> bytes = SerializedBytes(table);
+    ASSERT_EQ(bytes, reference.Bytes());
+    BitReader in(bytes);
+    const std::optional<Iblt> reread = Iblt::Deserialize(config, &in);
+    ASSERT_TRUE(reread.has_value());
+    EXPECT_EQ(SerializedBytes(*reread), bytes);
+
+    const IbltDecodeResult decoded = table.Decode();
+    ASSERT_TRUE(decoded.success);
+    ASSERT_EQ(decoded.entries.size(), inserted.size() + 1);
+    for (const IbltEntry& entry : decoded.entries) {
+      if (entry.sign < 0) {
+        EXPECT_EQ(entry.key, absent);
+        EXPECT_EQ(entry.value, bytes_of(absent_value));
+      } else {
+        ASSERT_EQ(inserted.count(entry.key), 1u);
+        EXPECT_EQ(entry.value, inserted.at(entry.key));
+      }
+    }
+    Iblt difference = table;
+    difference.Subtract(*reread);
+    EXPECT_TRUE(difference.IsEmpty());
+    EXPECT_TRUE(std::move(difference).Decode().entries.empty());
+    // Erasing everything again empties the table.
+    for (const auto& [key, value] : inserted) table.Erase(key, value);
+    table.Insert(absent, absent_value.data());
+    EXPECT_TRUE(table.IsEmpty());
+    EXPECT_EQ(SerializedBytes(table),
+              std::vector<uint8_t>(bytes.size(), 0));
+  }
 }
 
 TEST(SizingTest, ThresholdsSane) {

@@ -6,6 +6,7 @@
 
 #include "geometry/emd.h"
 #include "recon/evaluate.h"
+#include "recon/session.h"
 #include "workload/generator.h"
 
 namespace rsr {
@@ -106,7 +107,11 @@ TEST(RepairBobTest, AddsAndRemovesPerDelta) {
   diff.push_back({bob_cell, 3, -1});   // Bob count 3
   diff.push_back({alice_cell, 2, +1}); // Alice-only cell with 2 points
 
-  const PointSet repaired = RepairBob(grid, {b1, b2, b3}, level, diff);
+  const PointSet bob = {b1, b2, b3};
+  const RepairedSet repair = RepairBob(grid, bob, level, diff);
+  EXPECT_EQ(repair.base, &bob);
+  EXPECT_EQ(repair.size(), 3u);
+  const PointSet repaired = repair.Materialize();
   EXPECT_EQ(repaired.size(), 3u);  // -2 +2
   // Exactly one of Bob's original points survives.
   int original = 0, added = 0;
@@ -133,6 +138,27 @@ TEST(QuadtreeReconcilerTest, IdenticalSetsDecodeAtLevelZero) {
   EXPECT_EQ(result.decoded_entries, 0u);
   // S'_B is exactly Bob's (== Alice's up to permutation) set.
   EXPECT_EQ(ExactEmd(pair.alice, result.bob_final, Metric::kL2), 0.0);
+}
+
+TEST(QuadtreeReconcilerTest, LevelsAfterTheRepairMustStillBeThere) {
+  // Bob repairs at level 0 and only checks that the other levels are
+  // present; a frame cut short inside them is malformed all the same.
+  const ReplicaPair pair = MakeInstance(1 << 12, 2, 200, 0, 0.0);
+  const ProtocolContext ctx = Context(1 << 12, 2);
+  QuadtreeReconciler protocol(ctx, Params(8));
+  transport::Message frame = protocol.MakeAliceSession(pair.alice)->Start()[0];
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{8}}) {
+    transport::Message sent = frame;
+    sent.payload.resize(sent.payload.size() - cut);
+    sent.payload_bits = std::min(sent.payload_bits, 8 * sent.payload.size());
+    std::unique_ptr<PartySession> bob = protocol.MakeBobSession(pair.bob);
+    (void)bob->OnMessage(std::move(sent));
+    const ReconResult result = bob->TakeResult();
+    EXPECT_EQ(result.chosen_level, 0);
+    EXPECT_EQ(result.success, cut == 0) << "cut " << cut;
+    EXPECT_EQ(result.error, cut == 0 ? SessionError::kNone
+                                     : SessionError::kMalformedMessage);
+  }
 }
 
 TEST(QuadtreeReconcilerTest, PureOutliersAreRecovered) {

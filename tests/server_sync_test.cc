@@ -5,10 +5,15 @@
 // handshake rejects unknown protocols with a self-describing error, and
 // that 8 concurrent clients with mixed protocols are all served correctly.
 
+#include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +22,9 @@
 #include "net/pipe_stream.h"
 #include "net/tcp.h"
 #include "recon/registry.h"
+#include "recon/session.h"
+#include "replica/changelog.h"
+#include "server/async_sync_server.h"
 #include "server/handshake.h"
 #include "server/sync_client.h"
 #include "server/sync_server.h"
@@ -202,6 +210,144 @@ TEST(SyncServerTcpTest, EightConcurrentClientsWithMixedProtocols) {
     EXPECT_GT(stats.bytes_in, 0u) << name;
     EXPECT_GT(stats.bytes_out, 0u) << name;
     EXPECT_GE(stats.wall_seconds, 0.0) << name;
+  }
+}
+
+/// Syncs racing a writer on a journaling host: sessions read the pinned
+/// (snapshot, replica_seq) pair under the pin lock while ApplyUpdate
+/// publishes it. Every batch advances generation and seq by one, so each
+/// "@accept" must carry seq == generation, and each result must match the
+/// driver on exactly that generation's set. Run under TSan in CI.
+template <typename Server, typename Options>
+void ExpectPinnedPairsUnderWrites() {
+  const PointSet canonical = Canonical(96);
+  replica::Changelog changelog;
+  Options options;
+  options.context = Ctx();
+  options.params = Params();
+  options.changelog = &changelog;
+  Server server(canonical, options);
+  ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
+
+  std::mutex gens_mu;
+  std::map<uint64_t, PointSet> gens = {{0, canonical}};
+  // The writer keeps applying until every client is done, so sessions
+  // pin throughout its batches.
+  std::atomic<bool> clients_done{false};
+  std::thread writer([&] {
+    Rng rng(31);
+    PointSet current = canonical;
+    for (int batch = 0; batch < 2000 && !clients_done.load(); ++batch) {
+      const size_t at = rng.Below(current.size());
+      const PointSet erases = {current[at]};
+      const PointSet inserts = {workload::PerturbPoint(
+          current[at], Ctx().universe, workload::NoiseKind::kGaussian, 3.0,
+          &rng)};
+      const auto snapshot = server.ApplyUpdate(inserts, erases);
+      std::lock_guard<std::mutex> lock(gens_mu);
+      gens[snapshot->generation()] = snapshot->points();
+      current = snapshot->points();
+    }
+  });
+  constexpr size_t kClients = 4;
+  constexpr size_t kSyncs = 5;
+  std::vector<PointSet> replicas(kClients);
+  std::vector<std::vector<SyncOutcome>> outcomes(kClients);
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < kClients; ++i) {
+    replicas[i] = DriftedReplica(canonical, 700 + i, 2, 0.5);
+    clients.emplace_back([&, i] {
+      SyncClientOptions client_options;
+      client_options.context = Ctx();
+      client_options.params = Params();
+      const SyncClient client(client_options);
+      for (size_t k = 0; k < kSyncs; ++k) {
+        auto stream = net::TcpStream::Connect("127.0.0.1", server.port());
+        ASSERT_NE(stream, nullptr);
+        outcomes[i].push_back(
+            client.Sync(stream.get(), "quadtree", replicas[i]));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  clients_done.store(true);
+  writer.join();
+  server.Stop();
+
+  for (size_t i = 0; i < kClients; ++i) {
+    for (const SyncOutcome& outcome : outcomes[i]) {
+      ASSERT_TRUE(outcome.handshake_ok) << outcome.error_detail;
+      EXPECT_EQ(outcome.server_replica_seq, outcome.server_generation);
+      ASSERT_EQ(gens.count(outcome.server_generation), 1u);
+      ExpectMatchesInProcess(
+          "quadtree", outcome,
+          InProcessResult("quadtree", replicas[i],
+                          gens.at(outcome.server_generation)));
+    }
+  }
+}
+
+TEST(SyncServerTcpTest, SessionsPinPairedGenerationAndSeqUnderWrites) {
+  ExpectPinnedPairsUnderWrites<SyncServer, SyncServerOptions>();
+}
+
+TEST(AsyncSyncServerTcpTest, SessionsPinPairedGenerationAndSeqUnderWrites) {
+  ExpectPinnedPairsUnderWrites<AsyncSyncServer, AsyncSyncServerOptions>();
+}
+
+/// Pumps a session pair in process until Bob is done.
+void PumpUntilBobDone(recon::PartySession* alice, recon::PartySession* bob) {
+  std::vector<transport::Message> to_bob = alice->Start();
+  std::vector<transport::Message> to_alice = bob->Start();
+  while (!bob->IsDone() && !(to_bob.empty() && to_alice.empty())) {
+    for (transport::Message& m : std::exchange(to_alice, {})) {
+      for (transport::Message& r : alice->OnMessage(std::move(m))) {
+        to_bob.push_back(std::move(r));
+      }
+    }
+    for (transport::Message& m : std::exchange(to_bob, {})) {
+      for (transport::Message& r : bob->OnMessage(std::move(m))) {
+        to_alice.push_back(std::move(r));
+      }
+    }
+  }
+}
+
+// A repair the host takes with TakeRepairedSet ships exactly the bytes of
+// the materialized result, and TakeResult then carries no set; a protocol
+// that records no repair hands none over and keeps its result.
+TEST(SyncServerResultTest, RepairedSetShipsTheMaterializedBytes) {
+  const PointSet canonical = Canonical(128);
+  const PointSet replica = DriftedReplica(canonical, 55);
+  for (const char* protocol : kAllProtocols) {
+    const auto reconciler = recon::MakeReconciler(protocol, Ctx(), Params());
+    std::vector<uint8_t> shipped[2];
+    for (int take_repair = 0; take_repair < 2; ++take_repair) {
+      const auto alice = reconciler->MakeAliceSession(replica);
+      const auto bob = reconciler->MakeBobSession(canonical);
+      PumpUntilBobDone(alice.get(), bob.get());
+      std::optional<recon::RepairedSet> repaired;
+      if (take_repair == 1) repaired = bob->TakeRepairedSet();
+      ResultFrame frame;
+      frame.result = bob->TakeResult();
+      frame.has_set = true;
+      if (repaired.has_value()) {
+        EXPECT_EQ(repaired->base, &canonical) << protocol;
+        EXPECT_TRUE(frame.result.bob_final.empty()) << protocol;
+      }
+      const std::string name = protocol;
+      const bool repairs = name.rfind("quadtree", 0) == 0 ||
+                           name.rfind("single-grid", 0) == 0;
+      if (take_repair == 1) {
+        EXPECT_EQ(repaired.has_value(), repairs && frame.result.success)
+            << protocol;
+      }
+      shipped[take_repair] =
+          EncodeResult(frame, Ctx().universe,
+                       repaired.has_value() ? &*repaired : nullptr)
+              .payload;
+    }
+    EXPECT_EQ(shipped[1], shipped[0]) << protocol;
   }
 }
 

@@ -12,9 +12,17 @@
 
 #include <gtest/gtest.h>
 
+#include "gaprecon/gap_recon.h"
+#include "lshrecon/mlsh_recon.h"
 #include "recon/driver.h"
+#include "recon/exact_recon.h"
+#include "recon/full_transfer.h"
+#include "recon/quadtree_recon.h"
 #include "recon/registry.h"
 #include "recon/session.h"
+#include "recon/single_grid.h"
+#include "riblt/riblt_recon.h"
+#include "util/random.h"
 #include "workload/scenario.h"
 
 namespace rsr {
@@ -199,8 +207,8 @@ TEST(SessionConformanceTest, MalformedMessageSurfacesErrorInsteadOfAbort) {
   ProtocolParams params;
   const std::unique_ptr<Reconciler> protocol =
       MakeReconciler("full-transfer", ctx, params);
-  std::unique_ptr<PartySession> bob =
-      protocol->MakeBobSession({{1, 2}, {3, 4}});
+  const PointSet bob_set = {{1, 2}, {3, 4}};  // borrowed by the session
+  std::unique_ptr<PartySession> bob = protocol->MakeBobSession(bob_set);
   (void)bob->Start();
   // A truncated payload: varint count says 100 points, none follow.
   BitWriter w;
@@ -213,7 +221,79 @@ TEST(SessionConformanceTest, MalformedMessageSurfacesErrorInsteadOfAbort) {
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.error, SessionError::kMalformedMessage);
   // Bob keeps his own set on failure.
-  EXPECT_EQ(result.bob_final.size(), 2u);
+  EXPECT_EQ(result.bob_final, bob_set);
+}
+
+// Bob borrows his set, so a session factory handed a temporary must not
+// compile — through the interface and through every protocol class.
+template <typename R>
+concept MakesBobFromLvalue = requires(const R& r, const PointSet& points,
+                                      const CanonicalSketchProvider* cache) {
+  r.MakeBobSession(points);
+  r.MakeBobSession(points, cache);
+};
+template <typename R>
+concept MakesBobFromTemporary =
+    requires(const R& r) { r.MakeBobSession(PointSet{}); } ||
+    requires(const R& r, const CanonicalSketchProvider* cache) {
+      r.MakeBobSession(PointSet{}, cache);
+    };
+template <typename R>
+constexpr bool kBorrowsBobSet =
+    MakesBobFromLvalue<R> && !MakesBobFromTemporary<R>;
+static_assert(kBorrowsBobSet<Reconciler>);
+static_assert(kBorrowsBobSet<QuadtreeReconciler>);
+static_assert(kBorrowsBobSet<AdaptiveQuadtreeReconciler>);
+static_assert(kBorrowsBobSet<SingleGridReconciler>);
+static_assert(kBorrowsBobSet<ExactReconciler>);
+static_assert(kBorrowsBobSet<FullTransferReconciler>);
+static_assert(kBorrowsBobSet<lshrecon::MlshReconciler>);
+static_assert(kBorrowsBobSet<RibltReconciler>);
+static_assert(kBorrowsBobSet<gaprecon::GapReconciler>);
+
+// A Bob session that ends without a repair still returns exactly its own
+// (borrowed) set: on a malformed frame, for every protocol; when its
+// result is taken before any frame; and on a decode failure.
+TEST(SessionConformanceTest, BobWithoutRepairReturnsHisOwnSet) {
+  ProtocolContext ctx;
+  ctx.universe = MakeUniverse(1 << 12, 2);
+  ctx.seed = 6;
+  ProtocolParams params;
+  params.k = 2;
+  Rng rng(6);
+  PointSet own(100), other(100);
+  for (PointSet* set : {&own, &other}) {
+    for (Point& p : *set) {
+      p = {rng.Uniform(0, (1 << 12) - 1), rng.Uniform(0, (1 << 12) - 1)};
+    }
+  }
+  for (const std::string& name : ProtocolRegistry::Global().Names()) {
+    const std::unique_ptr<Reconciler> protocol =
+        MakeReconciler(name, ctx, params);
+    // An all-ones payload: a runaway varint, or a truncated sketch.
+    std::unique_ptr<PartySession> bob = protocol->MakeBobSession(own);
+    (void)bob->Start();
+    BitWriter garbage;
+    garbage.WriteBits(0xffffff, 24);
+    (void)bob->OnMessage(transport::MakeMessage("garbage", std::move(garbage)));
+    const ReconResult malformed = bob->TakeResult();
+    EXPECT_FALSE(malformed.success) << name;
+    EXPECT_NE(malformed.error, SessionError::kNone) << name;
+    EXPECT_EQ(malformed.bob_final, own) << name;
+
+    std::unique_ptr<PartySession> idle = protocol->MakeBobSession(own);
+    EXPECT_EQ(idle->TakeResult().bob_final, own) << name;
+  }
+  // Level 0 of a single grid over 200 differing points cannot decode
+  // within a budget of 4k + 8 = 16 entries.
+  params.single_grid_level = 0;
+  const std::unique_ptr<Reconciler> single =
+      MakeReconciler("single-grid", ctx, params);
+  transport::Channel channel;
+  const ReconResult failed = single->Run(other, own, &channel);
+  EXPECT_FALSE(failed.success);
+  EXPECT_EQ(failed.error, SessionError::kNone);
+  EXPECT_EQ(failed.bob_final, own);
 }
 
 TEST(SessionConformanceTest, UnexpectedMessageSurfacesError) {

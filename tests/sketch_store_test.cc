@@ -364,6 +364,32 @@ TEST(SketchStoreTest, EraseAndReinsertSameKeyInOneBatchBitIdentical) {
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
 }
 
+TEST(SketchStoreTest, MovesCancellingWithinACellAreBitIdentical) {
+  // Each point moves to a neighbour: at level 0 its cell loses one point
+  // and the neighbour's gains one, while from the first level where the
+  // two share a cell, that cell's moves cancel (net 0) and it must be left
+  // exactly as it was.
+  PointSet mirror = Cloud(64, 5151);
+  InstrumentedStore s(mirror);
+  SketchStore& store = s.store;
+  ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
+  const ShiftedGrid grid(Ctx().universe, Ctx().seed);
+  workload::ChurnBatch batch;
+  for (size_t i : {size_t{2}, size_t{9}, size_t{30}}) {
+    Point moved = mirror[i];
+    moved[0] += moved[0] + 1 < Ctx().universe.delta ? 1 : -1;
+    ASSERT_NE(grid.CellOf(moved, 0), grid.CellOf(mirror[i], 0));
+    ASSERT_EQ(grid.CellOf(moved, grid.max_level()),
+              grid.CellOf(mirror[i], grid.max_level()));
+    batch.erases.push_back(mirror[i]);
+    batch.inserts.push_back(moved);
+  }
+  workload::ApplyChurnBatch(batch, &mirror);
+  const auto snapshot = store.ApplyUpdate(batch.inserts, batch.erases);
+  ExpectAllCarried(s, *snapshot);
+  ExpectSnapshotMatchesScratch(*snapshot, mirror);
+}
+
 TEST(SketchStoreTest, RibltWidthBoundaryWithoutHistogramBoundaryRebuilds) {
   // 62 -> 63 keeps HistogramCountBits unchanged (both under 64) but moves
   // the RIBLT max_entries = 2n + 2 from 126 to 128, widening the

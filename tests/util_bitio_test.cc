@@ -1,5 +1,6 @@
 #include "util/bitio.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,27 +22,28 @@ TEST(BitWidthForUniverseTest, KnownValues) {
   EXPECT_EQ(BitWidthForUniverse(uint64_t{1} << 40), 40);
 }
 
-// BitPacker must lay records out byte for byte like BitWriter, including
-// fields that straddle its 64-bit word, full-width and zero-width fields,
-// and high bits above a field's width (masked off).
-TEST(BitPackerTest, MatchesBitWriter) {
-  Rng rng(17);
-  std::vector<uint8_t> packed;
-  for (int record = 0; record < 500; ++record) {
-    std::vector<int> widths(static_cast<size_t>(rng.Uniform(0, 6)));
-    for (int& w : widths) w = static_cast<int>(rng.Uniform(0, 64));
-    int total = 0;
-    for (int w : widths) total += w;
-    BitWriter writer;
-    BitPacker packer(total, &packed);
-    for (int w : widths) {
-      const uint64_t value = rng.Next64();
-      writer.WriteBits(value, w);
-      packer.WriteBits(value, w);
+// Skip advances exactly like reads of the same width, and an underrun
+// consumes nothing.
+TEST(BitIoTest, SkipMatchesReadsAndRefusesUnderrun) {
+  BitWriter w;
+  for (int i = 0; i < 40; ++i) w.WriteBits(static_cast<uint64_t>(i), 7);
+  BitReader skipped(w.bytes());
+  BitReader read(w.bytes());
+  for (size_t bits :
+       {size_t{0}, size_t{7}, size_t{63}, size_t{64}, size_t{3}}) {
+    ASSERT_TRUE(skipped.Skip(bits));
+    uint64_t unused = 0;
+    for (size_t left = bits; left > 0; left -= std::min<size_t>(left, 64)) {
+      ASSERT_TRUE(read.ReadBits(static_cast<int>(std::min<size_t>(left, 64)),
+                                &unused));
     }
-    packer.Flush();
-    EXPECT_EQ(packed, writer.bytes()) << "record " << record;
+    EXPECT_EQ(skipped.bits_consumed(), read.bits_consumed());
   }
+  const size_t left = skipped.bits_remaining();
+  EXPECT_FALSE(skipped.Skip(left + 1));
+  EXPECT_EQ(skipped.bits_remaining(), left);
+  EXPECT_TRUE(skipped.Skip(left));
+  EXPECT_EQ(skipped.bits_remaining(), 0u);
 }
 
 TEST(BitIoTest, SingleBits) {
