@@ -242,7 +242,7 @@ class GapAlice : public recon::PartySessionBase {
     // A -> B: the uncovered points at full precision.
     BitWriter w;
     w.WriteVarint(to_send.size());
-    for (const Point& p : to_send) PackPoint(context_.universe, p, &w);
+    PackPoints(context_.universe, to_send, &w);
     result_.success = true;
     result_.transmitted = to_send.size();
     Finish();

@@ -195,9 +195,6 @@ std::vector<uint32_t> RadixOrder(const std::vector<uint64_t>& keys) {
   return order;
 }
 
-/// Below this many points, Morton keys are sorted by comparison.
-constexpr size_t kRadixMinPoints = 256;
-
 /// Sorts the point-major `shifted` (n × d) into Z-order, and returns the
 /// permutation applied: sorted point i was shifted point order[i].
 std::vector<uint32_t> SortZOrder(const ShiftedGrid& grid,
@@ -209,15 +206,7 @@ std::vector<uint32_t> SortZOrder(const ShiftedGrid& grid,
   const int bits = grid.max_level() + 1;
   std::vector<uint32_t> order;
   if (d * static_cast<size_t>(bits) <= 64) {
-    const std::vector<uint64_t> keys = MortonKeys(d, bits, *shifted);
-    if (n >= kRadixMinPoints) {
-      order = RadixOrder(keys);
-    } else {  // a batch: too few keys to pay for the radix passes' counts
-      order.resize(n);
-      std::iota(order.begin(), order.end(), uint32_t{0});
-      std::sort(order.begin(), order.end(),
-                [&](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
-    }
+    order = RadixOrder(MortonKeys(d, bits, *shifted));
   } else {
     order.resize(n);
     std::iota(order.begin(), order.end(), uint32_t{0});

@@ -42,32 +42,41 @@ bool UnpackPoint(const Universe& universe, BitReader* in, Point* out) {
   return true;
 }
 
-PointPacker::PointPacker(const Universe& universe, BitWriter* out)
+void PackPointWords(const Universe& universe, const Point& p,
+                    uint64_t* out) {
+  RSR_DCHECK(universe.Contains(p));
+  const int bits = universe.BitsPerCoord();
+  WordPacker packer(out);
+  for (int64_t c : p) packer.Put(static_cast<uint64_t>(c), bits);
+  packer.Flush();
+}
+
+PointPacker::PointPacker(const Universe& universe, size_t count)
     : universe_(universe),
-      out_(out),
       bits_(universe.BitsPerCoord()),
-      mask_(bits_ == 0 ? 0 : (uint64_t{1} << bits_) - 1) {}
+      room_(count),
+      words_((count * static_cast<size_t>(universe.BitsPerPoint()) + 63) /
+             64),
+      packer_(words_.data()) {}
 
 void PointPacker::Add(const Point& p) {
   RSR_DCHECK(universe_.Contains(p));
-  if (bits_ == 0) return;  // one-value coordinates take no bits
-  for (int64_t c : p) {
-    const uint64_t v = static_cast<uint64_t>(c) & mask_;
-    word_ |= v << pending_;
-    pending_ += bits_;
-    if (pending_ < 64) continue;
-    out_->WriteBits(word_, 64);
-    pending_ -= 64;
-    // The bits of v that did not fit; none if the word was empty.
-    word_ = pending_ == 0 ? 0 : v >> (bits_ - pending_);
-  }
+  RSR_CHECK(added_ < room_);
+  ++added_;
+  for (int64_t c : p) packer_.Put(static_cast<uint64_t>(c), bits_);
+}
+
+void PointPacker::WriteTo(BitWriter* out) {
+  packer_.Flush();
+  out->WriteWords(words_.data(),
+                  added_ * static_cast<size_t>(universe_.BitsPerPoint()));
 }
 
 void PackPoints(const Universe& universe, const PointSet& points,
                 BitWriter* out) {
-  PointPacker packer(universe, out);
+  PointPacker packer(universe, points.size());
   for (const Point& p : points) packer.Add(p);
-  packer.Flush();
+  packer.WriteTo(out);
 }
 
 bool UnpackPoints(const Universe& universe, size_t count, BitReader* in,

@@ -49,25 +49,31 @@ void PackPoint(const Universe& universe, const Point& p, BitWriter* out);
 /// Reads a point packed by PackPoint. Returns false on underrun.
 bool UnpackPoint(const Universe& universe, BitReader* in, Point* out);
 
+/// PackPoint's bits for `p` as the little-endian words WordPacker lays
+/// out, ceil(BitsPerPoint() / 64) of them at `out`: the value of an IBLT
+/// entry that carries the point.
+void PackPointWords(const Universe& universe, const Point& p, uint64_t* out);
+
 /// PackPoint over a sequence of points, back to back: the same bits,
-/// gathered into 64-bit words before they are written. Call Flush() after
-/// the last point.
+/// gathered into 64-bit words by a WordPacker and written at once.
 class PointPacker {
  public:
-  PointPacker(const Universe& universe, BitWriter* out);
+  /// A packer with room for `count` points.
+  PointPacker(const Universe& universe, size_t count);
 
   void Add(const Point& p);
 
-  /// Writes the trailing partial word.
-  void Flush() { out_->WriteBits(word_, pending_); }
+  /// Appends the added points' bits to `out`. Call once, after the last
+  /// Add().
+  void WriteTo(BitWriter* out);
 
  private:
   const Universe& universe_;
-  BitWriter* const out_;
   const int bits_;
-  const uint64_t mask_;
-  uint64_t word_ = 0;
-  int pending_ = 0;  // bits held in word_, below 64 between coordinates
+  const size_t room_;
+  size_t added_ = 0;
+  std::vector<uint64_t> words_;
+  WordPacker packer_;
 };
 
 /// PointPacker over a whole set.

@@ -96,7 +96,9 @@ class Iblt {
   void Erase(uint64_t key, const uint64_t* value) { Apply(key, value, -1); }
 
   /// Byte-vector forms of Insert/Erase: `value` must have exactly
-  /// value_bytes() bytes (empty when value_bits == 0).
+  /// value_bytes() bytes (empty when value_bits == 0). They widen the value
+  /// into a temporary word buffer, so a per-entry loop packs words (e.g.
+  /// PackPointWords, HistogramEntryCodec) and calls the pointer forms.
   void Insert(uint64_t key, const std::vector<uint8_t>& value);
   void Erase(uint64_t key, const std::vector<uint8_t>& value);
 

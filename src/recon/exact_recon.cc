@@ -136,10 +136,10 @@ class ExactAlice : public PartySessionBase {
     const IbltConfig config =
         ExactIbltConfig(context_, params_, target_, attempt);
     Iblt table(config);
+    std::vector<uint64_t> value(table.value_words());
     for (const auto& [key, point] : keyed_) {
-      BitWriter vw;
-      PackPoint(context_.universe, point, &vw);
-      table.Insert(key, std::move(vw).TakeBytes());
+      PackPointWords(context_.universe, point, value.data());
+      table.Insert(key, value.data());
     }
     BitWriter w;
     w.WriteVarint(config.cells);
@@ -216,10 +216,10 @@ class ExactBob : public BobSessionBase {
       FailWith(SessionError::kMalformedMessage);
       return NoMessages();
     }
+    std::vector<uint64_t> value(table->value_words());
     for (const auto& [key, point] : *keyed_) {
-      BitWriter vw;
-      PackPoint(context_.universe, point, &vw);
-      table->Erase(key, std::move(vw).TakeBytes());
+      PackPointWords(context_.universe, point, value.data());
+      table->Erase(key, value.data());
     }
     const IbltDecodeResult decoded = table->Decode();
     if (decoded.success) {

@@ -17,7 +17,7 @@ class FullTransferAlice : public PartySessionBase {
   std::vector<transport::Message> Start() override {
     BitWriter w;
     w.WriteVarint(points_.size());
-    for (const Point& p : points_) PackPoint(context_.universe, p, &w);
+    PackPoints(context_.universe, points_, &w);
     result_.success = true;
     Finish();
     return OneMessage(

@@ -36,33 +36,11 @@ uint64_t HistogramEntryCodec::Key(const Cell& cell, int64_t count) const {
 }
 
 const uint64_t* HistogramEntryCodec::Pack(const Cell& cell, int64_t count) {
-  uint64_t* out = words_.data();
-  uint64_t word = 0;
-  int pending = 0;  // bits held in word, below 64 between fields
-  const auto put = [&](uint64_t value, int bits) {
-    RSR_DCHECK(bits == 64 || value >> bits == 0);
-    word |= value << pending;
-    pending += bits;
-    if (pending < 64) return;
-    *out++ = word;
-    pending -= 64;
-    // The bits of `value` that did not fit; none if the word was empty.
-    word = pending == 0 ? 0 : value >> (bits - pending);
-  };
-  for (int64_t c : cell) put(static_cast<uint64_t>(c), coord_bits_);
-  put(static_cast<uint64_t>(count), count_bits_);
-  if (pending > 0) *out = word;
+  WordPacker packer(words_.data());
+  for (int64_t c : cell) packer.Put(static_cast<uint64_t>(c), coord_bits_);
+  packer.Put(static_cast<uint64_t>(count), count_bits_);
+  packer.Flush();
   return words_.data();
-}
-
-void HistogramEntryValue(const ShiftedGrid& grid, const Cell& cell, int level,
-                         int64_t count, size_t n, std::vector<uint8_t>* out) {
-  HistogramEntryCodec codec(grid, level, n);
-  const uint64_t* words = codec.Pack(cell, count);
-  out->resize((static_cast<size_t>(codec.value_bits()) + 7) / 8);
-  for (size_t i = 0; i < out->size(); ++i) {
-    (*out)[i] = static_cast<uint8_t>(words[i / 8] >> (8 * (i % 8)));
-  }
 }
 
 bool ParseHistogramEntry(const ShiftedGrid& grid, int level, size_t n,
@@ -141,31 +119,11 @@ RepairedSet RepairBob(const ShiftedGrid& grid, const PointSet& bob,
   }
 
   // Index Bob's points in the differing cells by their level-ℓ cell, so
-  // surplus can be deleted. A 4096-bit filter over the differing cells
-  // (a multiply per coordinate) lets most points skip the cell key and the
-  // map probe.
+  // surplus can be deleted; points elsewhere are only hashed.
   std::unordered_map<uint64_t, std::vector<size_t>> bob_cells;
-  const Point& shift = grid.shift();
-  const auto filter_slot = [&](auto cell_coord) {
-    uint64_t h = 0;
-    for (size_t j = 0; j < shift.size(); ++j) {
-      h = (h ^ static_cast<uint64_t>(cell_coord(j))) * 0x9e3779b97f4a7c15ULL;
-    }
-    return h >> 52;
-  };
-  std::vector<uint64_t> filter(64, 0);
-  for (const auto& [cell_key, delta] : deltas) {
-    bob_cells.try_emplace(cell_key);
-    const uint64_t slot =
-        filter_slot([&](size_t j) { return delta.cell[j]; });
-    filter[slot >> 6] |= uint64_t{1} << (slot & 63);
-  }
+  for (const auto& [cell_key, delta] : deltas) bob_cells.try_emplace(cell_key);
   for (size_t i = 0; i < bob.size(); ++i) {
-    const Point& p = bob[i];
-    const uint64_t slot =
-        filter_slot([&](size_t j) { return (p[j] + shift[j]) >> level; });
-    if (((filter[slot >> 6] >> (slot & 63)) & 1) == 0) continue;
-    const auto own = bob_cells.find(grid.CellKeyOf(p, level));
+    const auto own = bob_cells.find(grid.CellKeyOf(bob[i], level));
     if (own != bob_cells.end()) own->second.push_back(i);
   }
   for (const LevelDiffEntry& entry : diff) {

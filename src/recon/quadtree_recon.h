@@ -86,13 +86,9 @@ class HistogramEntryCodec {
   std::vector<uint64_t> words_;
 };
 
-/// The codec's value as bytes: ceil(HistogramValueBits / 8) of them,
-/// written into `out`.
-void HistogramEntryValue(const ShiftedGrid& grid, const Cell& cell, int level,
-                         int64_t count, size_t n, std::vector<uint8_t>* out);
-
-/// Inverse of HistogramEntryValue (+ key consistency check). Returns false
-/// on malformed payloads (e.g. corrupted by an undetected IBLT error).
+/// Inverse of HistogramEntryCodec::Pack, read from the entry's value bytes
+/// (+ key consistency check). Returns false on malformed payloads (e.g.
+/// corrupted by an undetected IBLT error).
 bool ParseHistogramEntry(const ShiftedGrid& grid, int level, size_t n,
                          const IbltEntry& entry, LevelDiffEntry* out);
 

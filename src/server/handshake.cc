@@ -158,9 +158,9 @@ transport::Message EncodeResult(const ResultFrame& frame,
   if (frame.has_set) {
     if (repaired != nullptr) {
       writer.WriteVarint(repaired->size());
-      PointPacker packer(universe, &writer);
+      PointPacker packer(universe, repaired->size());
       repaired->ForEach([&](const Point& p) { packer.Add(p); });
-      packer.Flush();
+      packer.WriteTo(&writer);
     } else {
       writer.WriteVarint(r.bob_final.size());
       PackPoints(universe, r.bob_final, &writer);
@@ -244,8 +244,8 @@ transport::Message EncodeLogBatch(const LogBatchFrame& batch,
     writer.WriteVarint(entry.seq);
     writer.WriteVarint(entry.inserts.size());
     writer.WriteVarint(entry.erases.size());
-    for (const Point& p : entry.inserts) PackPoint(universe, p, &writer);
-    for (const Point& p : entry.erases) PackPoint(universe, p, &writer);
+    PackPoints(universe, entry.inserts, &writer);
+    PackPoints(universe, entry.erases, &writer);
   }
   writer.WriteBit(batch.strata.has_value());
   if (batch.strata.has_value()) batch.strata->Serialize(&writer);

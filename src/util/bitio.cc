@@ -56,6 +56,11 @@ void BitWriter::WriteBits(uint64_t value, int bits) {
   StoreLittle(value, bytes_.data() + index, end - index);
 }
 
+void BitWriter::WriteWords(const uint64_t* words, size_t bits) {
+  for (; bits >= 64; bits -= 64) WriteBits(*words++, 64);
+  WriteBits(bits == 0 ? 0 : *words, static_cast<int>(bits));
+}
+
 void BitWriter::WriteVarint(uint64_t value) {
   while (value >= 0x80) {
     WriteBits((value & 0x7f) | 0x80, 8);

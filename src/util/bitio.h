@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/check.h"
+
 namespace rsr {
 
 /// Append-only bit sink. Bits are packed LSB-first within each byte.
@@ -22,6 +24,9 @@ class BitWriter {
 
   /// Appends the low `bits` bits of `value` (0 <= bits <= 64).
   void WriteBits(uint64_t value, int bits);
+
+  /// Appends the first `bits` bits of `words`, as WordPacker laid them out.
+  void WriteWords(const uint64_t* words, size_t bits);
 
   /// Appends a single bit.
   void WriteBit(bool bit) { WriteBits(bit ? 1 : 0, 1); }
@@ -45,6 +50,38 @@ class BitWriter {
  private:
   std::vector<uint8_t> bytes_;
   size_t bit_count_ = 0;
+};
+
+/// Gathers bit fields LSB-first into 64-bit words: the bits BitWriter
+/// writes for the same fields, as little-endian words. Each full word is
+/// stored at `out`, which must have room for all of them; Flush() stores
+/// the trailing partial word.
+class WordPacker {
+ public:
+  explicit WordPacker(uint64_t* out) : out_(out) {}
+
+  /// Appends `value`, which must fit in `bits` bits (0 <= bits <= 64).
+  void Put(uint64_t value, int bits) {
+    RSR_DCHECK(bits >= 0 && bits <= 64 && (bits == 64 || value >> bits == 0));
+    word_ |= value << pending_;
+    pending_ += bits;
+    if (pending_ < 64) return;
+    *out_++ = word_;
+    pending_ -= 64;
+    // The bits of `value` that did not fit; none if the word was empty.
+    word_ = pending_ == 0 ? 0 : value >> (bits - pending_);
+  }
+
+  /// Stores the trailing partial word, if any.
+  void Flush() {
+    if (pending_ == 0) return;
+    *out_ = word_;
+  }
+
+ private:
+  uint64_t* out_;
+  uint64_t word_ = 0;
+  int pending_ = 0;  // bits held in word_, below 64 between calls
 };
 
 /// Sequential reader over a buffer produced by BitWriter.

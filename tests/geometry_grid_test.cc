@@ -319,8 +319,8 @@ std::vector<std::pair<Cell, int64_t>> ReferenceSequence(
 }
 
 // The ladder's sort — radix on Morton keys when d · (L + 1) fits 64 bits,
-// by comparison when it does not, and by comparison of keys for small
-// sets — visits cells exactly in the reference Z-order, at every level.
+// by comparison when it does not — visits cells exactly in the reference
+// Z-order, at every level.
 TEST(CellLadderTest, SortsMatchAReferenceZOrder) {
   struct Shape {
     int d;

@@ -1,5 +1,7 @@
 #include "geometry/point.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/random.h"
@@ -75,9 +77,10 @@ TEST(PointPackTest, UnderrunFails) {
   EXPECT_FALSE(UnpackPoint(u, &r, &p));
 }
 
-// PackPoints / UnpackPoints move exactly PackPoint's bits, at every
-// coordinate width (zero-width and word-straddling ones included) and
-// after a misaligned prefix; an underrun fails and consumes nothing.
+// PackPoints / UnpackPoints (and PackPointWords, one point as words) move
+// exactly PackPoint's bits, at every coordinate width (zero-width and
+// word-straddling ones included) and after a misaligned prefix; an
+// underrun fails and consumes nothing.
 TEST(PointPackTest, WholeSetsMatchPointAtATime) {
   Rng rng(91);
   for (int64_t delta : {int64_t{1}, int64_t{2}, int64_t{3}, int64_t{1000},
@@ -99,6 +102,25 @@ TEST(PointPackTest, WholeSetsMatchPointAtATime) {
           all.WriteBits(0x1fff, prefix);
           for (const Point& p : points) PackPoint(u, p, &one);
           PackPoints(u, points, &all);
+          if (prefix == 0) {
+            // One point as IBLT value words: PackPoint's bytes, widened.
+            for (const Point& p : points) {
+              BitWriter single;
+              PackPoint(u, p, &single);
+              std::vector<uint64_t> words((point_bits + 63) / 64,
+                                          ~uint64_t{0});
+              PackPointWords(u, p, words.data());
+              std::vector<uint8_t> widened(words.size() * 8);
+              for (size_t i = 0; i < widened.size(); ++i) {
+                widened[i] =
+                    static_cast<uint8_t>(words[i / 8] >> (8 * (i % 8)));
+              }
+              std::vector<uint8_t> expected = single.bytes();
+              expected.resize(widened.size(), 0);
+              ASSERT_EQ(widened, expected)
+                  << "delta " << delta << " d " << d;
+            }
+          }
           ASSERT_EQ(all.bit_count(), one.bit_count());
           ASSERT_EQ(all.bytes(), one.bytes())
               << "delta " << delta << " d " << d << " n " << n;

@@ -215,6 +215,20 @@ std::vector<uint8_t> ReferenceValue(const ShiftedGrid& grid, const Cell& cell,
   return std::move(w).TakeBytes();
 }
 
+// HistogramEntryCodec::Pack's words as the entry's value bytes: the low
+// ceil(value_bits / 8) bytes, little-endian.
+std::vector<uint8_t> CodecValue(const ShiftedGrid& grid, const Cell& cell,
+                                int level, int64_t count, size_t n) {
+  HistogramEntryCodec codec(grid, level, n);
+  const uint64_t* words = codec.Pack(cell, count);
+  std::vector<uint8_t> bytes((static_cast<size_t>(codec.value_bits()) + 7) /
+                             8);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(words[i / 8] >> (8 * (i % 8)));
+  }
+  return bytes;
+}
+
 Iblt ReferenceIblt(const ShiftedGrid& grid, const PointSet& points, int level,
                    const IbltConfig& config) {
   Iblt table(config);
@@ -390,7 +404,6 @@ TEST(HistogramEntryValueTest, MatchesBitWriterBeyond64Bits) {
   const Universe u = MakeUniverse(int64_t{1} << 20, 5);
   const ShiftedGrid grid(u, 77);
   Rng rng(78);
-  std::vector<uint8_t> value;
   for (size_t n : {size_t{1}, size_t{1000}, size_t{1} << 14}) {
     for (int level = 0; level <= grid.max_level(); ++level) {
       for (int i = 0; i < 20; ++i) {
@@ -398,8 +411,8 @@ TEST(HistogramEntryValueTest, MatchesBitWriterBeyond64Bits) {
         for (int64_t& c : p) c = rng.Uniform(0, u.delta - 1);
         const Cell cell = grid.CellOf(p, level);
         const int64_t count = rng.Uniform(1, static_cast<int64_t>(n));
-        HistogramEntryValue(grid, cell, level, count, n, &value);
-        EXPECT_EQ(value, ReferenceValue(grid, cell, level, count, n))
+        EXPECT_EQ(CodecValue(grid, cell, level, count, n),
+                  ReferenceValue(grid, cell, level, count, n))
             << "level " << level << " n " << n;
       }
     }

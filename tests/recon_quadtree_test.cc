@@ -45,6 +45,20 @@ ReplicaPair MakeInstance(int64_t delta, int d, size_t n, size_t k,
   return MakeReplicaPair(cloud, spec, seed);
 }
 
+// HistogramEntryCodec::Pack's words as the entry's value bytes: the low
+// ceil(value_bits / 8) bytes, little-endian.
+std::vector<uint8_t> CodecValue(const ShiftedGrid& grid, const Cell& cell,
+                                int level, int64_t count, size_t n) {
+  HistogramEntryCodec codec(grid, level, n);
+  const uint64_t* words = codec.Pack(cell, count);
+  std::vector<uint8_t> bytes((static_cast<size_t>(codec.value_bits()) + 7) /
+                             8);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(words[i / 8] >> (8 * (i % 8)));
+  }
+  return bytes;
+}
+
 TEST(HistogramEntryTest, KeyAndValueRoundTrip) {
   const Universe u = MakeUniverse(1 << 10, 2);
   const ShiftedGrid grid(u, 5);
@@ -54,7 +68,7 @@ TEST(HistogramEntryTest, KeyAndValueRoundTrip) {
     for (int64_t count : {int64_t{1}, int64_t{7}, int64_t{100}}) {
       IbltEntry raw;
       raw.key = HistogramEntryKey(grid, cell, level, count);
-      HistogramEntryValue(grid, cell, level, count, n, &raw.value);
+      raw.value = CodecValue(grid, cell, level, count, n);
       raw.sign = 1;
       LevelDiffEntry parsed;
       ASSERT_TRUE(ParseHistogramEntry(grid, level, n, raw, &parsed));
@@ -71,7 +85,7 @@ TEST(HistogramEntryTest, CountZeroOrTooLargeRejected) {
   const Cell cell = grid.CellOf({10}, 2);
   IbltEntry raw;
   raw.key = HistogramEntryKey(grid, cell, 2, 5);
-  HistogramEntryValue(grid, cell, 2, 5, /*n=*/4, &raw.value);  // count > n
+  raw.value = CodecValue(grid, cell, 2, 5, /*n=*/4);  // count > n
   LevelDiffEntry parsed;
   EXPECT_FALSE(ParseHistogramEntry(grid, 2, 4, raw, &parsed));
 }
@@ -82,7 +96,7 @@ TEST(HistogramEntryTest, KeyMismatchRejected) {
   const Cell cell = grid.CellOf({10}, 2);
   IbltEntry raw;
   raw.key = 12345;  // inconsistent with the payload
-  HistogramEntryValue(grid, cell, 2, 3, 100, &raw.value);
+  raw.value = CodecValue(grid, cell, 2, 3, 100);
   LevelDiffEntry parsed;
   EXPECT_FALSE(ParseHistogramEntry(grid, 2, 100, raw, &parsed));
 }

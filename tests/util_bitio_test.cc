@@ -1,6 +1,7 @@
 #include "util/bitio.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -216,6 +217,50 @@ TEST(BitIoTest, WordWritesMatchBitAtATimeReference) {
     for (int width = 0; width <= 64; ++width) write(rng.Next64(), width);
     ASSERT_EQ(w.bit_count(), bits.size()) << "trial " << trial;
     ASSERT_EQ(w.bytes(), ReferencePack(bits)) << "trial " << trial;
+  }
+}
+
+// WordPacker lays fields out as BitWriter does, a word at a time, and
+// WriteWords appends exactly those bits after any prefix.
+TEST(BitIoTest, WordPackerMatchesBitWriter) {
+  Rng rng(2025);
+  for (int trial = 0; trial < 64; ++trial) {
+    std::vector<std::pair<uint64_t, int>> fields;
+    size_t total = 0;
+    const int count = static_cast<int>(rng.Below(40));
+    for (int i = 0; i < count; ++i) {
+      const int width = static_cast<int>(rng.Below(65));
+      const uint64_t value =
+          width == 64 ? rng.Next64()
+                      : rng.Next64() & ((uint64_t{1} << width) - 1);
+      fields.emplace_back(value, width);
+      total += static_cast<size_t>(width);
+    }
+    std::vector<uint64_t> words((total + 63) / 64);
+    WordPacker packer(words.data());
+    BitWriter expected;
+    const int prefix = trial % 11;
+    expected.WriteBits(0x5a5, prefix);
+    for (const auto& [value, width] : fields) {
+      packer.Put(value, width);
+      expected.WriteBits(value, width);
+    }
+    packer.Flush();
+    BitWriter w;
+    w.WriteBits(0x5a5, prefix);
+    w.WriteWords(words.data(), total);
+    ASSERT_EQ(w.bit_count(), expected.bit_count()) << "trial " << trial;
+    ASSERT_EQ(w.bytes(), expected.bytes()) << "trial " << trial;
+    // The words themselves, read back little-endian, hold the same bits.
+    BitReader r(expected.bytes());
+    ASSERT_TRUE(r.Skip(static_cast<size_t>(prefix)));
+    for (size_t left = total, i = 0; left > 0; ++i) {
+      const int take = static_cast<int>(std::min<size_t>(left, 64));
+      uint64_t word = 0;
+      ASSERT_TRUE(r.ReadBits(take, &word));
+      EXPECT_EQ(words[i], word) << "trial " << trial << " word " << i;
+      left -= static_cast<size_t>(take);
+    }
   }
 }
 
