@@ -206,8 +206,9 @@ class Harness {
     replica::RoundRecord record;
     if (step.async_host) {
       // Tail leg from a transient async host mirroring the source's set
-      // and sharing its changelog; "@pull" repairs stay on the source's
-      // threaded host (the async reactor serves only the writer verbs).
+      // and sharing its changelog. That host has no replication position
+      // of its own (its "@pull-accept" would report seq 0), so "@pull"
+      // repairs stay on the source node.
       server::AsyncSyncServerOptions async_options;
       async_options.context = ctx_;
       async_options.params = params_;

@@ -18,8 +18,9 @@
 //   * sync steps run ReplicaNode::SyncWithPeer over in-process pipes or
 //     loopback TCP against the source's threaded host — or, for
 //     async_host steps, tail-fetch from a transient AsyncSyncServer while
-//     the "@pull" repair leg stays on the threaded host (the split the
-//     two-factory SyncWithPeer seam exists for);
+//     the "@pull" repair leg stays on the source node, whose position the
+//     transient host does not carry (the split the two-factory
+//     SyncWithPeer seam exists for);
 //   * wire faults (net/fault_stream.h) wrap the puller's dialed streams:
 //     mid-verb disconnects and byte-dribbled I/O;
 //   * client-sync steps are a second oracle: one SyncClient run over the

@@ -59,7 +59,7 @@ struct FuzzStep {
   bool tcp = false;   ///< Dial loopback TCP instead of in-process pipes.
   bool async_host = false;  ///< Sync only: tail leg served by a transient
                             ///< AsyncSyncServer (repair leg stays on the
-                            ///< threaded host; see fuzz/runner.cc).
+                            ///< source node; see fuzz/runner.cc).
   std::string protocol;     ///< Client sync: registry protocol to request.
   uint64_t aux_seed = 0;    ///< Mesh round: pair-choice RNG seed.
   size_t mesh_pulls = 0;    ///< Mesh round: number of pulls.

@@ -120,7 +120,9 @@ class Iblt {
   /// Bit-exact serialisation (config is not written; see IbltConfig).
   void Serialize(BitWriter* out) const;
 
-  /// Reads a table serialized with the same config. nullopt on underrun.
+  /// Reads a table serialized with the same config. nullopt on underrun,
+  /// checked before anything is allocated: a table that cannot fit the
+  /// bits left in `in` (e.g. a hostile wire cell count) is rejected.
   static std::optional<Iblt> Deserialize(const IbltConfig& config,
                                          BitReader* in);
 

@@ -53,6 +53,14 @@ class FullTransferBob : public BobSessionBase {
       FailWith(SessionError::kMalformedMessage);
       return NoMessages();
     }
+    // The count comes off the wire: it must fit the bits left before it
+    // sizes an allocation.
+    const size_t point_bits =
+        static_cast<size_t>(context_.universe.BitsPerPoint());
+    if (point_bits > 0 && count > r.bits_remaining() / point_bits) {
+      FailWith(SessionError::kMalformedMessage);
+      return NoMessages();
+    }
     PointSet received;
     received.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {

@@ -77,10 +77,6 @@ class ProtocolRegistry {
   /// errors are self-describing.
   std::vector<std::string> ListProtocols() const;
 
-  /// Registered names, sorted (alias of ListProtocols, kept for existing
-  /// callers).
-  std::vector<std::string> Names() const { return ListProtocols(); }
-
   /// One-line description of `name` ("" if unknown).
   std::string Describe(const std::string& name) const;
 

@@ -149,11 +149,11 @@ class ReplicaNode {
                            const std::string& peer_name = "peer");
 
   /// Split-dialer form: the "@log-fetch" leg dials `fetch_peer` and the
-  /// "@pull" repair leg dials `repair_peer`. The legs are separable because
-  /// the async host serves "@log-fetch" but not "@pull" (DESIGN.md §10):
-  /// a follower can tail an async writer while keeping its repair path on
-  /// the peer's threaded host. The convergence fuzzer routes its
-  /// async-host sync steps through exactly this seam.
+  /// "@pull" repair leg dials `repair_peer`. Both hosts serve both verbs
+  /// (DESIGN.md §10.4); the legs are separable for a tail source that has
+  /// no replication position of its own — the convergence fuzzer's
+  /// transient async host shares a node's changelog, so its async-host
+  /// sync steps tail from it and repair from the node itself.
   RoundRecord SyncWithPeer(const StreamFactory& fetch_peer,
                            const StreamFactory& repair_peer,
                            const std::string& peer_name = "peer");

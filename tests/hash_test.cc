@@ -7,7 +7,6 @@
 #include "hash/checksum.h"
 #include "hash/family.h"
 #include "hash/mix.h"
-#include "hash/tabulation.h"
 #include "util/random.h"
 
 namespace rsr {
@@ -62,26 +61,6 @@ TEST(HashBytesTest, BasicProperties) {
 TEST(HashBytesTest, EmptyInput) {
   EXPECT_EQ(HashBytes(nullptr, 0, 1), HashBytes(nullptr, 0, 1));
   EXPECT_NE(HashBytes(nullptr, 0, 1), HashBytes(nullptr, 0, 2));
-}
-
-TEST(TabulationHashTest, DeterministicPerSeed) {
-  TabulationHash h1(9), h2(9), h3(10);
-  EXPECT_EQ(h1(12345), h2(12345));
-  EXPECT_NE(h1(12345), h3(12345));
-}
-
-TEST(TabulationHashTest, NoTrivialCollisions) {
-  TabulationHash h(11);
-  std::set<uint64_t> outputs;
-  for (uint64_t i = 0; i < 20000; ++i) outputs.insert(h(i));
-  EXPECT_GT(outputs.size(), 19990u);
-}
-
-TEST(TabulationHashTest, ZeroKeyHashesToXorOfZeroRows) {
-  // h(0) equals the XOR of the 8 zero-index table rows; mainly checks that
-  // the function is total and stable.
-  TabulationHash h(12);
-  EXPECT_EQ(h(0), h(0));
 }
 
 TEST(PairwiseHashTest, SeededAndSpread) {

@@ -25,12 +25,12 @@ TEST(RegistryTest, BuiltinsArePresent) {
     EXPECT_TRUE(registry.Contains(name)) << name;
     EXPECT_FALSE(registry.Describe(name).empty()) << name;
   }
-  EXPECT_GE(registry.Names().size(), 8u);
+  EXPECT_GE(registry.ListProtocols().size(), 8u);
 }
 
 TEST(RegistryTest, CreateInstantiatesTheRequestedProtocol) {
   ProtocolParams params;
-  for (const std::string& name : ProtocolRegistry::Global().Names()) {
+  for (const std::string& name : ProtocolRegistry::Global().ListProtocols()) {
     const auto protocol = MakeReconciler(name, Ctx(), params);
     ASSERT_NE(protocol, nullptr) << name;
     if (name == "single-grid") {
@@ -72,7 +72,6 @@ TEST(RegistryTest, ListProtocolsIsSortedAndMatchesContains) {
   for (const std::string& name : names) {
     EXPECT_TRUE(registry.Contains(name)) << name;
   }
-  EXPECT_EQ(names, registry.Names());  // legacy alias agrees
 }
 
 TEST(RegistryTest, DuplicateRegistrationIsRejected) {

@@ -605,6 +605,99 @@ TEST(AsyncReplicaTest, AsyncHostJournalsServesLogFetchAndReportsSeq) {
   server.Stop();
 }
 
+/// A follower repairs from a replicating reactor over TCP: the async host
+/// serves "@pull" from the same Connection core as the threaded host, so
+/// every repair band runs against it.
+TEST(AsyncReplicaTest, FollowerRepairsFromAsyncHostOverTcp) {
+  ChangelogOptions log_options;
+  log_options.capacity = 1;  // the ring keeps only the newest entry
+  Changelog changelog(log_options);
+  server::AsyncSyncServerOptions options;
+  options.context = Ctx();
+  options.params = Params();
+  options.shards = 1;
+  options.changelog = &changelog;
+  const PointSet start = Cloud(96, 4242);
+  server::AsyncSyncServer host(start, options);
+  ASSERT_TRUE(host.Start(net::TcpListener::Listen("127.0.0.1", 0)));
+  Rng rng(71);
+  for (int i = 0; i < 3; ++i) {
+    const workload::ChurnBatch batch = workload::MakeChurnBatch(
+        host.canonical(), Ctx().universe, SmallChurn(), &rng);
+    host.ApplyUpdate(batch.inserts, batch.erases);
+  }
+  ASSERT_EQ(host.replica_seq(), 3u);
+  const uint16_t port = host.port();
+  const StreamFactory dial = [port]() -> std::unique_ptr<net::ByteStream> {
+    return net::TcpStream::Connect("127.0.0.1", port);
+  };
+
+  // Exact band: riblt-oneshot installs the host's set-at-3 exactly.
+  {
+    ReplicaNodeOptions node_options = NodeOptions(64);
+    node_options.exact_budget = 1000;
+    ReplicaNode follower(start, node_options);
+    const RoundRecord round = follower.SyncWithPeer(dial);
+    EXPECT_EQ(round.path, RoundPath::kRepairExact) << round.error_detail;
+    EXPECT_EQ(round.protocol, "riblt-oneshot");
+    EXPECT_EQ(round.peer_seq, 3u);
+    EXPECT_EQ(round.seq_after, 3u);
+    EXPECT_FALSE(round.dirty_after);
+    EXPECT_EQ(SetDivergence(follower.points(), host.canonical()), 0u);
+  }
+  // Approximate band: quadtree leaves the follower dirty at its old seq;
+  // its next round escalates to an exact install.
+  {
+    ReplicaNodeOptions node_options = NodeOptions(64);
+    node_options.exact_budget = 1;
+    node_options.approx_budget = 100000;
+    ReplicaNode follower(start, node_options);
+    const RoundRecord approx = follower.SyncWithPeer(dial);
+    EXPECT_EQ(approx.path, RoundPath::kRepairApprox) << approx.error_detail;
+    EXPECT_EQ(approx.protocol, "quadtree");
+    EXPECT_EQ(approx.peer_seq, 3u);
+    EXPECT_EQ(approx.seq_after, 0u);
+    EXPECT_TRUE(approx.dirty_after);
+    const RoundRecord exact = follower.SyncWithPeer(dial);
+    EXPECT_TRUE(exact.ok) << exact.error_detail;
+    EXPECT_EQ(exact.seq_after, 3u);
+    EXPECT_FALSE(exact.dirty_after);
+    EXPECT_EQ(SetDivergence(follower.points(), host.canonical()), 0u);
+  }
+  // Full band: full-transfer, also an exact install.
+  {
+    ReplicaNodeOptions node_options = NodeOptions(64);
+    node_options.exact_budget = 1;
+    ReplicaNode follower(start, node_options);
+    const RoundRecord round = follower.SyncWithPeer(dial);
+    EXPECT_EQ(round.path, RoundPath::kRepairFull) << round.error_detail;
+    EXPECT_EQ(round.protocol, "full-transfer");
+    EXPECT_EQ(round.seq_after, 3u);
+    EXPECT_FALSE(round.dirty_after);
+    EXPECT_EQ(SetDivergence(follower.points(), host.canonical()), 0u);
+  }
+  // A dirty host advertises it in "@pull-accept": the pulled set is
+  // adopted, but never as the host's journal position.
+  host.InstallRepair({}, {}, host.replica_seq(), /*exact=*/false);
+  ASSERT_TRUE(host.repair_dirty());
+  {
+    ReplicaNodeOptions node_options = NodeOptions(64);
+    node_options.exact_budget = 1;
+    ReplicaNode follower(start, node_options);
+    const RoundRecord round = follower.SyncWithPeer(dial);
+    EXPECT_EQ(round.path, RoundPath::kRepairFull) << round.error_detail;
+    EXPECT_EQ(round.peer_seq, 3u);
+    EXPECT_EQ(round.seq_after, 0u);
+    EXPECT_TRUE(round.dirty_after);
+    EXPECT_EQ(SetDivergence(follower.points(), host.canonical()), 0u);
+  }
+  host.Stop();
+  EXPECT_EQ(host.metrics_registry().CounterValue(
+                "rsr_sync_sessions_total",
+                {{"protocol", "@pull:full-transfer"}, {"outcome", "ok"}}),
+            2u);
+}
+
 }  // namespace
 }  // namespace replica
 }  // namespace rsr

@@ -239,8 +239,7 @@ TEST(ReplicationFaultTest, AsyncHostTailSurvivesDribbleAndDisconnect) {
       return net::MaybeWrapFaulty(std::move(stream), faults);
     };
   };
-  // The async host serves "@log-fetch" but not "@pull" (DESIGN.md §10);
-  // these rounds are pure tails, so the repair leg must never dial.
+  // These rounds are pure tails, so the repair leg must never dial.
   const StreamFactory no_repair = []() -> std::unique_ptr<net::ByteStream> {
     ADD_FAILURE() << "tail round dialed the repair leg";
     return nullptr;

@@ -113,7 +113,7 @@ TEST(SessionConformanceTest, DriverMatchesHandPumpedSessionsEverywhere) {
     ProtocolContext ctx;
     ctx.universe = instance.universe;
     ctx.seed = 71;
-    for (const std::string& name : ProtocolRegistry::Global().Names()) {
+    for (const std::string& name : ProtocolRegistry::Global().ListProtocols()) {
       const std::string what = name + " on " + instance.scenario;
       const std::unique_ptr<Reconciler> protocol =
           MakeReconciler(name, ctx, params);
@@ -267,7 +267,7 @@ TEST(SessionConformanceTest, BobWithoutRepairReturnsHisOwnSet) {
       p = {rng.Uniform(0, (1 << 12) - 1), rng.Uniform(0, (1 << 12) - 1)};
     }
   }
-  for (const std::string& name : ProtocolRegistry::Global().Names()) {
+  for (const std::string& name : ProtocolRegistry::Global().ListProtocols()) {
     const std::unique_ptr<Reconciler> protocol =
         MakeReconciler(name, ctx, params);
     // An all-ones payload: a runaway varint, or a truncated sketch.

@@ -9,11 +9,10 @@ quietly stop describing reality. This script makes the drift loud:
 
   1. Every `rsr_*` metric name registered in src/ must be documented in
      DESIGN.md §12 (the observability contract).
-  2. Every protocol verb (`@hello`, `@pull`, ...) declared in
-     server/handshake.h must be served by BOTH hosts — or, for
-     connection-opening verbs a host deliberately refuses, the refusal
-     must be documented in that host's header ("NOT served"). Reply
-     verbs must have their encode/decode pair in handshake.cc.
+  2. Every connection-opening verb (`@hello`, `@pull`, ...) declared in
+     server/handshake.h must be dispatched by server/connection.cc — the
+     one verb state machine both hosts feed — and every reply verb must
+     have its encode/decode pair in handshake.cc.
   3. Every BENCH_*.json row key that a ci.yml assertion block reads
      (`r["key"]`) must be emitted by the bench that produces the file.
 
@@ -27,9 +26,10 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Opening verbs a host may deliberately refuse; the refusal must still be
-# documented in the refusing host's header (checked below, not waived).
-THREADED_ONLY_VERBS = {"@pull"}
+# Verbs a peer opens a connection with; every other verb in handshake.h
+# is a reply. connection.cc must dispatch each opening verb, and any verb
+# constant it dispatches must be listed here.
+OPENING_VERBS = {"@hello", "@log-fetch", "@pull", "@stats"}
 
 # BENCH_*.json file -> the sources that emit its rows.
 BENCH_PRODUCERS = {
@@ -79,8 +79,8 @@ def check_metrics_documented(errors):
 
 
 def check_verbs_served(errors):
-    """Invariant 2: handshake verbs are served by both hosts (or the
-    refusal is documented), and reply verbs encode+decode."""
+    """Invariant 2: opening verbs are dispatched by the connection state
+    machine, and reply verbs encode+decode."""
     handshake_h = read("src/server/handshake.h")
     verbs = dict(
         re.findall(
@@ -91,52 +91,35 @@ def check_verbs_served(errors):
     if not verbs:
         errors.append("server/handshake.h: no verb label constants found")
         return
+    for verb in sorted(OPENING_VERBS - set(verbs.values())):
+        errors.append(
+            f"OPENING_VERBS lists {verb}, which server/handshake.h does not "
+            f"declare — stale entry"
+        )
 
-    # Serving is detected via the label CONSTANT in the host's .cc —
-    # dispatch always goes through the constants, while the quoted verb
-    # literal shows up in comments all over, so literals prove nothing.
-    hosts = {
-        "threaded": "src/server/sync_server.cc",
-        "async": "src/server/async_sync_server.cc",
-    }
-    host_text = {name: read(path) for name, path in hosts.items()}
-    host_docs = {
-        "threaded": read("src/server/sync_server.h"),
-        "async": read("src/server/async_sync_server.h"),
-    }
+    # Dispatch is detected via the label CONSTANT — dispatch always goes
+    # through the constants, while the quoted verb literal shows up in
+    # comments all over, so literals prove nothing.
+    connection_cc = read("src/server/connection.cc")
     handshake_cc = read("src/server/handshake.cc")
-
     for const, verb in sorted(verbs.items()):
-        served = {name: const in text for name, text in host_text.items()}
-        if all(served.values()):
-            continue
-        if not any(served.values()):
-            # A pure reply verb: emitted and parsed via the shared
-            # handshake.cc helpers both hosts call.
-            uses = handshake_cc.count(const)
-            if uses < 2:
+        dispatched = re.search(rf"\b{const}\b", connection_cc) is not None
+        if verb in OPENING_VERBS:
+            if not dispatched:
                 errors.append(
-                    f"verb {verb} ({const}) is served by neither host and "
-                    f"handshake.cc references it {uses} time(s) — need an "
-                    f"encode/decode pair or host dispatch"
+                    f"opening verb {verb} ({const}) is not dispatched by "
+                    f"src/server/connection.cc"
                 )
-            continue
-        # Served by exactly one host: allowed only for documented
-        # deliberately-asymmetric verbs.
-        missing = [name for name, ok in served.items() if not ok][0]
-        if verb not in THREADED_ONLY_VERBS:
+        elif dispatched:
             errors.append(
-                f"verb {verb} ({const}) is served by one host but not the "
-                f"{missing} host — serve it there or add it to "
-                f"THREADED_ONLY_VERBS with documentation"
+                f"src/server/connection.cc dispatches {verb} ({const}), "
+                f"which is not in OPENING_VERBS — list it there"
             )
-            continue
-        doc = host_docs[missing]
-        if f'"{verb}"' not in doc or "NOT served" not in doc:
+        elif handshake_cc.count(const) < 2:
             errors.append(
-                f"verb {verb} is {missing}-host-refused but the refusal is "
-                f'not documented there (need the literal "{verb}" and the '
-                f'words "NOT served" in the host header)'
+                f"reply verb {verb} ({const}) is referenced "
+                f"{handshake_cc.count(const)} time(s) in handshake.cc — "
+                f"need an encode/decode pair"
             )
 
 
