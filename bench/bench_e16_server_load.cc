@@ -21,12 +21,14 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "net/tcp.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recon/driver.h"
 #include "server/sync_client.h"
@@ -151,17 +153,15 @@ void RunBurst(const PointSet& canonical, const std::string& label,
     if (outcomes[i].result.success) ++decoded;
   }
 
-  const server::SyncServerMetrics metrics = server.metrics();
-  const double total_sessions =
-      static_cast<double>(metrics.syncs_completed + metrics.syncs_failed);
-  double mean_wall_ms = 0.0;
-  for (const auto& [name, stats] : metrics.per_protocol) {
-    (void)name;
-    mean_wall_ms += stats.wall_seconds;
-  }
-  mean_wall_ms = total_sessions > 0
-                     ? 1e3 * mean_wall_ms / total_sessions
-                     : 0.0;
+  const obs::MetricsRegistry& registry = server.metrics_registry();
+  // Every counted session, ok or failed, observes its wall time once.
+  const std::optional<obs::HistogramSnapshot> session_seconds =
+      registry.SnapshotHistogramSum("rsr_sync_session_seconds");
+  const double mean_wall_ms =
+      session_seconds.has_value() && session_seconds->count > 0
+          ? 1e3 * session_seconds->sum /
+                static_cast<double>(session_seconds->count)
+          : 0.0;
 
   // Standard machine-comparable wall-clock field (shared with E12/E17;
   // "syncs_per_sec" is already a table column here, so only "wall_ms"
@@ -177,14 +177,16 @@ void RunBurst(const PointSet& canonical, const std::string& label,
   extras.emplace_back(
       "sessions_total",
       std::to_string(
-          server.metrics_registry().SumCounters("rsr_sync_sessions_total")));
+          registry.SumCounters("rsr_sync_sessions_total")));
   bench::RowExtras(std::move(extras));
   bench::Row({label, std::to_string(clients), std::to_string(matched),
               std::to_string(decoded),
               bench::Num(static_cast<double>(clients) / burst_seconds),
-              bench::Num(static_cast<double>(metrics.bytes_in) /
+              bench::Num(static_cast<double>(registry.CounterValue(
+                             "rsr_sync_bytes_total", {{"direction", "in"}})) /
                          static_cast<double>(clients)),
-              bench::Num(static_cast<double>(metrics.bytes_out) /
+              bench::Num(static_cast<double>(registry.CounterValue(
+                             "rsr_sync_bytes_total", {{"direction", "out"}})) /
                          static_cast<double>(clients)),
               bench::Num(mean_wall_ms),
               bench::Num(static_cast<double>(matched) /

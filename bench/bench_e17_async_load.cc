@@ -226,7 +226,8 @@ void RunThreadedBurst(const PointSet& canonical, size_t clients) {
   }
   BurstOutcome outcome = RunClients(server.port(), clients);
   server.Stop();
-  outcome.peak_active = server.metrics().peak_active_sessions;
+  outcome.peak_active = static_cast<size_t>(
+      server.metrics_registry().GaugeValue("rsr_sync_active_sessions_peak"));
   EmitRow("threaded-2w", clients, outcome,
           bench::LatencyExtras(server.metrics_registry()));
 }
@@ -243,7 +244,8 @@ void RunAsyncBurst(const PointSet& canonical, size_t clients) {
   }
   BurstOutcome outcome = RunClients(server.port(), clients);
   server.Stop();
-  outcome.peak_active = server.metrics().peak_active_sessions;
+  outcome.peak_active = static_cast<size_t>(
+      server.metrics_registry().GaugeValue("rsr_sync_active_sessions_peak"));
   std::vector<std::pair<std::string, std::string>> extras =
       bench::LatencyExtras(server.metrics_registry());
   for (auto& extra : LoopExtras(server.metrics_registry())) {

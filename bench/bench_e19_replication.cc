@@ -59,6 +59,7 @@
 
 #include "bench/bench_util.h"
 #include "net/pipe_stream.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recon/registry.h"
 #include "replica/mesh.h"
@@ -328,7 +329,14 @@ int main(int argc, char** argv) {
                 match ? "1" : "0"});
   }
 
-  std::printf("%s\n", mesh.node(0).host().DumpStats().c_str());
+  const obs::MetricsRegistry& node0 = mesh.node(0).host().metrics_registry();
+  std::printf(
+      "node0: replica_seq=%lld sessions ok=%llu failed=%llu\n",
+      static_cast<long long>(node0.GaugeValue("rsr_replica_seq")),
+      static_cast<unsigned long long>(node0.SumCounters(
+          "rsr_sync_sessions_total", {{"outcome", "ok"}})),
+      static_cast<unsigned long long>(node0.SumCounters(
+          "rsr_sync_sessions_total", {{"outcome", "fail"}})));
 
   // Scrape window: publish the nodes' endpoints for meshmon, then keep
   // the converged mesh serving so the external scraper reads settled

@@ -27,12 +27,14 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/tcp.h"
 #include "obs/http_exporter.h"
+#include "obs/metrics.h"
 #include "recon/driver.h"
 #include "server/async_sync_server.h"
 #include "server/sync_client.h"
@@ -256,23 +258,43 @@ int main(int argc, char** argv) {
     threaded->Stop();
   }
 
-  const server::SyncServerMetrics metrics =
-      use_async ? async->metrics() : threaded->metrics();
-  std::printf("\nserver: %zu accepted, %zu ok, %zu failed, %zu rejected, "
-              "peak %zu concurrent, %zu B in, %zu B out\n",
-              metrics.connections_accepted, metrics.syncs_completed,
-              metrics.syncs_failed, metrics.handshakes_rejected,
-              metrics.peak_active_sessions, metrics.bytes_in,
-              metrics.bytes_out);
-  for (const auto& [name, stats] : metrics.per_protocol) {
-    std::printf("  %-15s %zu syncs, %zu failures, mean %.1f ms, "
-                "%zu B in, %zu B out\n",
-                name.c_str(), stats.syncs, stats.failures,
-                stats.syncs + stats.failures > 0
-                    ? 1e3 * stats.wall_seconds /
-                          static_cast<double>(stats.syncs + stats.failures)
-                    : 0.0,
-                stats.bytes_in, stats.bytes_out);
+  // The summary reads the host's metrics registry (what /metrics serves).
+  const obs::MetricsRegistry& registry =
+      use_async ? async->metrics_registry() : threaded->metrics_registry();
+  const auto count = [&registry](const char* name,
+                                 const obs::LabelSet& labels) {
+    return static_cast<unsigned long long>(
+        registry.SumCounters(name, labels));
+  };
+  std::printf(
+      "\nserver: %llu accepted, %llu ok, %llu failed, %llu rejected, "
+      "peak %lld concurrent, %llu B in, %llu B out\n",
+      count("rsr_sync_connections_accepted_total", {}),
+      count("rsr_sync_sessions_total", {{"outcome", "ok"}}),
+      count("rsr_sync_sessions_total", {{"outcome", "fail"}}),
+      count("rsr_sync_handshakes_rejected_total", {}),
+      static_cast<long long>(
+          registry.GaugeValue("rsr_sync_active_sessions_peak")),
+      count("rsr_sync_bytes_total", {{"direction", "in"}}),
+      count("rsr_sync_bytes_total", {{"direction", "out"}}));
+  for (const std::string& name : protocols) {
+    const std::optional<obs::HistogramSnapshot> seconds =
+        registry.SnapshotHistogram("rsr_sync_session_seconds",
+                                   {{"protocol", name}});
+    if (!seconds.has_value() || seconds->count == 0) continue;
+    std::printf(
+        "  %-15s %llu syncs, %llu failures, mean %.1f ms, "
+        "%llu B in, %llu B out\n",
+        name.c_str(),
+        count("rsr_sync_sessions_total",
+              {{"protocol", name}, {"outcome", "ok"}}),
+        count("rsr_sync_sessions_total",
+              {{"protocol", name}, {"outcome", "fail"}}),
+        1e3 * seconds->sum / static_cast<double>(seconds->count),
+        count("rsr_sync_protocol_bytes_total",
+              {{"protocol", name}, {"direction", "in"}}),
+        count("rsr_sync_protocol_bytes_total",
+              {{"protocol", name}, {"direction", "out"}}));
   }
   return 0;
 }

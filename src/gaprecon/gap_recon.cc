@@ -331,16 +331,17 @@ class GapBob : public recon::BobSessionBase {
         FailWith(recon::SessionError::kMalformedMessage);
         return NoMessages();
       }
-      PointSet final_set = points_;
+      // S'_B = S_B plus T_A: nothing of Bob's is removed.
+      recon::RepairedSet repair(points_);
       for (uint64_t i = 0; i < count; ++i) {
         Point p;
         if (!UnpackPoint(context_.universe, &pr, &p)) {
           FailWith(recon::SessionError::kMalformedMessage);
           return NoMessages();
         }
-        final_set.push_back(std::move(p));
+        repair.additions.push_back(std::move(p));
       }
-      SetFinal(std::move(final_set));
+      SetRepair(std::move(repair));
       result_.transmitted = static_cast<size_t>(count);
       result_.success = true;
       Finish();

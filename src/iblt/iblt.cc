@@ -19,11 +19,17 @@ size_t IbltConfig::RoundedCells() const {
   return m;
 }
 
+size_t IbltConfig::CellBits() const {
+  return static_cast<size_t>(count_bits) + 64 +
+         static_cast<size_t>(checksum_bits) + static_cast<size_t>(value_bits);
+}
+
 size_t IbltConfig::SerializedBits() const {
-  const size_t per_cell = static_cast<size_t>(count_bits) + 64 +
-                          static_cast<size_t>(checksum_bits) +
-                          static_cast<size_t>(value_bits);
-  return RoundedCells() * per_cell;
+  return RoundedCells() * CellBits();
+}
+
+bool IbltConfig::FitsIn(size_t bits) const {
+  return cells <= bits / CellBits() && SerializedBits() <= bits;
 }
 
 Iblt::Iblt(const IbltConfig& config)
@@ -186,15 +192,8 @@ void Iblt::Serialize(BitWriter* out) const {
 std::optional<Iblt> Iblt::Deserialize(const IbltConfig& config,
                                       BitReader* in) {
   // The cell count may come off the wire: the table must fit the bits
-  // left before a single cell is allocated. (Checking the raw count first
-  // keeps RoundedCells() from overflowing on a hostile one.)
-  const size_t cell_bits = static_cast<size_t>(config.count_bits) + 64 +
-                           static_cast<size_t>(config.checksum_bits) +
-                           static_cast<size_t>(config.value_bits);
-  if (config.cells > in->bits_remaining() / cell_bits ||
-      config.SerializedBits() > in->bits_remaining()) {
-    return std::nullopt;
-  }
+  // left before a single cell is allocated.
+  if (!config.FitsIn(in->bits_remaining())) return std::nullopt;
   Iblt table(config);
   const int count_bits = config.count_bits;
   for (size_t i = 0; i < table.m_; ++i) {

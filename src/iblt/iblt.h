@@ -54,8 +54,16 @@ struct IbltConfig {
   /// Cells after rounding up to a multiple of q.
   size_t RoundedCells() const;
 
+  /// Serialized size in bits of one cell.
+  size_t CellBits() const;
+
   /// Exact serialized size in bits of a table with this configuration.
   size_t SerializedBits() const;
+
+  /// True when the table serializes to at most `bits` bits. Safe for a
+  /// cell count off the wire: the raw count is checked before rounding, so
+  /// RoundedCells() cannot overflow.
+  bool FitsIn(size_t bits) const;
 };
 
 /// One recovered entry: `sign` is +1 if it survived from the inserted side,

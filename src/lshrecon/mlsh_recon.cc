@@ -201,7 +201,7 @@ class MlshBob : public recon::BobSessionBase {
       result_.success = true;
       result_.chosen_level = static_cast<int>(li);
       result_.decoded_entries = xa.size() + xb.size();
-      SetFinal(RetireAndAdopt(bob, xb, std::move(xa), params_.metric));
+      SetRepair(RetireAndAdopt(bob, xb, std::move(xa), params_.metric));
       break;
     }
     Finish();

@@ -48,7 +48,7 @@ inline constexpr size_t kFrameHeaderBytes = 19;
 /// rejected as malformed before its body is buffered.
 struct FrameLimits {
   size_t max_label_bytes = 255;
-  size_t max_payload_bytes = 64u << 20;  // 64 MiB
+  size_t max_payload_bytes = transport::kMaxPayloadBytes;
 };
 
 /// Appends the frame encoding of `message` to `out`. The message must be

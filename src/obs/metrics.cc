@@ -239,13 +239,19 @@ std::optional<HistogramSnapshot> MetricsRegistry::SnapshotHistogramSum(
   return merged;
 }
 
-uint64_t MetricsRegistry::SumCounters(const std::string& name) const {
+uint64_t MetricsRegistry::SumCounters(const std::string& name,
+                                      const LabelSet& match) const {
   MutexLock lock(mu_);
   auto it = families_.find(name);
   if (it == families_.end() || it->second.kind != Kind::kCounter) return 0;
   uint64_t total = 0;
   for (const Instrument& instrument : it->second.instruments) {
-    total += instrument.counter->value();
+    const bool matches = std::all_of(
+        match.begin(), match.end(), [&](const auto& label) {
+          return std::find(instrument.labels.begin(), instrument.labels.end(),
+                           label) != instrument.labels.end();
+        });
+    if (matches) total += instrument.counter->value();
   }
   return total;
 }

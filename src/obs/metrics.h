@@ -149,8 +149,10 @@ class MetricsRegistry {
   /// (all instruments of a family share bounds). nullopt if absent.
   std::optional<HistogramSnapshot> SnapshotHistogramSum(
       const std::string& name) const;
-  /// Sum of a counter family across all label sets.
-  uint64_t SumCounters(const std::string& name) const;
+  /// Sum of a counter family across the label sets carrying every label
+  /// of `match` (all of them when `match` is empty).
+  uint64_t SumCounters(const std::string& name,
+                       const LabelSet& match = {}) const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

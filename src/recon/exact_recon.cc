@@ -225,7 +225,7 @@ class ExactBob : public BobSessionBase {
     if (decoded.success) {
       // Apply: +1 entries are Alice-only points, -1 entries Bob-only.
       std::unordered_map<uint64_t, int64_t> to_remove;  // key -> copies
-      PointSet additions;
+      RepairedSet repair(points_);
       bool parse_ok = true;
       for (const IbltEntry& entry : decoded.entries) {
         BitReader vr(entry.value);
@@ -235,26 +235,24 @@ class ExactBob : public BobSessionBase {
           break;
         }
         if (entry.sign > 0) {
-          additions.push_back(std::move(p));
+          repair.additions.push_back(std::move(p));
         } else {
           ++to_remove[PointKey(p, seed)];
         }
       }
       if (parse_ok) {
-        PointSet final_set;
-        final_set.reserve(points_.size());
-        for (const Point& p : points_) {
-          auto it = to_remove.find(PointKey(p, seed));
+        // Each -1 key retires Bob's first remaining copy of it.
+        repair.removed.assign(points_.size(), 0);
+        for (size_t i = 0; i < points_.size(); ++i) {
+          auto it = to_remove.find(PointKey(points_[i], seed));
           if (it != to_remove.end() && it->second > 0) {
             --it->second;
-            continue;
+            repair.removed[i] = 1;
           }
-          final_set.push_back(p);
         }
-        for (Point& p : additions) final_set.push_back(std::move(p));
         result_.success = true;
         result_.decoded_entries = decoded.entries.size();
-        SetFinal(std::move(final_set));
+        SetRepair(std::move(repair));
         Finish();
         return NoMessages();
       }

@@ -61,17 +61,19 @@ class FullTransferBob : public BobSessionBase {
       FailWith(SessionError::kMalformedMessage);
       return NoMessages();
     }
-    PointSet received;
-    received.reserve(count);
+    // S'_B is Alice's set: every point of Bob's is removed.
+    RepairedSet repair(points_);
+    repair.removed.assign(points_.size(), 1);
+    repair.additions.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       Point p;
       if (!UnpackPoint(context_.universe, &r, &p)) {
         FailWith(SessionError::kMalformedMessage);
         return NoMessages();
       }
-      received.push_back(std::move(p));
+      repair.additions.push_back(std::move(p));
     }
-    SetFinal(std::move(received));
+    SetRepair(std::move(repair));
     result_.success = true;
     Finish();
     return NoMessages();

@@ -58,26 +58,34 @@ struct ReconResult {
 };
 
 /// S'_B as a repair of Bob's input: `*base` minus the points flagged in
-/// `removed`, in order, then `additions`. Lets a repair be shipped
-/// straight from the set it was computed against, without a copy.
+/// `removed`, in order, then `additions` — the -1 and +1 sides of a
+/// decoded difference. Every Bob session records its result this way, so
+/// a host ships it and a replica installs it straight from the set it was
+/// computed against, without a copy or a diff.
 struct RepairedSet {
-  const PointSet* base = nullptr;
-  std::vector<char> removed;  ///< One flag per point of *base.
+  /// The empty repair of `base_set`: S'_B = S_B.
+  explicit RepairedSet(const PointSet& base_set) : base(&base_set) {}
+
+  const PointSet* base;
+  /// One flag per point of *base, or empty when nothing is removed.
+  std::vector<char> removed;
   PointSet additions;
+
+  bool IsRemoved(size_t i) const { return !removed.empty() && removed[i]; }
 
   /// Calls fn(const Point&) on every point of S'_B, in order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (size_t i = 0; i < base->size(); ++i) {
-      if (!removed[i]) fn((*base)[i]);
+      if (!IsRemoved(i)) fn((*base)[i]);
     }
     for (const Point& p : additions) fn(p);
   }
 
   size_t size() const {
-    size_t kept = 0;
-    for (char r : removed) kept += r ? 0 : 1;
-    return kept + additions.size();
+    size_t dropped = 0;
+    for (char r : removed) dropped += r ? 1 : 0;
+    return base->size() - dropped + additions.size();
   }
 
   /// S'_B as a set of its own.

@@ -1,5 +1,6 @@
 #include "recon/quadtree_recon.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -7,6 +8,7 @@
 #include "iblt/sizing.h"
 #include "iblt/strata.h"
 #include "recon/session.h"
+#include "transport/message.h"
 #include "util/check.h"
 
 namespace rsr {
@@ -134,8 +136,7 @@ RepairedSet RepairBob(const ShiftedGrid& grid, const PointSet& bob,
                entry.count);
   }
 
-  RepairedSet repaired;
-  repaired.base = &bob;
+  RepairedSet repaired(bob);
   repaired.removed.assign(bob.size(), 0);
   for (const auto& [cell_key, delta] : deltas) {
     const std::vector<size_t>& own = bob_cells.at(cell_key);
@@ -278,9 +279,11 @@ class QuadtreeBob : public BobSessionBase {
 class AdaptiveQuadtreeAlice : public PartySessionBase {
  public:
   AdaptiveQuadtreeAlice(const ProtocolContext& context,
-                        const QuadtreeParams& params, const PointSet& points)
+                        const QuadtreeParams& params, size_t max_attempts,
+                        const PointSet& points)
       : context_(context),
         params_(params),
+        max_attempts_(max_attempts),
         ladder_(ShiftedGrid(context.universe, context.seed), points) {}
 
   std::vector<transport::Message> Start() override {
@@ -308,10 +311,26 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
       FailWith(SessionError::kMalformedMessage);
       return NoMessages();
     }
+    // The request comes off the wire: before a cell is allocated it must
+    // name a level Alice probed, an attempt Bob may make, and a table one
+    // frame can carry.
+    const std::vector<int> levels = ProtocolLevels(grid, params_);
+    const bool probed =
+        std::any_of(levels.begin(), levels.end(), [&](int level) {
+          return static_cast<uint64_t>(level) == req_level;
+        });
+    if (!probed || req_attempt >= max_attempts_) {
+      FailWith(SessionError::kMalformedMessage);
+      return NoMessages();
+    }
     IbltConfig config = LevelIbltConfig(grid, static_cast<int>(req_level), n,
                                         params_, context_.seed);
     config.cells = static_cast<size_t>(req_cells);
     config.seed = Hash64(req_attempt, config.seed);
+    if (!config.FitsIn(8 * transport::kMaxPayloadBytes)) {
+      FailWith(SessionError::kMalformedMessage);
+      return NoMessages();
+    }
     Iblt table(config);
     SketchLevelHistogram(grid, ladder_, static_cast<int>(req_level), n,
                          &table);
@@ -323,6 +342,7 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
  private:
   ProtocolContext context_;
   QuadtreeParams params_;
+  size_t max_attempts_;
   CellLadder ladder_;  // Alice's set, sorted once for every request
 };
 
@@ -481,7 +501,8 @@ std::unique_ptr<PartySession> QuadtreeReconciler::MakeBobSession(
 
 std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::MakeAliceSession(
     const PointSet& points) const {
-  return std::make_unique<AdaptiveQuadtreeAlice>(context_, params_, points);
+  return std::make_unique<AdaptiveQuadtreeAlice>(context_, params_,
+                                                 max_attempts_, points);
 }
 
 std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::MakeBobSession(

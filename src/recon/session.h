@@ -58,10 +58,10 @@ class PartySession {
   /// session holds the canonical deliverable.
   virtual ReconResult TakeResult() = 0;
 
-  /// For a host that only serializes S'_B: moves a repair out as a
-  /// RepairedSet over Bob's borrowed input — shipped without copying the
-  /// set — after which TakeResult leaves bob_final empty. nullopt (and
-  /// TakeResult unchanged) when the endpoint recorded no repair.
+  /// For a host that only serializes S'_B: moves Bob's result set out as
+  /// a RepairedSet over his borrowed input — shipped without copying the
+  /// set — after which TakeResult leaves bob_final empty. Every Bob
+  /// session has one until it is taken; Alice's endpoints return nullopt.
   virtual std::optional<RepairedSet> TakeRepairedSet() { return std::nullopt; }
 };
 
@@ -99,20 +99,18 @@ class PartySessionBase : public PartySession {
 
 /// Base of Bob's endpoints. Bob borrows his set S_B: `points` must outlive
 /// the session, exactly as a sketch provider must (the serving hosts keep
-/// the snapshot both come from alive for the connection). The deliverable
-/// is built at most once: a session records it with SetFinal, or as a
-/// repair of S_B with SetRepair (materialized by TakeResult unless a host
-/// takes it with TakeRepairedSet), and TakeResult copies S_B only when
-/// nothing was recorded — on decode failure, on an error or malformed
-/// frame, or when the session never finished.
+/// the snapshot both come from alive for the connection). S'_B is always
+/// a repair of S_B — the points a decoded difference retires and the
+/// points it adds — recorded at most once with SetRepair. Until then the
+/// session holds the empty repair (S'_B = S_B: decode failure, an error or
+/// malformed frame, or a session that never finished). TakeResult
+/// materializes the repair unless a host took it with TakeRepairedSet.
 class BobSessionBase : public PartySessionBase {
  public:
   ReconResult TakeResult() override {
     if (repair_.has_value()) {
       result_.bob_final = repair_->Materialize();
       repair_.reset();
-    } else if (!has_final_) {
-      SetFinal(points_);
     }
     return PartySessionBase::TakeResult();
   }
@@ -124,24 +122,15 @@ class BobSessionBase : public PartySessionBase {
   }
 
  protected:
-  explicit BobSessionBase(const PointSet& points) : points_(points) {}
-
-  /// Records S'_B.
-  void SetFinal(PointSet final_set) {
-    result_.bob_final = std::move(final_set);
-    has_final_ = true;
-  }
+  explicit BobSessionBase(const PointSet& points)
+      : points_(points), repair_(std::in_place, points) {}
 
   /// Records S'_B as a repair of S_B (repair.base == &points_).
-  void SetRepair(RepairedSet repair) {
-    repair_ = std::move(repair);
-    has_final_ = true;
-  }
+  void SetRepair(RepairedSet repair) { repair_ = std::move(repair); }
 
   const PointSet& points_;
 
  private:
-  bool has_final_ = false;
   std::optional<RepairedSet> repair_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "net/frame.h"
@@ -10,6 +11,7 @@
 #include "recon/session.h"
 #include "server/handshake.h"
 #include "server/replica_serving.h"
+#include "util/check.h"
 
 namespace rsr {
 namespace replica {
@@ -32,6 +34,15 @@ uint64_t NameSalt(const std::string& name) {
   }
   return h;
 }
+
+/// Safety multiplier on the strata estimate before it is compared with the
+/// budgets (strata estimates are within a small constant factor w.h.p.).
+constexpr double kEstimateHeadroom = 1.5;
+
+/// The protocol each repair band runs (see the header comment).
+constexpr char kExactRepairProtocol[] = "riblt-oneshot";
+constexpr char kApproxRepairProtocol[] = "quadtree";
+constexpr char kFullRepairProtocol[] = "full-transfer";
 
 struct PointOrder {
   bool operator()(const Point& a, const Point& b) const {
@@ -70,19 +81,6 @@ size_t SetDivergence(const PointSet& a, const PointSet& b) {
     divergence += static_cast<size_t>(count < 0 ? -count : count);
   }
   return divergence;
-}
-
-void MultisetDelta(const PointSet& current, const PointSet& target,
-                   PointSet* inserts, PointSet* erases) {
-  inserts->clear();
-  erases->clear();
-  PointCounts counts;
-  for (const Point& p : target) ++counts[p];
-  for (const Point& p : current) --counts[p];
-  for (const auto& [point, count] : counts) {
-    for (int64_t i = 0; i < count; ++i) inserts->push_back(point);
-    for (int64_t i = 0; i < -count; ++i) erases->push_back(point);
-  }
 }
 
 ReplicaNode::ReplicaNode(PointSet initial, ReplicaNodeOptions options)
@@ -252,7 +250,6 @@ RoundRecord ReplicaNode::RunRound(const StreamFactory& fetch_peer,
   const bool was_dirty = dirty();
   server::LogFetchFrame fetch;
   fetch.from_seq = applied_seq();
-  fetch.max_entries = options_.log_fetch_max;
   // A dirty node cannot replay a tail; it only needs the peer's position
   // and difference estimate, so ask for the strata up front.
   fetch.want_strata = was_dirty;
@@ -343,7 +340,7 @@ RoundRecord ReplicaNode::RunRound(const StreamFactory& fetch_peer,
         *server_.snapshot(), options_.server.context);
     estimate = own.EstimateDifference(*batch.strata);
     estimate = static_cast<uint64_t>(
-        std::ceil(static_cast<double>(estimate) * options_.estimate_headroom));
+        std::ceil(static_cast<double>(estimate) * kEstimateHeadroom));
     have_estimate = true;
   }
   if (!have_estimate) {
@@ -376,19 +373,19 @@ RoundRecord ReplicaNode::Repair(const StreamFactory& peer, uint64_t est_delta,
     // did not decode). A deterministic workload would make the same sized
     // choice fail the same way forever, so skip the bands once.
     path = RoundRecord::Path::kRepairFull;
-    record.protocol = options_.repair_full_protocol;
+    record.protocol = kFullRepairProtocol;
   } else if (est_delta <= exact_budget) {
     path = RoundRecord::Path::kRepairExact;
-    record.protocol = options_.repair_exact_protocol;
+    record.protocol = kExactRepairProtocol;
   } else if (!was_dirty && options_.approx_budget > 0 &&
              est_delta <= options_.approx_budget) {
     // The approximate band is for CLEAN nodes only: a dirty node
     // re-approximating would chase its own error instead of converging.
     path = RoundRecord::Path::kRepairApprox;
-    record.protocol = options_.repair_approx_protocol;
+    record.protocol = kApproxRepairProtocol;
   } else {
     path = RoundRecord::Path::kRepairFull;
-    record.protocol = options_.repair_full_protocol;
+    record.protocol = kFullRepairProtocol;
   }
 
   std::unique_ptr<net::ByteStream> stream = peer();
@@ -474,7 +471,9 @@ RoundRecord ReplicaNode::Repair(const StreamFactory& peer, uint64_t est_delta,
   record.bytes_sent += framed.bytes_sent();
   record.bytes_received += framed.bytes_received();
 
-  recon::ReconResult result = bob->TakeResult();
+  const std::optional<recon::RepairedSet> repair = bob->TakeRepairedSet();
+  RSR_CHECK_MSG(repair.has_value(), "a Bob session records a repair");
+  const recon::ReconResult result = bob->TakeResult();
   if (!result.success) {
     record.error_detail = std::string("repair: session failed (") +
                           recon::SessionErrorName(result.error) + ")";
@@ -487,14 +486,18 @@ RoundRecord ReplicaNode::Repair(const StreamFactory& peer, uint64_t est_delta,
     return record;
   }
 
-  PointSet inserts, erases;
-  MultisetDelta(snapshot->points(), result.bob_final, &inserts, &erases);
+  // The session's own edit of the pinned set is the install: its retired
+  // points are the erases, its additions the inserts.
+  PointSet erases;
+  for (size_t i = 0; i < repair->removed.size(); ++i) {
+    if (repair->removed[i]) erases.push_back((*repair->base)[i]);
+  }
   // Exactness of the install needs BOTH an exact-key protocol and a clean
   // peer: an approximate result, or any result pulled from a dirty peer,
   // corresponds to no journal position (see the file comment).
   const bool exact =
       path != RoundRecord::Path::kRepairApprox && !accept.dirty;
-  server_.InstallRepair(inserts, erases, accept.seq, exact);
+  server_.InstallRepair(repair->additions, erases, accept.seq, exact);
 
   record.path = path;
   record.ok = true;

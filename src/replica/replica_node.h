@@ -16,10 +16,12 @@
 //      from the peer's exact-keys strata (shipped in the "@log-batch"),
 //      pick the cheapest adequate protocol, open an "@pull", run the BOB
 //      side locally against the peer-hosted Alice — the direction that
-//      moves THIS node's set toward the peer's — and install the result.
+//      moves THIS node's set toward the peer's — and install Bob's repair
+//      of the node's set: the points it retires are erased, the points it
+//      adds inserted.
 //
 // Protocol choice is the repair decision rule (DESIGN.md §10): with d̂ the
-// headroom-scaled strata estimate,
+// strata estimate times a 1.5 headroom,
 //
 //   d̂ == 0 and tail empty        -> in-sync, nothing to do
 //   d̂ <= exact_budget            -> exact-key protocol (riblt-oneshot):
@@ -67,19 +69,11 @@ struct ReplicaNodeOptions {
   /// field is overwritten — the node wires in its own journal.
   server::SyncServerOptions server;
   ChangelogOptions changelog;
-  /// Entries requested per "@log-fetch" (0 = the peer's cap).
-  size_t log_fetch_max = 0;
-  /// Safety multiplier on the strata estimate before comparing against the
-  /// budgets (strata estimates are within a small constant factor w.h.p.).
-  double estimate_headroom = 1.5;
   /// d̂ at or below which the exact-key repair protocol is chosen; 0
   /// derives the resolved riblt.k (what riblt-oneshot is sized for).
   size_t exact_budget = 0;
   /// Ceiling of the approximate band; 0 disables it (exact-only repairs).
   size_t approx_budget = 0;
-  std::string repair_exact_protocol = "riblt-oneshot";
-  std::string repair_approx_protocol = "quadtree";
-  std::string repair_full_protocol = "full-transfer";
   /// FUZZ-ONLY divergence-bug injection seam: when set, every changelog
   /// entry this node tail-replays is passed through the hook first (the
   /// hook may drop inserts/erases but MUST NOT touch seq). The convergence
@@ -230,13 +224,6 @@ class ReplicaNode {
 /// set-divergence measure of the mesh benches; 0 iff the replicas hold
 /// identical multisets.
 size_t SetDivergence(const PointSet& a, const PointSet& b);
-
-/// Multiset delta turning `current` into `target`: `erases` gets the
-/// points of current \ target, `inserts` those of target \ current, so
-/// ApplyUpdate(inserts, erases) on a holder of `current` yields `target`
-/// as a multiset.
-void MultisetDelta(const PointSet& current, const PointSet& target,
-                   PointSet* inserts, PointSet* erases);
 
 }  // namespace replica
 }  // namespace rsr

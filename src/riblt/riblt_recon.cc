@@ -27,8 +27,8 @@ RibltConfig RibltOneShotConfig(const Universe& universe,
   return config;
 }
 
-PointSet RetireAndAdopt(const PointSet& bob, const PointSet& retire,
-                        PointSet adopt, Metric metric) {
+recon::RepairedSet RetireAndAdopt(const PointSet& bob, const PointSet& retire,
+                                  PointSet adopt, Metric metric) {
   // Bob's positions holding each retired value, in index order, with a
   // cursor past the ones already taken.
   struct Copies {
@@ -46,7 +46,9 @@ PointSet RetireAndAdopt(const PointSet& bob, const PointSet& retire,
     if (it != copies.end()) it->second.positions.push_back(i);
   }
 
-  std::vector<char> taken(bob.size(), 0);
+  recon::RepairedSet repair(bob);
+  std::vector<char>& taken = repair.removed;
+  taken.assign(bob.size(), 0);
   for (const Point& x : retire) {
     // Distance 0 is the least possible, so the nearest untaken point of a
     // held value is its first untaken copy.
@@ -71,14 +73,8 @@ PointSet RetireAndAdopt(const PointSet& bob, const PointSet& retire,
     }
     if (best_index < bob.size()) taken[best_index] = 1;
   }
-
-  PointSet final_set;
-  final_set.reserve(bob.size() + adopt.size());
-  for (size_t i = 0; i < bob.size(); ++i) {
-    if (!taken[i]) final_set.push_back(bob[i]);
-  }
-  for (Point& p : adopt) final_set.push_back(std::move(p));
-  return final_set;
+  repair.additions = std::move(adopt);
+  return repair;
 }
 
 namespace {
@@ -176,7 +172,7 @@ class RibltOneShotBob : public recon::BobSessionBase {
       }
       result_.success = true;
       result_.decoded_entries = xa.size() + xb.size();
-      SetFinal(RetireAndAdopt(bob, xb, std::move(xa), params_.metric));
+      SetRepair(RetireAndAdopt(bob, xb, std::move(xa), params_.metric));
     }
     Finish();
     return NoMessages();

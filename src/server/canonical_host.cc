@@ -107,11 +107,5 @@ bool CanonicalHost::repair_dirty() const {
   return repair_dirty_;
 }
 
-std::string CanonicalHost::DumpStats() const {
-  const Pin pin = CurrentPin();
-  return rsr::server::DumpStats(metrics(), pin.snapshot->generation(),
-                                pin.seq);
-}
-
 }  // namespace server
 }  // namespace rsr

@@ -26,7 +26,6 @@
 #include "recon/registry.h"
 #include "replica/changelog.h"
 #include "server/server_obs.h"
-#include "server/server_stats.h"
 #include "server/sketch_store.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -70,7 +69,7 @@ struct ServingOptions {
   /// Gates the optional latency probes (worker-queue delay, accept-to-
   /// first-frame delay, event-loop and store apply latency). Session
   /// outcome counters and per-protocol latency histograms stay on
-  /// regardless — DumpStats() is rebuilt from them.
+  /// regardless.
   bool latency_probes = true;
   /// Per-session trace spans (obs/trace.h) are emitted here; null
   /// disables tracing. Not owned; must outlive the host.
@@ -90,14 +89,6 @@ class CanonicalHost {
  public:
   CanonicalHost(const CanonicalHost&) = delete;
   CanonicalHost& operator=(const CanonicalHost&) = delete;
-
-  /// Legacy flat counters snapshot, rebuilt from the metrics registry.
-  SyncServerMetrics metrics() const { return obs_.LegacyMetrics(); }
-
-  /// Plain-text counters dump (server/server_stats.h): one totals line
-  /// (generation + replication position included) plus one line per
-  /// negotiated protocol.
-  std::string DumpStats() const;
 
   /// The host's metrics registry — the "@stats" admin verb and the syncd
   /// `--metrics-port` HTTP responder serve its Prometheus rendering, and

@@ -7,6 +7,7 @@
 #include "net/frame.h"
 #include "server/handshake.h"
 #include "server/replica_serving.h"
+#include "util/check.h"
 
 namespace rsr {
 namespace server {
@@ -289,6 +290,12 @@ void Connection::OnPullFrame(transport::Message frame) {
     return;
   }
   Emit(party_->OnMessage(std::move(frame)));
+  // Alice refusing the puller's frame (malformed, unexpected) ends the
+  // pull as failed; a finished, successful Alice waits for the close.
+  if (party_->IsDone() && !party_->TakeResult().success) {
+    EndSession(false);
+    phase_ = Phase::kDone;
+  }
 }
 
 std::unique_ptr<recon::Reconciler> Connection::CreateOrReject(
@@ -326,9 +333,10 @@ void Connection::EndSession(bool success) {
 }
 
 void Connection::FinishBob(SessionError pump_error) {
-  // A repair ships straight from the pinned set (no copy of it).
+  // S'_B ships straight from its repair of the pinned set (no copy of it).
   const std::optional<recon::RepairedSet> repaired =
       party_->TakeRepairedSet();
+  RSR_CHECK_MSG(repaired.has_value(), "a Bob session records a repair");
   recon::ReconResult result = party_->TakeResult();
   if (pump_error != SessionError::kNone) {
     result.success = false;
@@ -339,9 +347,7 @@ void Connection::FinishBob(SessionError pump_error) {
   ResultFrame frame;
   frame.has_set = want_result_set_ && result.success;
   frame.result = std::move(result);
-  if (!frame.has_set) frame.result.bob_final.clear();
-  Emit(EncodeResult(frame, options_.context.universe,
-                    repaired.has_value() ? &*repaired : nullptr));
+  Emit(EncodeResult(frame, options_.context.universe, *repaired));
   Drain();
 }
 

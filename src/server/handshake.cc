@@ -145,7 +145,7 @@ bool DecodeReject(const transport::Message& message, RejectFrame* out) {
 
 transport::Message EncodeResult(const ResultFrame& frame,
                                 const Universe& universe,
-                                const recon::RepairedSet* repaired) {
+                                const recon::RepairedSet& set) {
   const recon::ReconResult& r = frame.result;
   BitWriter writer;
   writer.WriteBit(r.success);
@@ -156,15 +156,11 @@ transport::Message EncodeResult(const ResultFrame& frame,
   writer.WriteVarint(r.transmitted);
   writer.WriteBit(frame.has_set);
   if (frame.has_set) {
-    if (repaired != nullptr) {
-      writer.WriteVarint(repaired->size());
-      PointPacker packer(universe, repaired->size());
-      repaired->ForEach([&](const Point& p) { packer.Add(p); });
-      packer.WriteTo(&writer);
-    } else {
-      writer.WriteVarint(r.bob_final.size());
-      PackPoints(universe, r.bob_final, &writer);
-    }
+    const size_t count = set.size();
+    writer.WriteVarint(count);
+    PointPacker packer(universe, count);
+    set.ForEach([&](const Point& p) { packer.Add(p); });
+    packer.WriteTo(&writer);
   }
   return transport::MakeMessage(kResultLabel, std::move(writer));
 }

@@ -167,13 +167,13 @@ transport::Message EncodeReject(const RejectFrame& reject);
 bool DecodeReject(const transport::Message& message, RejectFrame* out);
 
 /// `universe` fixes the exact per-coordinate bit width of the shipped set;
-/// both sides construct it from the shared ProtocolContext. When
-/// `repaired` is given, the set shipped (if frame.has_set) is that repair
-/// rather than frame.result.bob_final — the same bytes, without the copy
-/// (recon::PartySession::TakeRepairedSet).
+/// both sides construct it from the shared ProtocolContext. The set
+/// shipped (if frame.has_set) is Bob's repair `set`, packed straight from
+/// the set it repairs (recon::PartySession::TakeRepairedSet);
+/// frame.result.bob_final is not read. DecodeResult fills bob_final.
 transport::Message EncodeResult(const ResultFrame& frame,
                                 const Universe& universe,
-                                const recon::RepairedSet* repaired = nullptr);
+                                const recon::RepairedSet& set);
 bool DecodeResult(const transport::Message& message, const Universe& universe,
                   ResultFrame* out);
 

@@ -98,28 +98,5 @@ void ServerObs::ObserveAcceptToFirstFrame(double seconds) {
   accept_to_first_frame_->Observe(seconds);
 }
 
-SyncServerMetrics ServerObs::LegacyMetrics() const {
-  SyncServerMetrics metrics;
-  metrics.connections_accepted = accepted_->value();
-  metrics.active_sessions = static_cast<size_t>(active_->value());
-  metrics.peak_active_sessions = static_cast<size_t>(peak_active_->value());
-  metrics.handshakes_rejected = rejected_->value();
-  metrics.idle_timeouts = idle_timeouts_->value();
-  metrics.bytes_in = bytes_in_->value();
-  metrics.bytes_out = bytes_out_->value();
-  MutexLock lock(mu_);
-  for (const auto& [name, bundle] : per_protocol_) {
-    ProtocolStats& stats = metrics.per_protocol[name];
-    stats.syncs = bundle.ok->value();
-    stats.failures = bundle.failed->value();
-    stats.bytes_in = bundle.bytes_in->value();
-    stats.bytes_out = bundle.bytes_out->value();
-    stats.wall_seconds = bundle.seconds->Snapshot().sum;
-    metrics.syncs_completed += stats.syncs;
-    metrics.syncs_failed += stats.failures;
-  }
-  return metrics;
-}
-
 }  // namespace server
 }  // namespace rsr

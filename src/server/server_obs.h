@@ -6,10 +6,9 @@
 // latency histograms, transport byte counters, handshake rejects, idle
 // timeouts, and the host-specific scheduling probes (worker-queue delay
 // on the threaded host, accept-to-first-frame delay on the async one).
-// The pre-existing SyncServerMetrics snapshot — and through it the
-// byte-compatible DumpStats() rendering — is reconstructed from these
-// instruments by LegacyMetrics(), so the flat counter struct became a
-// read-side view instead of a mutex-guarded store.
+// The registry is the only metrics view: readers use its lookups
+// (CounterValue, GaugeValue, SumCounters, SnapshotHistogramSum) or its
+// Prometheus rendering.
 //
 // Hot-path cost: connection open/close touch relaxed atomics only; the
 // per-protocol instrument bundle is resolved under a small mutex once
@@ -17,7 +16,7 @@
 // `latency_probes` gates the optional probes (queue delay, accept-to-
 // first-frame) so the E16 overhead bench can compare instrumented vs
 // no-op serving; session outcome counters and latency histograms stay
-// on either way — they are the accounting DumpStats() is rebuilt from.
+// on either way — they are the host's session accounting.
 // See DESIGN.md §12.
 
 #ifndef RSR_SERVER_SERVER_OBS_H_
@@ -28,7 +27,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "server/server_stats.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -85,10 +83,6 @@ class ServerObs {
   /// Async host: accept-to-first-decoded-frame delay.
   void ObserveAcceptToFirstFrame(double seconds);
 
-  /// The legacy flat snapshot (server/server_stats.h), rebuilt from the
-  /// registry instruments; feeds the byte-compatible DumpStats().
-  SyncServerMetrics LegacyMetrics() const;
-
  private:
   struct ProtocolInstruments {
     obs::Counter* ok = nullptr;
@@ -118,7 +112,7 @@ class ServerObs {
 
   /// Guards the per-protocol bundle map only (session-settle cadence);
   /// the instruments themselves record lock-free.
-  mutable Mutex mu_;
+  Mutex mu_;
   std::map<std::string, ProtocolInstruments> per_protocol_
       RSR_GUARDED_BY(mu_);
 };

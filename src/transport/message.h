@@ -8,6 +8,7 @@
 #ifndef RSR_TRANSPORT_MESSAGE_H_
 #define RSR_TRANSPORT_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,6 +17,11 @@
 
 namespace rsr {
 namespace transport {
+
+/// The largest payload one message may carry: the RSF1 max-frame payload
+/// every default receiver enforces (net::FrameLimits), so a session never
+/// builds a message its peer is bound to refuse.
+inline constexpr size_t kMaxPayloadBytes = size_t{64} << 20;  // 64 MiB
 
 /// A single protocol message.
 struct Message {

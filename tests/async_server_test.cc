@@ -20,6 +20,7 @@
 
 #include "net/frame.h"
 #include "net/tcp.h"
+#include "obs/metrics.h"
 #include "recon/registry.h"
 #include "recon/session.h"
 #include "server/async_sync_server.h"
@@ -134,14 +135,23 @@ TEST(AsyncServerConformance, EveryRegisteredProtocolMatchesInProcessDriver) {
   }
   server.Stop();
 
-  const SyncServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.connections_accepted, protocols.size());
-  EXPECT_EQ(metrics.active_sessions, 0u);
-  EXPECT_EQ(metrics.syncs_completed + metrics.syncs_failed,
+  const obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.CounterValue("rsr_sync_connections_accepted_total"),
             protocols.size());
-  EXPECT_EQ(metrics.per_protocol.size(), protocols.size());
-  EXPECT_GT(metrics.bytes_in, 0u);
-  EXPECT_GT(metrics.bytes_out, 0u);
+  EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
+  EXPECT_EQ(metrics.SumCounters("rsr_sync_sessions_total"),
+            protocols.size());
+  for (const std::string& protocol : protocols) {
+    EXPECT_EQ(metrics.SumCounters("rsr_sync_sessions_total",
+                                  {{"protocol", protocol}}),
+              1u)
+        << protocol;
+  }
+  EXPECT_GT(metrics.CounterValue("rsr_sync_bytes_total", {{"direction", "in"}}),
+            0u);
+  EXPECT_GT(
+      metrics.CounterValue("rsr_sync_bytes_total", {{"direction", "out"}}),
+      0u);
 }
 
 /// A client that handshakes, then waits on `ready` until every other
@@ -243,14 +253,16 @@ TEST(AsyncServerLoad, TwoShardsSustain256ConcurrentMixedClients) {
         InProcessResult(protocol, replicas[i], canonical));
   }
 
-  const SyncServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.connections_accepted, kClients);
-  EXPECT_EQ(metrics.active_sessions, 0u);
+  const obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.CounterValue("rsr_sync_connections_accepted_total"),
+            kClients);
+  EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
   // The load claim: every client held a live session at the barrier, so
   // the two shards had all 256 open simultaneously.
-  EXPECT_EQ(metrics.peak_active_sessions, kClients);
-  EXPECT_EQ(metrics.syncs_completed + metrics.syncs_failed, kClients);
-  EXPECT_EQ(metrics.handshakes_rejected, 0u);
+  EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions_peak"),
+            static_cast<int64_t>(kClients));
+  EXPECT_EQ(metrics.SumCounters("rsr_sync_sessions_total"), kClients);
+  EXPECT_EQ(metrics.CounterValue("rsr_sync_handshakes_rejected_total"), 0u);
 }
 
 TEST(AsyncServerConformance, HalfClosingClientStillGetsItsResult) {
@@ -305,7 +317,9 @@ TEST(AsyncServerConformance, HalfClosingClientStillGetsItsResult) {
   ExpectMatchesInProcess("full-transfer", frame.result,
                          InProcessResult("full-transfer", replica,
                                          canonical));
-  EXPECT_EQ(server.metrics().syncs_completed, 1u);
+  EXPECT_EQ(server.metrics_registry().SumCounters("rsr_sync_sessions_total",
+                                                  {{"outcome", "ok"}}),
+            1u);
 }
 
 TEST(AsyncServerConformance, LargeResultSurvivesHalfCloseAndTinySendBuffer) {
@@ -360,7 +374,9 @@ TEST(AsyncServerConformance, LargeResultSurvivesHalfCloseAndTinySendBuffer) {
   ExpectMatchesInProcess("full-transfer", frame.result,
                          InProcessResult("full-transfer", replica,
                                          canonical));
-  EXPECT_EQ(server.metrics().syncs_completed, 1u);
+  EXPECT_EQ(server.metrics_registry().SumCounters("rsr_sync_sessions_total",
+                                                  {{"outcome", "ok"}}),
+            1u);
 }
 
 TEST(AsyncServerIdle, MidSessionSilenceSurfacesAsTransportClosed) {
@@ -406,10 +422,12 @@ TEST(AsyncServerIdle, MidSessionSilenceSurfacesAsTransportClosed) {
   EXPECT_EQ(observed, SessionError::kTransportClosed);
   server.Stop();
 
-  const SyncServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.idle_timeouts, 1u);
-  EXPECT_EQ(metrics.syncs_failed, 1u);
-  EXPECT_EQ(metrics.active_sessions, 0u);
+  const obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.CounterValue("rsr_sync_idle_timeouts_total"), 1u);
+  EXPECT_EQ(
+      metrics.SumCounters("rsr_sync_sessions_total", {{"outcome", "fail"}}),
+      1u);
+  EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
 }
 
 TEST(AsyncServerIdle, SilentHandshakeIsClosedWithoutAReject) {
@@ -428,12 +446,12 @@ TEST(AsyncServerIdle, SilentHandshakeIsClosedWithoutAReject) {
   EXPECT_LE(stream->Read(&byte, 1), 0);
   server.Stop();
 
-  const SyncServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.connections_accepted, 1u);
-  EXPECT_EQ(metrics.active_sessions, 0u);
-  EXPECT_EQ(metrics.handshakes_rejected, 0u);
-  EXPECT_EQ(metrics.idle_timeouts, 1u);
-  EXPECT_EQ(metrics.syncs_completed + metrics.syncs_failed, 0u);
+  const obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.CounterValue("rsr_sync_connections_accepted_total"), 1u);
+  EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
+  EXPECT_EQ(metrics.CounterValue("rsr_sync_handshakes_rejected_total"), 0u);
+  EXPECT_EQ(metrics.CounterValue("rsr_sync_idle_timeouts_total"), 1u);
+  EXPECT_EQ(metrics.SumCounters("rsr_sync_sessions_total"), 0u);
 }
 
 TEST(AsyncServerHandshake, UnknownProtocolRejectedWithProtocolList) {
@@ -466,8 +484,11 @@ TEST(AsyncServerHandshake, UnknownProtocolRejectedWithProtocolList) {
             std::string::npos);
   EXPECT_EQ(outcome.server_protocols,
             std::vector<std::string>{"full-transfer"});
-  EXPECT_EQ(server.metrics().handshakes_rejected, 1u);
-  EXPECT_EQ(server.metrics().active_sessions, 0u);
+  EXPECT_EQ(server.metrics_registry().CounterValue(
+                "rsr_sync_handshakes_rejected_total"),
+            1u);
+  EXPECT_EQ(server.metrics_registry().GaugeValue("rsr_sync_active_sessions"),
+            0);
 }
 
 TEST(AsyncServerStop, StopWithSilentClientsDrainsDeterministically) {
@@ -484,15 +505,21 @@ TEST(AsyncServerStop, StopWithSilentClientsDrainsDeterministically) {
     silent.push_back(std::move(stream));
   }
   for (int spin = 0; spin < 400; ++spin) {
-    if (server.metrics().connections_accepted == 5) break;
+    if (server.metrics_registry().CounterValue(
+            "rsr_sync_connections_accepted_total") == 5) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(server.metrics().connections_accepted, 5u);
+  EXPECT_EQ(server.metrics_registry().CounterValue(
+                "rsr_sync_connections_accepted_total"),
+            5u);
   server.Stop();  // must not hang on the mute connections
 
-  const SyncServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.active_sessions, 0u);
-  EXPECT_EQ(metrics.syncs_completed, 0u);
+  const obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
+  EXPECT_EQ(
+      metrics.SumCounters("rsr_sync_sessions_total", {{"outcome", "ok"}}), 0u);
 }
 
 }  // namespace

@@ -203,7 +203,8 @@ TEST(ConnectionTest, EveryProtocolMatchesDrivePair) {
     EXPECT_EQ(Sessions(host, protocol, want.success ? "ok" : "fail"), 1u)
         << protocol;
   }
-  EXPECT_EQ(host.metrics().active_sessions, 0u);
+  EXPECT_EQ(host.metrics_registry().GaugeValue("rsr_sync_active_sessions"),
+            0);
 }
 
 TEST(ConnectionTest, MalformedOrUnknownFirstFrameIsRejected) {
@@ -227,8 +228,10 @@ TEST(ConnectionTest, MalformedOrUnknownFirstFrameIsRejected) {
   PullFrame pull;
   pull.protocol = "no-such-protocol";
   expect_reject(EncodePull(pull), "unknown protocol");
-  EXPECT_EQ(host.metrics().handshakes_rejected, 4u);
-  EXPECT_EQ(host.metrics().syncs_completed + host.metrics().syncs_failed, 0u);
+  EXPECT_EQ(host.metrics_registry().CounterValue(
+                "rsr_sync_handshakes_rejected_total"),
+            4u);
+  EXPECT_EQ(host.metrics_registry().SumCounters("rsr_sync_sessions_total"), 0u);
 }
 
 /// Opens an exact-iblt session (Bob ships its strata at Start, then waits
@@ -300,7 +303,8 @@ TEST(ConnectionTest, StreamEndMidSessionFailsWithTheTransportError) {
     EXPECT_TRUE(conn->TakeOutbox().empty());
   }
   EXPECT_EQ(Sessions(host, "exact-iblt", "fail"), 3u);
-  EXPECT_EQ(host.metrics().active_sessions, 0u);
+  EXPECT_EQ(host.metrics_registry().GaugeValue("rsr_sync_active_sessions"),
+            0);
 }
 
 TEST(ConnectionTest, IdleTimeoutShipsAFailureResultAndCounts) {
@@ -310,7 +314,9 @@ TEST(ConnectionTest, IdleTimeoutShipsAFailureResultAndCounts) {
   EXPECT_EQ(ResultError(conn->TakeOutbox()), SessionError::kTransportClosed);
   EXPECT_TRUE(conn->done());
   conn->OnClosed(0, 0);
-  EXPECT_EQ(host.metrics().idle_timeouts, 1u);
+  EXPECT_EQ(
+      host.metrics_registry().CounterValue("rsr_sync_idle_timeouts_total"),
+      1u);
 }
 
 TEST(ConnectionTest, StatsAnswersTheExposition) {
@@ -370,7 +376,9 @@ TEST(ConnectionTest, LogFetchServesTheTailAndRejectsMalformedFrames) {
     EXPECT_EQ(batch.entries[0].seq, 2u);
     conn.OnStreamEnd(SessionError::kNone);
   }
-  EXPECT_EQ(host.metrics().handshakes_rejected, 1u);
+  EXPECT_EQ(host.metrics_registry().CounterValue(
+                "rsr_sync_handshakes_rejected_total"),
+            1u);
   EXPECT_EQ(Sessions(host, kLogFetchLabel, "ok"), 1u);
 }
 
@@ -482,6 +490,61 @@ TEST(ConnectionTest, HostileWireCountsFailMalformedWithoutAllocating) {
     ExpectMatchesDriver(protocol, DecodedResult(served->result).result,
                         DriverResult(protocol, client, canonical));
   }
+}
+
+/// Bob's "qt-level-request" for a table of `cells` cells at `level`.
+Message LevelRequest(uint64_t level, uint64_t cells, uint64_t attempt) {
+  BitWriter w;
+  w.WriteVarint(level);
+  w.WriteVarint(cells);
+  w.WriteVarint(attempt);
+  return transport::MakeMessage("qt-level-request", std::move(w));
+}
+
+TEST(ConnectionTest, HostilePullRequestsFailThePull) {
+  // "@pull" makes the host Alice, serving the puller's requests: each is
+  // checked before a cell is allocated.
+  const PointSet canonical = Cloud(64, 7);
+  SyncServer host(canonical, HostOptions());
+  const ShiftedGrid grid(Ctx().universe, Ctx().seed);
+  const uint64_t probed = static_cast<uint64_t>(
+      recon::ProtocolLevels(grid, Params().Resolved().quadtree).front());
+  const uint64_t unprobed = static_cast<uint64_t>(grid.max_level()) + 1;
+  const std::pair<std::string, Message> hostile[] = {
+      // quadtree-adaptive: a level never probed, nor any such level, an
+      // attempt past max_attempts (3), and a table beyond one frame.
+      {"quadtree-adaptive", LevelRequest(unprobed, 64, 0)},
+      {"quadtree-adaptive", LevelRequest(uint64_t{1} << 40, 64, 0)},
+      {"quadtree-adaptive", LevelRequest(probed, 64, 3)},
+      {"quadtree-adaptive", LevelRequest(probed, uint64_t{1} << 40, 0)},
+      // gap-lattice: Bob's table frame opens with its cell count.
+      {"gap-lattice", HostileCount("gap-iblt")},
+  };
+  for (const auto& [protocol, request] : hostile) {
+    Connection conn(&host);
+    PullFrame pull;
+    pull.protocol = protocol;
+    const std::vector<Message> opened = Feed(&conn, EncodePull(pull));
+    ASSERT_EQ(opened.size(), 2u) << protocol;  // accept, Alice's opening
+    EXPECT_TRUE(Feed(&conn, request).empty()) << protocol;
+    EXPECT_TRUE(conn.done()) << protocol;
+    conn.OnClosed(0, 0);
+  }
+  EXPECT_EQ(Sessions(host, "@pull:quadtree-adaptive", "fail"), 4u);
+  EXPECT_EQ(Sessions(host, "@pull:gap-lattice", "fail"), 1u);
+  EXPECT_EQ(host.metrics_registry().SumCounters("rsr_sync_sessions_total",
+                                                {{"outcome", "ok"}}),
+            0u);
+
+  // The host is unharmed: a clean sync right after matches the driver.
+  const PointSet client = Drifted(canonical, 99);
+  Connection conn(&host);
+  const std::optional<Served> served =
+      DriveSync(&conn, "quadtree-adaptive", client);
+  ASSERT_TRUE(served.has_value());
+  ExpectMatchesDriver("quadtree-adaptive",
+                      DecodedResult(served->result).result,
+                      DriverResult("quadtree-adaptive", client, canonical));
 }
 
 // ------------------------------------------------ both hosts, one core

@@ -117,6 +117,13 @@ TEST(MetricsRegistryTest, LookupsAcrossLabelSets) {
   EXPECT_EQ(registry.CounterValue("c_total", {{"dir", "sideways"}}), 0u);
   EXPECT_EQ(registry.CounterValue("absent_total"), 0u);
   EXPECT_EQ(registry.SumCounters("c_total"), 12u);
+  // A label subset selects the label sets carrying all of it.
+  registry.GetCounter("s_total", "s", {{"p", "a"}, {"o", "ok"}})->Inc(2);
+  registry.GetCounter("s_total", "s", {{"p", "a"}, {"o", "fail"}})->Inc(3);
+  registry.GetCounter("s_total", "s", {{"p", "b"}, {"o", "ok"}})->Inc(4);
+  EXPECT_EQ(registry.SumCounters("s_total", {{"o", "ok"}}), 6u);
+  EXPECT_EQ(registry.SumCounters("s_total", {{"p", "a"}}), 5u);
+  EXPECT_EQ(registry.SumCounters("s_total", {{"p", "b"}, {"o", "fail"}}), 0u);
 
   registry.GetGauge("g", "g")->Set(-40);
   EXPECT_EQ(registry.GaugeValue("g"), -40);

@@ -5,6 +5,7 @@
 // scheduler rounds) run under TSan in CI.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,6 +17,7 @@
 #include "net/frame.h"
 #include "net/pipe_stream.h"
 #include "net/tcp.h"
+#include "obs/metrics.h"
 #include "recon/exact_recon.h"
 #include "recon/registry.h"
 #include "replica/anti_entropy.h"
@@ -25,6 +27,7 @@
 #include "server/handshake.h"
 #include "server/sync_client.h"
 #include "server/sync_server.h"
+#include "sketch_families.h"
 #include "transport/channel.h"
 #include "util/bitio.h"
 #include "workload/churn.h"
@@ -188,6 +191,75 @@ TEST(ReplicaNodeTest, ApproximateRepairGoesDirtyUntilExactRepair) {
   mesh.StopSchedulers();
 }
 
+/// Asserts that every sketch family the node serves — each one made live
+/// before its repair, so carried across it — is bit-identical to a build
+/// from the node's points.
+void ExpectFamiliesMatchPoints(const ReplicaNode& node) {
+  const auto snapshot = node.snapshot();
+  server::ExpectFamiliesMatchScratch(*snapshot, snapshot->points(), Ctx(),
+                                     Params());
+}
+
+TEST(ReplicaNodeTest, ExactRepairOfAMultisetInstallsTheSessionsEdit) {
+  // Duplicate points on both sides: the writer drops one of three copies
+  // and gains a third copy of another point, so the riblt-oneshot repair
+  // retires one copy of an equal point and adds one.
+  PointSet start = Cloud(64, 4242);
+  start.push_back(start[0]);
+  start.push_back(start[0]);
+  start.push_back(start[5]);
+  ReplicaMeshOptions options;
+  options.nodes = 2;
+  options.node = NodeOptions(1);     // ring keeps only the newest entry
+  options.node.exact_budget = 1000;  // keep the repair on the exact path
+  ReplicaMesh mesh(start, options);
+  ExpectFamiliesMatchPoints(mesh.node(1));
+
+  mesh.node(0).Apply({start[5]}, {start[0]});
+  Rng rng(17);
+  Churn(&mesh.node(0), SmallChurn(), 2, &rng);  // the follower falls off
+
+  const RoundRecord round = mesh.RunRound(1, 0);
+  EXPECT_EQ(round.path, RoundPath::kRepairExact) << round.error_detail;
+  EXPECT_EQ(round.protocol, "riblt-oneshot");
+  EXPECT_EQ(round.seq_after, 3u);
+  EXPECT_FALSE(round.dirty_after);
+  EXPECT_EQ(mesh.Divergence(0, 1), 0u);
+  ExpectFamiliesMatchPoints(mesh.node(1));
+  mesh.StopSchedulers();
+}
+
+TEST(ReplicaNodeTest, FullTransferRepairErasesAndReinsertsEqualPoints) {
+  // A follower a few points off its peer: the full-transfer install
+  // erases all of its points and inserts all of the peer's, most of them
+  // equal to a point just erased.
+  PointSet start = Cloud(96, 4242);
+  start.push_back(start[3]);
+  ReplicaMeshOptions options;
+  options.nodes = 2;
+  options.node = NodeOptions(64);
+  options.node.exact_budget = 1;  // force the delta past the exact band
+  ReplicaMesh mesh(start, options);
+  ExpectFamiliesMatchPoints(mesh.node(1));
+
+  // An off-log edit: the follower goes dirty, so its next round repairs.
+  const PointSet moved = Cloud(3, 99);
+  ReplicaNode& follower = mesh.node(1);
+  follower.host().InstallRepair({moved[0], moved[1], start[3]},
+                                {start[1], start[2]}, follower.applied_seq(),
+                                /*exact=*/false);
+  ASSERT_TRUE(follower.dirty());
+  ASSERT_GT(mesh.Divergence(0, 1), 0u);
+
+  const RoundRecord round = mesh.RunRound(1, 0);
+  EXPECT_EQ(round.path, RoundPath::kRepairFull) << round.error_detail;
+  EXPECT_EQ(round.protocol, "full-transfer");
+  EXPECT_FALSE(round.dirty_after);
+  EXPECT_EQ(mesh.Divergence(0, 1), 0u);
+  ExpectFamiliesMatchPoints(follower);
+  mesh.StopSchedulers();
+}
+
 TEST(ReplicaMeshTest, ThreeNodesConvergeToExactZeroDivergence) {
   ReplicaMeshOptions options;
   options.nodes = 3;
@@ -329,7 +401,9 @@ TEST(SyncRetryTest, RejectedHandshakeRetriesAllAttempts) {
   EXPECT_EQ(outcome.result.error, recon::SessionError::kProtocolRejected);
   EXPECT_EQ(outcome.attempts_used, 3u);
   EXPECT_FALSE(outcome.reject_reason.empty());
-  EXPECT_EQ(server.metrics().handshakes_rejected, 3u);
+  EXPECT_EQ(server.metrics_registry().CounterValue(
+                "rsr_sync_handshakes_rejected_total"),
+            3u);
 }
 
 TEST(SyncRetryTest, RecoversOnSecondAttemptAfterDeadStream) {
@@ -482,16 +556,24 @@ TEST(SyncRetryTest, NoRetryAfterAcceptObserved) {
 }
 
 TEST(ReplicaNodeTest, RepairFailureEscalatesNextRepairToFullTransfer) {
-  // The follower's configured exact-repair protocol is one the peer will
-  // always reject, so the sized repair band fails deterministically. The
-  // escalation latch must route the NEXT repair straight to the
-  // unconditional full transfer instead of looping on the same choice —
-  // and clear itself once a round succeeds.
+  // The writer's host serves only full-transfer, so it rejects the
+  // follower's exact-band "@pull riblt-oneshot" and the sized repair band
+  // fails deterministically. The escalation latch must route the NEXT
+  // repair straight to the unconditional full transfer instead of looping
+  // on the same choice — and clear itself once a round succeeds.
+  recon::ProtocolRegistry full_only;
+  full_only.Register(
+      "full-transfer", "the only protocol served",
+      [](const recon::ProtocolContext& ctx,
+         const recon::ProtocolParams& params) {
+        return recon::ProtocolRegistry::Global().Create("full-transfer", ctx,
+                                                        params);
+      });
   ReplicaNodeOptions options = NodeOptions(1);  // one-entry ring
   options.exact_budget = 1000;
-  options.repair_exact_protocol = "no-such-protocol";
-  ReplicaNode writer(Cloud(96, 4242), options);
   ReplicaNode follower(Cloud(96, 4242), options);
+  options.server.registry = &full_only;
+  ReplicaNode writer(Cloud(96, 4242), options);
 
   std::vector<std::thread> serve_threads;
   const StreamFactory peer = [&]() -> std::unique_ptr<net::ByteStream> {
@@ -514,7 +596,7 @@ TEST(ReplicaNodeTest, RepairFailureEscalatesNextRepairToFullTransfer) {
 
   const RoundRecord rejected = run_round();
   EXPECT_EQ(rejected.path, RoundPath::kError);
-  EXPECT_EQ(rejected.protocol, "no-such-protocol");
+  EXPECT_EQ(rejected.protocol, "riblt-oneshot");
 
   const RoundRecord escalated = run_round();
   EXPECT_EQ(escalated.path, RoundPath::kRepairFull)
@@ -528,10 +610,10 @@ TEST(ReplicaNodeTest, RepairFailureEscalatesNextRepairToFullTransfer) {
   Churn(&writer, SmallChurn(), 2, &rng);
   const RoundRecord relatched = run_round();
   EXPECT_EQ(relatched.path, RoundPath::kError);
-  EXPECT_EQ(relatched.protocol, "no-such-protocol");
+  EXPECT_EQ(relatched.protocol, "riblt-oneshot");
 }
 
-TEST(ReplicaServingTest, DumpStatsReportsPositionAndReplicationVerbs) {
+TEST(ReplicaServingTest, RegistryReportsPositionAndReplicationVerbs) {
   ReplicaMeshOptions options;
   options.nodes = 2;
   options.node = NodeOptions(64);
@@ -541,10 +623,13 @@ TEST(ReplicaServingTest, DumpStatsReportsPositionAndReplicationVerbs) {
   ASSERT_EQ(mesh.RunRound(1, 0).path, RoundPath::kTail);
   mesh.StopSchedulers();
 
-  const std::string stats = mesh.node(0).host().DumpStats();
-  EXPECT_NE(stats.find("replica_seq=2"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("@log-fetch: ok=1"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("peak_active="), std::string::npos) << stats;
+  const obs::MetricsRegistry& metrics = mesh.node(0).host().metrics_registry();
+  EXPECT_EQ(metrics.GaugeValue("rsr_replica_seq"), 2);
+  EXPECT_EQ(
+      metrics.CounterValue("rsr_sync_sessions_total",
+                           {{"protocol", "@log-fetch"}, {"outcome", "ok"}}),
+      1u);
+  EXPECT_GE(metrics.GaugeValue("rsr_sync_active_sessions_peak"), 1);
 }
 
 TEST(AsyncReplicaTest, AsyncHostJournalsServesLogFetchAndReportsSeq) {
@@ -599,9 +684,12 @@ TEST(AsyncReplicaTest, AsyncHostJournalsServesLogFetchAndReportsSeq) {
   EXPECT_TRUE(outcome.handshake_ok) << outcome.error_detail;
   EXPECT_EQ(outcome.server_replica_seq, 2u);
 
-  const std::string stats = server.DumpStats();
-  EXPECT_NE(stats.find("replica_seq=2"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("@log-fetch:"), std::string::npos) << stats;
+  const obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.GaugeValue("rsr_replica_seq"), 2);
+  EXPECT_EQ(
+      metrics.CounterValue("rsr_sync_sessions_total",
+                           {{"protocol", "@log-fetch"}, {"outcome", "ok"}}),
+      1u);
   server.Stop();
 }
 
@@ -690,6 +778,13 @@ TEST(AsyncReplicaTest, FollowerRepairsFromAsyncHostOverTcp) {
     EXPECT_EQ(round.seq_after, 0u);
     EXPECT_TRUE(round.dirty_after);
     EXPECT_EQ(SetDivergence(follower.points(), host.canonical()), 0u);
+  }
+  // The follower's close ends a pull; the reactor reads it on its own
+  // thread, and Stop fails whatever connection is still open then.
+  for (int spin = 0; spin < 400 && host.metrics_registry().GaugeValue(
+                                       "rsr_sync_active_sessions") > 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   host.Stop();
   EXPECT_EQ(host.metrics_registry().CounterValue(

@@ -356,7 +356,7 @@ TEST(RetireAndAdoptTest, MatchesNearestPointScan) {
     }
     PointSet adopt(static_cast<size_t>(rng.Uniform(0, 4)));
     for (Point& p : adopt) p = random_point(5);
-    EXPECT_EQ(RetireAndAdopt(bob, retire, adopt, metric),
+    EXPECT_EQ(RetireAndAdopt(bob, retire, adopt, metric).Materialize(),
               ReferenceRetireAndAdopt(bob, retire, adopt, metric))
         << "trial " << trial;
   }

@@ -21,6 +21,7 @@
 #include "net/frame.h"
 #include "net/pipe_stream.h"
 #include "net/tcp.h"
+#include "obs/metrics.h"
 #include "recon/registry.h"
 #include "recon/session.h"
 #include "replica/changelog.h"
@@ -148,13 +149,17 @@ TEST(SyncServerPipeTest, EveryProtocolMatchesInProcessDriver) {
     EXPECT_GT(outcome.bytes_received, 0u) << protocol;
   }
 
-  const SyncServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.connections_accepted, std::size(kAllProtocols));
-  EXPECT_EQ(metrics.active_sessions, 0u);
-  EXPECT_EQ(metrics.syncs_completed + metrics.syncs_failed,
+  const obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.CounterValue("rsr_sync_connections_accepted_total"),
             std::size(kAllProtocols));
-  EXPECT_GT(metrics.bytes_in, 0u);
-  EXPECT_GT(metrics.bytes_out, 0u);
+  EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
+  EXPECT_EQ(metrics.SumCounters("rsr_sync_sessions_total"),
+            std::size(kAllProtocols));
+  EXPECT_GT(metrics.CounterValue("rsr_sync_bytes_total", {{"direction", "in"}}),
+            0u);
+  EXPECT_GT(
+      metrics.CounterValue("rsr_sync_bytes_total", {{"direction", "out"}}),
+      0u);
 }
 
 TEST(SyncServerTcpTest, EightConcurrentClientsWithMixedProtocols) {
@@ -199,17 +204,32 @@ TEST(SyncServerTcpTest, EightConcurrentClientsWithMixedProtocols) {
     if (expected.success) ++expected_successes;
   }
 
-  const SyncServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.connections_accepted, kClients);
-  EXPECT_EQ(metrics.active_sessions, 0u);
-  EXPECT_EQ(metrics.syncs_completed, expected_successes);
-  EXPECT_EQ(metrics.syncs_completed + metrics.syncs_failed, kClients);
-  EXPECT_EQ(metrics.per_protocol.size(), std::size(kAllProtocols));
-  for (const auto& [name, stats] : metrics.per_protocol) {
-    EXPECT_EQ(stats.syncs + stats.failures, 1u) << name;
-    EXPECT_GT(stats.bytes_in, 0u) << name;
-    EXPECT_GT(stats.bytes_out, 0u) << name;
-    EXPECT_GE(stats.wall_seconds, 0.0) << name;
+  const obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.CounterValue("rsr_sync_connections_accepted_total"),
+            kClients);
+  EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
+  EXPECT_EQ(
+      metrics.SumCounters("rsr_sync_sessions_total", {{"outcome", "ok"}}),
+      expected_successes);
+  EXPECT_EQ(metrics.SumCounters("rsr_sync_sessions_total"), kClients);
+  for (const std::string name : kAllProtocols) {
+    EXPECT_EQ(
+        metrics.SumCounters("rsr_sync_sessions_total", {{"protocol", name}}),
+        1u)
+        << name;
+    EXPECT_GT(metrics.CounterValue("rsr_sync_protocol_bytes_total",
+                                   {{"protocol", name}, {"direction", "in"}}),
+              0u)
+        << name;
+    EXPECT_GT(metrics.CounterValue("rsr_sync_protocol_bytes_total",
+                                   {{"protocol", name}, {"direction", "out"}}),
+              0u)
+        << name;
+    const std::optional<obs::HistogramSnapshot> seconds =
+        metrics.SnapshotHistogram("rsr_sync_session_seconds",
+                                  {{"protocol", name}});
+    ASSERT_TRUE(seconds.has_value()) << name;
+    EXPECT_GE(seconds->sum, 0.0) << name;
   }
 }
 
@@ -313,41 +333,45 @@ void PumpUntilBobDone(recon::PartySession* alice, recon::PartySession* bob) {
   }
 }
 
-// A repair the host takes with TakeRepairedSet ships exactly the bytes of
-// the materialized result, and TakeResult then carries no set; a protocol
-// that records no repair hands none over and keeps its result.
+// Every protocol's Bob records S'_B as a repair of his set. The host takes
+// it with TakeRepairedSet and ships exactly the bytes PackPoints writes
+// for the materialized result; TakeResult then carries no set.
 TEST(SyncServerResultTest, RepairedSetShipsTheMaterializedBytes) {
   const PointSet canonical = Canonical(128);
   const PointSet replica = DriftedReplica(canonical, 55);
   for (const char* protocol : kAllProtocols) {
     const auto reconciler = recon::MakeReconciler(protocol, Ctx(), Params());
-    std::vector<uint8_t> shipped[2];
-    for (int take_repair = 0; take_repair < 2; ++take_repair) {
-      const auto alice = reconciler->MakeAliceSession(replica);
-      const auto bob = reconciler->MakeBobSession(canonical);
-      PumpUntilBobDone(alice.get(), bob.get());
-      std::optional<recon::RepairedSet> repaired;
-      if (take_repair == 1) repaired = bob->TakeRepairedSet();
-      ResultFrame frame;
-      frame.result = bob->TakeResult();
-      frame.has_set = true;
-      if (repaired.has_value()) {
-        EXPECT_EQ(repaired->base, &canonical) << protocol;
-        EXPECT_TRUE(frame.result.bob_final.empty()) << protocol;
-      }
-      const std::string name = protocol;
-      const bool repairs = name.rfind("quadtree", 0) == 0 ||
-                           name.rfind("single-grid", 0) == 0;
-      if (take_repair == 1) {
-        EXPECT_EQ(repaired.has_value(), repairs && frame.result.success)
-            << protocol;
-      }
-      shipped[take_repair] =
-          EncodeResult(frame, Ctx().universe,
-                       repaired.has_value() ? &*repaired : nullptr)
-              .payload;
-    }
-    EXPECT_EQ(shipped[1], shipped[0]) << protocol;
+    const auto alice = reconciler->MakeAliceSession(replica);
+    const auto bob = reconciler->MakeBobSession(canonical);
+    PumpUntilBobDone(alice.get(), bob.get());
+    const std::optional<recon::RepairedSet> repaired = bob->TakeRepairedSet();
+    ASSERT_TRUE(repaired.has_value()) << protocol;
+    EXPECT_EQ(repaired->base, &canonical) << protocol;
+    EXPECT_FALSE(bob->TakeRepairedSet().has_value()) << protocol;
+    ResultFrame frame;
+    frame.result = bob->TakeResult();
+    frame.has_set = true;
+    EXPECT_TRUE(frame.result.bob_final.empty()) << protocol;
+
+    const recon::ReconResult& r = frame.result;
+    const PointSet materialized = repaired->Materialize();
+    BitWriter reference;
+    reference.WriteBit(r.success);
+    reference.WriteBits(static_cast<uint64_t>(r.error), 8);
+    reference.WriteSignedVarint(r.chosen_level);
+    reference.WriteVarint(r.decoded_entries);
+    reference.WriteVarint(r.attempts);
+    reference.WriteVarint(r.transmitted);
+    reference.WriteBit(true);
+    reference.WriteVarint(materialized.size());
+    PackPoints(Ctx().universe, materialized, &reference);
+    EXPECT_EQ(EncodeResult(frame, Ctx().universe, *repaired).payload,
+              transport::MakeMessage(kResultLabel, std::move(reference))
+                  .payload)
+        << protocol;
+    EXPECT_EQ(materialized, InProcessResult(protocol, replica, canonical)
+                                .bob_final)
+        << protocol;
   }
 }
 
@@ -369,14 +393,18 @@ TEST(SyncServerTcpTest, StopUnblocksSilentClients) {
   }
   // Wait until the accept thread has seen them (bounded poll).
   for (int spin = 0; spin < 200; ++spin) {
-    if (server.metrics().connections_accepted == 3) break;
+    if (server.metrics_registry().CounterValue(
+            "rsr_sync_connections_accepted_total") == 3) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   server.Stop();  // would hang before streams were closed on shutdown
 
-  const SyncServerMetrics metrics = server.metrics();
-  EXPECT_EQ(metrics.active_sessions, 0u);
-  EXPECT_EQ(metrics.syncs_completed, 0u);
+  const obs::MetricsRegistry& metrics = server.metrics_registry();
+  EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
+  EXPECT_EQ(
+      metrics.SumCounters("rsr_sync_sessions_total", {{"outcome", "ok"}}), 0u);
 }
 
 TEST(SyncServerHandshakeTest, UnknownProtocolIsRejectedWithProtocolList) {
@@ -413,8 +441,11 @@ TEST(SyncServerHandshakeTest, UnknownProtocolIsRejectedWithProtocolList) {
   EXPECT_NE(outcome.reject_reason.find("unknown protocol"), std::string::npos);
   EXPECT_EQ(outcome.server_protocols,
             std::vector<std::string>{"full-transfer"});
-  EXPECT_EQ(server.metrics().handshakes_rejected, 1u);
-  EXPECT_EQ(server.metrics().active_sessions, 0u);
+  EXPECT_EQ(server.metrics_registry().CounterValue(
+                "rsr_sync_handshakes_rejected_total"),
+            1u);
+  EXPECT_EQ(server.metrics_registry().GaugeValue("rsr_sync_active_sessions"),
+            0);
 }
 
 TEST(SyncServerHandshakeTest, UnknownLocalProtocolFailsBeforeAnyTraffic) {

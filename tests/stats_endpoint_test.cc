@@ -3,8 +3,7 @@
 // loopback TCP from BOTH serving hosts, the syncd HTTP/1.0 /metrics
 // responder answers curl-shaped requests, per-session trace spans carry
 // the phase breakdown, and the threaded host's per-session read deadline
-// actually fires (rsr_sync_idle_timeouts_total — the counter DumpStats
-// always printed but only the async host used to feed).
+// actually fires (rsr_sync_idle_timeouts_total, which both hosts feed).
 
 #include <chrono>
 #include <functional>
@@ -114,10 +113,14 @@ TEST(StatsVerbTest, ThreadedHostAnswersOverPipe) {
                 "rsr_sync_sessions_total",
                 {{"protocol", "@stats"}, {"outcome", "ok"}}),
             1u);
-  // And the byte-compatible DumpStats() is rebuilt from the same registry.
-  const std::string dump = server.DumpStats();
-  EXPECT_NE(dump.find("full-transfer"), std::string::npos);
-  EXPECT_EQ(server.metrics().syncs_completed, 2u);  // sync + @stats
+  // The same registry accounts for every session the host settled.
+  EXPECT_EQ(server.metrics_registry().CounterValue(
+                "rsr_sync_sessions_total",
+                {{"protocol", "full-transfer"}, {"outcome", "ok"}}),
+            1u);
+  EXPECT_EQ(server.metrics_registry().SumCounters("rsr_sync_sessions_total",
+                                                  {{"outcome", "ok"}}),
+            2u);  // sync + @stats
 }
 
 TEST(StatsVerbTest, ThreadedHostAnswersOverTcp) {
@@ -340,8 +343,9 @@ TEST(IdleTimeoutTest, ThreadedHostFailsSilentTcpClient) {
     return server.metrics_registry().CounterValue(
                "rsr_sync_idle_timeouts_total") == 1;
   }));
-  EXPECT_EQ(server.metrics().idle_timeouts, 1u);
-  EXPECT_EQ(server.metrics().syncs_completed, 0u);
+  EXPECT_EQ(server.metrics_registry().SumCounters("rsr_sync_sessions_total",
+                                                  {{"outcome", "ok"}}),
+            0u);
   server.Stop();
 }
 
