@@ -116,9 +116,7 @@ class BobSessionBase : public PartySessionBase {
   }
 
   std::optional<RepairedSet> TakeRepairedSet() override {
-    std::optional<RepairedSet> repair = std::move(repair_);
-    repair_.reset();
-    return repair;
+    return std::exchange(repair_, std::nullopt);
   }
 
  protected:
