@@ -146,8 +146,8 @@ IbltConfig GapIbltConfig(const GapParams& params, uint64_t seed,
 class GapAlice : public recon::PartySessionBase {
  public:
   GapAlice(const recon::ProtocolContext& context, const GapParams& params,
-           PointSet points)
-      : context_(context), params_(params), points_(std::move(points)) {
+           const PointSet& points)
+      : context_(context), params_(params), points_(points) {
     const int d = context_.universe.d;
     const double rho = params_.RhoHat(d);
     RSR_CHECK_MSG(rho < 1.0, "gap model requires r2 > r1 * d");
@@ -252,7 +252,7 @@ class GapAlice : public recon::PartySessionBase {
  private:
   recon::ProtocolContext context_;
   GapParams params_;
-  PointSet points_;
+  const PointSet& points_;
   int h_ = 0;
   std::unique_ptr<LatticeKeys> lattice_;
   EntrySet entries_;
@@ -376,13 +376,13 @@ class GapBob : public recon::BobSessionBase {
 
 }  // namespace
 
-std::unique_ptr<recon::PartySession> GapReconciler::MakeAliceSession(
+std::unique_ptr<recon::PartySession> GapReconciler::NewAliceSession(
     const PointSet& points) const {
   return std::make_unique<GapAlice>(context_, params_, points);
 }
 
-std::unique_ptr<recon::PartySession> GapReconciler::MakeBobSession(
-    const PointSet& points) const {
+std::unique_ptr<recon::PartySession> GapReconciler::NewBobSession(
+    const PointSet& points, const recon::CanonicalSketchProvider*) const {
   return std::make_unique<GapBob>(context_, params_, points);
 }
 

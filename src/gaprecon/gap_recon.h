@@ -90,13 +90,6 @@ class GapReconciler : public recon::Reconciler {
   GapReconciler(const recon::ProtocolContext& context, const GapParams& params)
       : context_(context), params_(params) {}
 
-  std::string Name() const override { return "gap-lattice"; }
-  using recon::Reconciler::MakeBobSession;  // and its deleted temporaries
-  std::unique_ptr<recon::PartySession> MakeAliceSession(
-      const PointSet& points) const override;
-  std::unique_ptr<recon::PartySession> MakeBobSession(
-      const PointSet& points) const override;
-
   /// Gap-flavoured result (richer accounting than the base ReconResult).
   /// Intentionally hides the base-class Run: it drives the same sessions
   /// and repackages Bob's result.
@@ -104,6 +97,12 @@ class GapReconciler : public recon::Reconciler {
                 transport::Channel* channel) const;
 
  private:
+  std::unique_ptr<recon::PartySession> NewAliceSession(
+      const PointSet& points) const override;
+  std::unique_ptr<recon::PartySession> NewBobSession(
+      const PointSet& points,
+      const recon::CanonicalSketchProvider* sketches) const override;
+
   recon::ProtocolContext context_;
   GapParams params_;
 };

@@ -72,8 +72,8 @@ std::vector<std::vector<uint64_t>> ChainsFor(const MlshFamily& family,
 class MlshAlice : public recon::PartySessionBase {
  public:
   MlshAlice(const recon::ProtocolContext& context, const MlshParams& params,
-            PointSet points)
-      : context_(context), params_(params), points_(std::move(points)) {}
+            const PointSet& points)
+      : context_(context), params_(params), points_(points) {}
 
   std::vector<transport::Message> Start() override {
     const Universe& universe = context_.universe;
@@ -108,7 +108,7 @@ class MlshAlice : public recon::PartySessionBase {
  private:
   recon::ProtocolContext context_;
   MlshParams params_;
-  PointSet points_;
+  const PointSet& points_;
 };
 
 class MlshBob : public recon::BobSessionBase {
@@ -216,17 +216,12 @@ class MlshBob : public recon::BobSessionBase {
 
 }  // namespace
 
-std::unique_ptr<recon::PartySession> MlshReconciler::MakeAliceSession(
+std::unique_ptr<recon::PartySession> MlshReconciler::NewAliceSession(
     const PointSet& points) const {
   return std::make_unique<MlshAlice>(context_, params_, points);
 }
 
-std::unique_ptr<recon::PartySession> MlshReconciler::MakeBobSession(
-    const PointSet& points) const {
-  return MakeBobSession(points, nullptr);
-}
-
-std::unique_ptr<recon::PartySession> MlshReconciler::MakeBobSession(
+std::unique_ptr<recon::PartySession> MlshReconciler::NewBobSession(
     const PointSet& points,
     const recon::CanonicalSketchProvider* sketches) const {
   return std::make_unique<MlshBob>(context_, params_, points, sketches);

@@ -86,18 +86,15 @@ class MlshReconciler : public recon::Reconciler {
                  const MlshParams& params)
       : context_(context), params_(params) {}
 
-  std::string Name() const override { return "mlsh-riblt"; }
-  using recon::Reconciler::MakeBobSession;  // and its deleted temporaries
-  std::unique_ptr<recon::PartySession> MakeAliceSession(
-      const PointSet& points) const override;
-  std::unique_ptr<recon::PartySession> MakeBobSession(
-      const PointSet& points) const override;
-  std::unique_ptr<recon::PartySession> MakeBobSession(
-      const PointSet& points,
-      const recon::CanonicalSketchProvider* sketches) const override;
   bool RequiresEqualSizes() const override { return true; }
 
  private:
+  std::unique_ptr<recon::PartySession> NewAliceSession(
+      const PointSet& points) const override;
+  std::unique_ptr<recon::PartySession> NewBobSession(
+      const PointSet& points,
+      const recon::CanonicalSketchProvider* sketches) const override;
+
   recon::ProtocolContext context_;
   MlshParams params_;
 };

@@ -81,10 +81,14 @@ ReconResult DrivePair(PartySession* alice, PartySession* bob,
   return bob->TakeResult();
 }
 
+std::unique_ptr<PartySession> Reconciler::MakeAliceSession(
+    const PointSet& points) const {
+  return NewAliceSession(points);
+}
+
 std::unique_ptr<PartySession> Reconciler::MakeBobSession(
     const PointSet& points, const CanonicalSketchProvider* sketches) const {
-  (void)sketches;  // protocols without cacheable canonical state
-  return MakeBobSession(points);
+  return NewBobSession(points, sketches);
 }
 
 ReconResult Reconciler::Run(const PointSet& alice, const PointSet& bob,

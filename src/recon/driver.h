@@ -28,7 +28,7 @@ namespace recon {
 /// runaway-protocol safeguard.
 ReconResult DrivePair(PartySession* alice, PartySession* bob,
                       transport::Channel* channel,
-                      size_t max_deliveries = 1 << 16);
+                      size_t max_deliveries = kMaxDeliveries);
 
 }  // namespace recon
 }  // namespace rsr

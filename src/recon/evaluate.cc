@@ -1,21 +1,27 @@
 #include "recon/evaluate.h"
 
 #include <chrono>
+#include <memory>
 
 #include "geometry/emd.h"
 
 namespace rsr {
 namespace recon {
 
-Evaluation EvaluateProtocol(const Reconciler& protocol, const PointSet& alice,
-                            const PointSet& bob,
+Evaluation EvaluateProtocol(const std::string& protocol_name,
+                            const ProtocolContext& context,
+                            const ProtocolParams& params,
+                            const PointSet& alice, const PointSet& bob,
                             const EvaluateOptions& options) {
   Evaluation eval;
-  eval.protocol = protocol.Name();
+  eval.protocol = protocol_name;
+  const std::unique_ptr<Reconciler> protocol =
+      MakeReconciler(protocol_name, context, params);
+  if (protocol == nullptr) return eval;
 
   transport::Channel channel;
   const auto start = std::chrono::steady_clock::now();
-  const ReconResult result = protocol.Run(alice, bob, &channel);
+  const ReconResult result = protocol->Run(alice, bob, &channel);
   const auto end = std::chrono::steady_clock::now();
 
   eval.success = result.success;
@@ -40,21 +46,6 @@ Evaluation EvaluateProtocol(const Reconciler& protocol, const PointSet& alice,
     }
   }
   return eval;
-}
-
-Evaluation EvaluateProtocol(const std::string& protocol_name,
-                            const ProtocolContext& context,
-                            const ProtocolParams& params,
-                            const PointSet& alice, const PointSet& bob,
-                            const EvaluateOptions& options) {
-  const std::unique_ptr<Reconciler> protocol =
-      MakeReconciler(protocol_name, context, params);
-  if (protocol == nullptr) {
-    Evaluation eval;
-    eval.protocol = protocol_name;
-    return eval;
-  }
-  return EvaluateProtocol(*protocol, alice, bob, options);
 }
 
 }  // namespace recon

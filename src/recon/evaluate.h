@@ -17,7 +17,7 @@ namespace recon {
 
 /// What EvaluateProtocol measures for one run.
 struct Evaluation {
-  std::string protocol;
+  std::string protocol;  ///< The registry name the run was asked for.
   bool success = false;
   size_t comm_bits = 0;
   size_t rounds = 0;
@@ -48,15 +48,10 @@ struct EvaluateOptions {
   bool measure_quality = true;
 };
 
-/// Runs `protocol` on (alice, bob) over a fresh channel and measures it.
-/// The run goes through the session driver (Reconciler::Run).
-Evaluation EvaluateProtocol(const Reconciler& protocol, const PointSet& alice,
-                            const PointSet& bob,
-                            const EvaluateOptions& options);
-
-/// Registry-based variant: instantiates `protocol_name` from the global
-/// ProtocolRegistry. Unknown names yield a failed Evaluation whose
-/// `protocol` echoes the requested name.
+/// Instantiates `protocol_name` from the global ProtocolRegistry, runs it
+/// on (alice, bob) over a fresh channel through the session driver
+/// (Reconciler::Run), and measures it. A name the registry cannot build
+/// yields a failed Evaluation; either way `protocol` is the name.
 Evaluation EvaluateProtocol(const std::string& protocol_name,
                             const ProtocolContext& context,
                             const ProtocolParams& params,

@@ -76,7 +76,7 @@ IbltConfig ExactIbltConfig(const ProtocolContext& context,
 class ExactAlice : public PartySessionBase {
  public:
   ExactAlice(const ProtocolContext& context, const ExactReconParams& params,
-             PointSet points)
+             const PointSet& points)
       : context_(context),
         params_(params),
         keyed_(ExactKeyedPoints(points, context.seed)) {}
@@ -278,17 +278,12 @@ class ExactBob : public BobSessionBase {
 
 }  // namespace
 
-std::unique_ptr<PartySession> ExactReconciler::MakeAliceSession(
+std::unique_ptr<PartySession> ExactReconciler::NewAliceSession(
     const PointSet& points) const {
   return std::make_unique<ExactAlice>(context_, params_, points);
 }
 
-std::unique_ptr<PartySession> ExactReconciler::MakeBobSession(
-    const PointSet& points) const {
-  return MakeBobSession(points, nullptr);
-}
-
-std::unique_ptr<PartySession> ExactReconciler::MakeBobSession(
+std::unique_ptr<PartySession> ExactReconciler::NewBobSession(
     const PointSet& points, const CanonicalSketchProvider* sketches) const {
   return std::make_unique<ExactBob>(context_, params_, points, sketches);
 }

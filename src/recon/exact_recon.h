@@ -65,17 +65,13 @@ class ExactReconciler : public Reconciler {
                   const ExactReconParams& params)
       : context_(context), params_(params) {}
 
-  std::string Name() const override { return "exact-iblt"; }
-  using Reconciler::MakeBobSession;  // and its deleted temporaries
-  std::unique_ptr<PartySession> MakeAliceSession(
+ private:
+  std::unique_ptr<PartySession> NewAliceSession(
       const PointSet& points) const override;
-  std::unique_ptr<PartySession> MakeBobSession(
-      const PointSet& points) const override;
-  std::unique_ptr<PartySession> MakeBobSession(
+  std::unique_ptr<PartySession> NewBobSession(
       const PointSet& points,
       const CanonicalSketchProvider* sketches) const override;
 
- private:
   ProtocolContext context_;
   ExactReconParams params_;
 };

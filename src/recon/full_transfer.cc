@@ -11,8 +11,8 @@ namespace {
 
 class FullTransferAlice : public PartySessionBase {
  public:
-  FullTransferAlice(const ProtocolContext& context, PointSet points)
-      : context_(context), points_(std::move(points)) {}
+  FullTransferAlice(const ProtocolContext& context, const PointSet& points)
+      : context_(context), points_(points) {}
 
   std::vector<transport::Message> Start() override {
     BitWriter w;
@@ -31,7 +31,7 @@ class FullTransferAlice : public PartySessionBase {
 
  private:
   ProtocolContext context_;
-  PointSet points_;
+  const PointSet& points_;
 };
 
 class FullTransferBob : public BobSessionBase {
@@ -85,13 +85,13 @@ class FullTransferBob : public BobSessionBase {
 
 }  // namespace
 
-std::unique_ptr<PartySession> FullTransferReconciler::MakeAliceSession(
+std::unique_ptr<PartySession> FullTransferReconciler::NewAliceSession(
     const PointSet& points) const {
   return std::make_unique<FullTransferAlice>(context_, points);
 }
 
-std::unique_ptr<PartySession> FullTransferReconciler::MakeBobSession(
-    const PointSet& points) const {
+std::unique_ptr<PartySession> FullTransferReconciler::NewBobSession(
+    const PointSet& points, const CanonicalSketchProvider*) const {
   return std::make_unique<FullTransferBob>(context_, points);
 }
 

@@ -20,14 +20,13 @@ class FullTransferReconciler : public Reconciler {
   explicit FullTransferReconciler(const ProtocolContext& context)
       : context_(context) {}
 
-  std::string Name() const override { return "full-transfer"; }
-  using Reconciler::MakeBobSession;  // and its deleted temporaries
-  std::unique_ptr<PartySession> MakeAliceSession(
-      const PointSet& points) const override;
-  std::unique_ptr<PartySession> MakeBobSession(
-      const PointSet& points) const override;
-
  private:
+  std::unique_ptr<PartySession> NewAliceSession(
+      const PointSet& points) const override;
+  std::unique_ptr<PartySession> NewBobSession(
+      const PointSet& points,
+      const CanonicalSketchProvider* sketches) const override;
+
   ProtocolContext context_;
 };
 

@@ -32,11 +32,16 @@ IbltConfig LevelIbltConfig(const ShiftedGrid& grid, int level, size_t n,
   return config;
 }
 
+bool LevelRangeFits(const Universe& universe, const QuadtreeParams& params) {
+  const int hi = params.max_level < 0 ? universe.Levels() : params.max_level;
+  return params.min_level >= 0 && params.min_level <= hi &&
+         hi <= universe.Levels();
+}
+
 std::vector<int> ProtocolLevels(const ShiftedGrid& grid,
                                 const QuadtreeParams& params) {
+  RSR_CHECK(LevelRangeFits(grid.universe(), params));
   const int hi = params.max_level < 0 ? grid.max_level() : params.max_level;
-  RSR_CHECK(params.min_level >= 0 && params.min_level <= hi &&
-            hi <= grid.max_level());
   const int stride = params.level_stride < 1 ? 1 : params.level_stride;
   std::vector<int> levels;
   for (int level = params.min_level; level <= hi; level += stride) {

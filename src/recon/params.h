@@ -55,6 +55,11 @@ int HistogramValueBits(const ShiftedGrid& grid, int level, size_t n);
 IbltConfig LevelIbltConfig(const ShiftedGrid& grid, int level, size_t n,
                            const QuadtreeParams& params, uint64_t seed);
 
+/// True when `params`' level range lies within the universe's grid levels
+/// [0, universe.Levels()] — the precondition of ProtocolLevels, which the
+/// registry checks before it builds a quadtree reconciler.
+bool LevelRangeFits(const Universe& universe, const QuadtreeParams& params);
+
 /// The level ladder a protocol instance uses: min_level, min_level+stride,
 /// …, always ending at the effective max level.
 std::vector<int> ProtocolLevels(const ShiftedGrid& grid,

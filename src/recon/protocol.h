@@ -2,12 +2,13 @@
 //
 // A protocol is a two-party message-passing computation. Each party is an
 // independently driveable endpoint state machine (recon/session.h); a
-// Reconciler is a named factory for the two endpoints plus the public
-// parameters they share. All traffic is carried as transport::Message
-// payloads, so the reported bits are real encoded payloads. The deliverable
-// is Bob's final point set S'_B; quality (EMD against Alice's set) is
-// computed separately by recon/evaluate.h so that the protocol code never
-// sees the objective it is judged on.
+// Reconciler is a factory for the two endpoints plus the public parameters
+// they share, named only by its registry key (recon/registry.h). All
+// traffic is carried as transport::Message payloads, so the reported bits
+// are real encoded payloads. The deliverable is Bob's final point set
+// S'_B; quality (EMD against Alice's set) is computed separately by
+// recon/evaluate.h so that the protocol code never sees the objective it
+// is judged on.
 //
 // The legacy convenience entry point `Run(alice, bob, channel)` still
 // exists: it is a thin in-process driver (recon/driver.h) that pumps the
@@ -17,7 +18,6 @@
 #define RSR_RECON_PROTOCOL_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "geometry/metric.h"
@@ -107,39 +107,31 @@ struct ProtocolContext {
 class PartySession;            // recon/session.h
 class CanonicalSketchProvider; // recon/sketch_provider.h
 
-/// Abstract reconciliation protocol: a named factory for the two endpoint
-/// state machines.
+/// Abstract reconciliation protocol: a factory for the two endpoint state
+/// machines. Its name is its registry key (recon/registry.h). Both
+/// endpoints borrow their set: it must outlive the session, and a factory
+/// handed a temporary does not compile. Each protocol overrides exactly
+/// one hook per endpoint.
 class Reconciler {
  public:
   virtual ~Reconciler() = default;
 
-  /// Short identifier used in benchmark tables and the protocol registry.
-  virtual std::string Name() const = 0;
+  /// Creates Alice's endpoint over S_A, the set Bob reconciles towards.
+  std::unique_ptr<PartySession> MakeAliceSession(
+      const PointSet& points) const;  // recon/driver.cc
+  std::unique_ptr<PartySession> MakeAliceSession(PointSet&&) const = delete;
 
-  /// Creates Alice's endpoint. `points` is S_A, the set Bob reconciles
-  /// towards.
-  virtual std::unique_ptr<PartySession> MakeAliceSession(
-      const PointSet& points) const = 0;
-
-  /// Creates Bob's endpoint. `points` is S_B, which the session borrows:
-  /// it must outlive the session (a temporary does not compile). Bob's
-  /// session owns the deliverable result.
-  virtual std::unique_ptr<PartySession> MakeBobSession(
-      const PointSet& points) const = 0;
-  std::unique_ptr<PartySession> MakeBobSession(PointSet&&) const = delete;
-
-  /// Creates Bob's endpoint with an optional canonical sketch cache
-  /// (recon/sketch_provider.h). `sketches` must describe exactly `points`;
-  /// a session consults it instead of rebuilding the canonical-side
-  /// sketches from the set, and falls back to build-from-set whenever the
-  /// provider declines. The default ignores the provider, so protocols
-  /// without cacheable state (full transfer, gap lattice) need no changes
-  /// and every existing caller keeps its behaviour.
-  virtual std::unique_ptr<PartySession> MakeBobSession(
-      const PointSet& points,
-      const CanonicalSketchProvider* sketches) const;  // recon/driver.cc
+  /// Creates Bob's endpoint over S_B; Bob's session owns the deliverable
+  /// result. `sketches`, when given, is a canonical sketch cache
+  /// (recon/sketch_provider.h) that must describe exactly `points`: a
+  /// session consults it instead of rebuilding the canonical-side
+  /// sketches, and falls back to build-from-set whenever the provider
+  /// declines. Protocols without cacheable state ignore it.
   std::unique_ptr<PartySession> MakeBobSession(
-      PointSet&&, const CanonicalSketchProvider*) const = delete;
+      const PointSet& points,
+      const CanonicalSketchProvider* sketches = nullptr) const;
+  std::unique_ptr<PartySession> MakeBobSession(
+      PointSet&&, const CanonicalSketchProvider* = nullptr) const = delete;
 
   /// True for the EMD-model protocols, whose analysis (and sketch sizing)
   /// assumes |S_A| == |S_B|. The in-process driver enforces it with a
@@ -152,6 +144,14 @@ class Reconciler {
   /// equivalent to constructing both sessions and calling DrivePair.
   ReconResult Run(const PointSet& alice, const PointSet& bob,
                   transport::Channel* channel) const;
+
+ private:
+  /// The protocol's endpoints, created only through the factories above.
+  virtual std::unique_ptr<PartySession> NewAliceSession(
+      const PointSet& points) const = 0;
+  virtual std::unique_ptr<PartySession> NewBobSession(
+      const PointSet& points,
+      const CanonicalSketchProvider* sketches) const = 0;
 };
 
 }  // namespace recon

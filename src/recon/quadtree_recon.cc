@@ -484,33 +484,23 @@ class AdaptiveQuadtreeBob : public BobSessionBase {
 
 }  // namespace
 
-std::unique_ptr<PartySession> QuadtreeReconciler::MakeAliceSession(
+std::unique_ptr<PartySession> QuadtreeReconciler::NewAliceSession(
     const PointSet& points) const {
   return std::make_unique<QuadtreeAlice>(context_, params_, points);
 }
 
-std::unique_ptr<PartySession> QuadtreeReconciler::MakeBobSession(
-    const PointSet& points) const {
-  return MakeBobSession(points, nullptr);
-}
-
-std::unique_ptr<PartySession> QuadtreeReconciler::MakeBobSession(
+std::unique_ptr<PartySession> QuadtreeReconciler::NewBobSession(
     const PointSet& points, const CanonicalSketchProvider* sketches) const {
   return std::make_unique<QuadtreeBob>(context_, params_, points, sketches);
 }
 
-std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::MakeAliceSession(
+std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::NewAliceSession(
     const PointSet& points) const {
   return std::make_unique<AdaptiveQuadtreeAlice>(context_, params_,
                                                  max_attempts_, points);
 }
 
-std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::MakeBobSession(
-    const PointSet& points) const {
-  return MakeBobSession(points, nullptr);
-}
-
-std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::MakeBobSession(
+std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::NewBobSession(
     const PointSet& points, const CanonicalSketchProvider* sketches) const {
   return std::make_unique<AdaptiveQuadtreeBob>(context_, params_,
                                                max_attempts_, points,

@@ -135,25 +135,24 @@ std::optional<std::vector<LevelDiffEntry>> TryDecodeLevelDiff(
 ///
 /// Sessions: Alice sends every ladder level's IBLT in one "qt-levels"
 /// message and is done; Bob scans for the finest decodable level, repairs,
-/// and is done. 1 message, 1 round.
+/// and is done. 1 message, 1 round. With params.min_level ==
+/// params.max_level the ladder is one forced level: the single-grid
+/// ablation (E7).
 class QuadtreeReconciler : public Reconciler {
  public:
   QuadtreeReconciler(const ProtocolContext& context,
                      const QuadtreeParams& params)
       : context_(context), params_(params) {}
 
-  std::string Name() const override { return "quadtree"; }
-  using Reconciler::MakeBobSession;  // and its deleted temporaries
-  std::unique_ptr<PartySession> MakeAliceSession(
-      const PointSet& points) const override;
-  std::unique_ptr<PartySession> MakeBobSession(
-      const PointSet& points) const override;
-  std::unique_ptr<PartySession> MakeBobSession(
-      const PointSet& points,
-      const CanonicalSketchProvider* sketches) const override;
   bool RequiresEqualSizes() const override { return true; }
 
  private:
+  std::unique_ptr<PartySession> NewAliceSession(
+      const PointSet& points) const override;
+  std::unique_ptr<PartySession> NewBobSession(
+      const PointSet& points,
+      const CanonicalSketchProvider* sketches) const override;
+
   ProtocolContext context_;
   QuadtreeParams params_;
 };
@@ -173,18 +172,15 @@ class AdaptiveQuadtreeReconciler : public Reconciler {
                              size_t max_attempts = 3)
       : context_(context), params_(params), max_attempts_(max_attempts) {}
 
-  std::string Name() const override { return "quadtree-adaptive"; }
-  using Reconciler::MakeBobSession;  // and its deleted temporaries
-  std::unique_ptr<PartySession> MakeAliceSession(
-      const PointSet& points) const override;
-  std::unique_ptr<PartySession> MakeBobSession(
-      const PointSet& points) const override;
-  std::unique_ptr<PartySession> MakeBobSession(
-      const PointSet& points,
-      const CanonicalSketchProvider* sketches) const override;
   bool RequiresEqualSizes() const override { return true; }
 
  private:
+  std::unique_ptr<PartySession> NewAliceSession(
+      const PointSet& points) const override;
+  std::unique_ptr<PartySession> NewBobSession(
+      const PointSet& points,
+      const CanonicalSketchProvider* sketches) const override;
+
   ProtocolContext context_;
   QuadtreeParams params_;
   size_t max_attempts_;

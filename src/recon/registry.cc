@@ -4,7 +4,6 @@
 
 #include "recon/full_transfer.h"
 #include "recon/quadtree_recon.h"
-#include "recon/single_grid.h"
 
 namespace rsr {
 namespace recon {
@@ -58,6 +57,15 @@ std::string ProtocolRegistry::Describe(const std::string& name) const {
 
 namespace {
 
+// A quadtree reconciler whose level range the universe's grid cannot hold
+// is refused here (a host answers "@reject"), not at its first session.
+template <typename Quadtree>
+std::unique_ptr<Reconciler> MakeQuadtree(const ProtocolContext& ctx,
+                                         const QuadtreeParams& params) {
+  if (!LevelRangeFits(ctx.universe, params)) return nullptr;
+  return std::make_unique<Quadtree>(ctx, params);
+}
+
 void RegisterBuiltins(ProtocolRegistry* registry) {
   registry->Register(
       "full-transfer", "whole-set transfer baseline",
@@ -72,19 +80,20 @@ void RegisterBuiltins(ProtocolRegistry* registry) {
   registry->Register(
       "quadtree", "one-shot robust quadtree reconciliation (SIGMOD'14)",
       [](const ProtocolContext& ctx, const ProtocolParams& p) {
-        return std::make_unique<QuadtreeReconciler>(ctx, p.quadtree);
+        return MakeQuadtree<QuadtreeReconciler>(ctx, p.quadtree);
       });
   registry->Register(
       "quadtree-adaptive",
       "3-message strata-probe quadtree with doubling retries",
       [](const ProtocolContext& ctx, const ProtocolParams& p) {
-        return std::make_unique<AdaptiveQuadtreeReconciler>(ctx, p.quadtree);
+        return MakeQuadtree<AdaptiveQuadtreeReconciler>(ctx, p.quadtree);
       });
   registry->Register(
-      "single-grid", "one forced quadtree level (ablation)",
+      "single-grid", "one-shot quadtree at one forced level (ablation)",
       [](const ProtocolContext& ctx, const ProtocolParams& p) {
-        return std::make_unique<SingleGridReconciler>(ctx, p.quadtree,
-                                                     p.single_grid_level);
+        QuadtreeParams forced = p.quadtree;
+        forced.min_level = forced.max_level = p.single_grid_level;
+        return MakeQuadtree<QuadtreeReconciler>(ctx, forced);
       });
   registry->Register(
       "mlsh-riblt", "multi-level LSH + Robust IBLT extension",

@@ -6,12 +6,15 @@
 // every protocol uniformly, and what a sync server will use to negotiate a
 // protocol by name with a client.
 //
-// The built-in names (registered on first use of Global()):
+// A protocol's registry key is its only name: a Reconciler carries none,
+// and EvaluateProtocol and the serving hosts report the key. The built-in
+// names (registered on first use of Global()):
 //   "full-transfer"      whole-set baseline
 //   "exact-iblt"         strata + IBLT exact baseline
 //   "quadtree"           one-shot robust quadtree (the paper's core)
 //   "quadtree-adaptive"  3-message strata-probe quadtree
-//   "single-grid"        one forced level (params.single_grid_level)
+//   "single-grid"        "quadtree" held to one forced level,
+//                        params.single_grid_level (min = max level)
 //   "mlsh-riblt"         LSH + Robust-IBLT extension
 //   "riblt-oneshot"      exact-key one-shot RIBLT baseline
 //   "gap-lattice"        gap-guarantee lattice protocol
@@ -67,7 +70,8 @@ class ProtocolRegistry {
 
   bool Contains(const std::string& name) const;
 
-  /// Instantiates `name`, or nullptr if unknown.
+  /// Instantiates `name`; nullptr if unknown, or if `params` do not fit
+  /// `context`'s universe (a quadtree level range beyond its grid).
   std::unique_ptr<Reconciler> Create(const std::string& name,
                                      const ProtocolContext& context,
                                      const ProtocolParams& params) const;

@@ -28,6 +28,7 @@
 #ifndef RSR_RECON_SESSION_H_
 #define RSR_RECON_SESSION_H_
 
+#include <cstddef>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -37,6 +38,10 @@
 
 namespace rsr {
 namespace recon {
+
+/// Runaway-protocol safeguard: the most messages a pump delivers to one
+/// endpoint (recon::DrivePair, the sync client, a replica's pull).
+inline constexpr size_t kMaxDeliveries = size_t{1} << 16;
 
 /// One endpoint of a two-party protocol.
 class PartySession {

@@ -7,12 +7,12 @@
 // one-shot exact-key RIBLT — is a *linear* function of the point multiset:
 // Insert and Erase commute, so a sketch computed once can be kept current
 // under churn and handed to any number of sessions. A provider is that
-// hand-off: Bob-session factories (recon/protocol.h MakeBobSession) accept
-// an optional CanonicalSketchProvider; a session asks for the sketch it
-// would otherwise build from its point set and, when the provider declines
-// (nullptr provider, config mismatch, or nothing cached), builds it from
-// the set exactly as before. The in-process driver never passes a
-// provider, so DrivePair and all pre-existing callers are untouched.
+// hand-off: Reconciler::MakeBobSession (recon/protocol.h), the one Bob
+// factory, takes an optional CanonicalSketchProvider; a session asks for
+// the sketch it would otherwise build from its point set and, when the
+// provider declines (nullptr provider, config mismatch, or nothing
+// cached), builds it from the set exactly as before. The in-process
+// driver never passes a provider.
 //
 // Contract:
 //  * Every method takes the configuration the session derived from public
@@ -55,8 +55,9 @@ class CanonicalSketchProvider {
  public:
   virtual ~CanonicalSketchProvider() = default;
 
-  /// Canonical level-`level` quadtree histogram IBLT (quadtree one-shot
-  /// and single-grid; recon::BuildLevelIblt is the from-scratch
+  /// Canonical level-`level` quadtree histogram IBLT, asked for by the
+  /// one-shot quadtree at each level of its ladder — single-grid's one
+  /// forced level included (recon::BuildLevelIblt is the from-scratch
   /// equivalent).
   virtual std::optional<Iblt> QuadtreeLevelIblt(const IbltConfig& config,
                                                 int level) const {

@@ -44,12 +44,7 @@ constexpr char kExactRepairProtocol[] = "riblt-oneshot";
 constexpr char kApproxRepairProtocol[] = "quadtree";
 constexpr char kFullRepairProtocol[] = "full-transfer";
 
-struct PointOrder {
-  bool operator()(const Point& a, const Point& b) const {
-    return PointLess(a, b);
-  }
-};
-using PointCounts = std::map<Point, int64_t, PointOrder>;
+using PointCounts = std::map<Point, int64_t>;
 
 }  // namespace
 
@@ -457,7 +452,7 @@ RoundRecord ReplicaNode::Repair(const StreamFactory& peer, uint64_t est_delta,
     if (server::IsControlLabel(incoming.label)) {
       return fail("repair: unexpected control frame mid-session");
     }
-    if (++deliveries > options_.server.max_deliveries) {
+    if (++deliveries > recon::kMaxDeliveries) {
       return fail("repair: session stalled");
     }
     for (transport::Message& reply : bob->OnMessage(std::move(incoming))) {

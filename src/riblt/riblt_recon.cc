@@ -82,8 +82,8 @@ namespace {
 class RibltOneShotAlice : public recon::PartySessionBase {
  public:
   RibltOneShotAlice(const recon::ProtocolContext& context,
-                    const RibltReconParams& params, PointSet points)
-      : context_(context), params_(params), points_(std::move(points)) {}
+                    const RibltReconParams& params, const PointSet& points)
+      : context_(context), params_(params), points_(points) {}
 
   std::vector<transport::Message> Start() override {
     Riblt table(RibltOneShotConfig(context_.universe, params_,
@@ -107,7 +107,7 @@ class RibltOneShotAlice : public recon::PartySessionBase {
  private:
   recon::ProtocolContext context_;
   RibltReconParams params_;
-  PointSet points_;
+  const PointSet& points_;
 };
 
 class RibltOneShotBob : public recon::BobSessionBase {
@@ -186,17 +186,12 @@ class RibltOneShotBob : public recon::BobSessionBase {
 
 }  // namespace
 
-std::unique_ptr<recon::PartySession> RibltReconciler::MakeAliceSession(
+std::unique_ptr<recon::PartySession> RibltReconciler::NewAliceSession(
     const PointSet& points) const {
   return std::make_unique<RibltOneShotAlice>(context_, params_, points);
 }
 
-std::unique_ptr<recon::PartySession> RibltReconciler::MakeBobSession(
-    const PointSet& points) const {
-  return MakeBobSession(points, nullptr);
-}
-
-std::unique_ptr<recon::PartySession> RibltReconciler::MakeBobSession(
+std::unique_ptr<recon::PartySession> RibltReconciler::NewBobSession(
     const PointSet& points,
     const recon::CanonicalSketchProvider* sketches) const {
   return std::make_unique<RibltOneShotBob>(context_, params_, points,

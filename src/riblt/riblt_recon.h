@@ -73,17 +73,13 @@ class RibltReconciler : public recon::Reconciler {
                   const RibltReconParams& params)
       : context_(context), params_(params) {}
 
-  std::string Name() const override { return "riblt-oneshot"; }
-  using recon::Reconciler::MakeBobSession;  // and its deleted temporaries
-  std::unique_ptr<recon::PartySession> MakeAliceSession(
+ private:
+  std::unique_ptr<recon::PartySession> NewAliceSession(
       const PointSet& points) const override;
-  std::unique_ptr<recon::PartySession> MakeBobSession(
-      const PointSet& points) const override;
-  std::unique_ptr<recon::PartySession> MakeBobSession(
+  std::unique_ptr<recon::PartySession> NewBobSession(
       const PointSet& points,
       const recon::CanonicalSketchProvider* sketches) const override;
 
- private:
   recon::ProtocolContext context_;
   RibltReconParams params_;
 };

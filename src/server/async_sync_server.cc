@@ -112,9 +112,12 @@ void AsyncSyncServer::Stop() {
     return;
   }
   if (listener_ != nullptr) listener_->Close();
-  // Drain shards in index order: each stop task fails the shard's open
-  // connections (settling their metrics) and stops its loop; the join
-  // makes the whole shard quiescent before the next one is touched.
+  // Drain shards in index order: each stop task reads each open
+  // connection's pending input once — input that arrived before the stop
+  // still counts, above all the clean close that ends a "@pull" — then
+  // fails what is still open (settling its metrics) and stops the loop;
+  // the join makes the whole shard quiescent before the next one is
+  // touched.
   for (std::unique_ptr<Shard>& shard_ptr : shards_) {
     Shard* shard = shard_ptr.get();
     shard->loop.RunInLoop([this, shard] {
@@ -122,7 +125,12 @@ void AsyncSyncServer::Stop() {
       std::vector<Conn*> open;
       open.reserve(shard->conns.size());
       for (auto& [fd, conn] : shard->conns) open.push_back(conn.get());
-      for (Conn* conn : open) CloseConn(conn);
+      for (Conn* conn : open) {
+        if (!conn->session.done()) {
+          ProcessInput(conn, conn->framed.OnReadable());
+        }
+        CloseConn(conn);
+      }
       shard->loop.Stop();
     });
     if (shard->thread.joinable()) shard->thread.join();

@@ -24,8 +24,10 @@
 // `idle_timeout` is failed with SessionError::kTransportClosed (a
 // best-effort failure "@result" is flushed first if a session was live).
 // Stop() drains deterministically — it closes the listener, then posts one
-// shutdown task per shard that fails all of the shard's open connections
-// and stops its loop, then joins the shard threads in index order.
+// shutdown task per shard that reads each open connection's pending input
+// once (so a peer that already closed cleanly settles as it ended), fails
+// what is still open and stops its loop, then joins the shard threads in
+// index order.
 // See DESIGN.md §8.
 
 #ifndef RSR_SERVER_ASYNC_SYNC_SERVER_H_
@@ -63,9 +65,9 @@ class AsyncSyncServer : public CanonicalHost {
   /// to non-blocking). Returns false if already started or null.
   bool Start(std::unique_ptr<net::TcpListener> listener);
 
-  /// Closes the listener, fails every open connection, stops each shard
-  /// loop and joins its thread, in shard order. Idempotent; also called
-  /// by the destructor.
+  /// Closes the listener, reads each open connection's pending input once
+  /// and then fails it, stops each shard loop and joins its thread, in
+  /// shard order. Idempotent; also called by the destructor.
   void Stop();
 
   /// Bound TCP port (0 unless Start()ed).

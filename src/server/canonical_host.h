@@ -24,6 +24,7 @@
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "recon/registry.h"
+#include "recon/session.h"
 #include "replica/changelog.h"
 #include "server/server_obs.h"
 #include "server/sketch_store.h"
@@ -42,7 +43,7 @@ struct ServingOptions {
   net::FrameLimits limits;
   /// Runaway-protocol safeguard, as in recon::DrivePair; also bounds the
   /// frames discarded while draining after a reply.
-  size_t max_deliveries = 1 << 16;
+  size_t max_deliveries = recon::kMaxDeliveries;
   /// Serve Bob sessions from the SketchStore's cached canonical sketches
   /// (each family built once, on first demand, then maintained under
   /// ApplyUpdate) instead of rebuilding them from the set per connection.
@@ -57,9 +58,6 @@ struct ServingOptions {
   /// is served from it, and the host's replication position travels in
   /// every "@accept". Not owned; must outlive the host.
   replica::Changelog* changelog = nullptr;
-  /// Upper bound on entries per served "@log-batch" (a fetch's own
-  /// max_entries only tightens it).
-  size_t log_fetch_max_entries = 512;
   /// Per-connection idle deadline: a connection that yields no byte for
   /// this long is failed and counted in idle_timeouts. 0 disables. The
   /// threaded host enforces it only where the transport can arm a read

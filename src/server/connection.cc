@@ -23,13 +23,17 @@ constexpr uint64_t kHelloSpanSalt = 0x73657276'68656c6fULL;    // "servhelo"
 constexpr uint64_t kLogFetchSpanSalt = 0x73657276'6c6f6766ULL;  // "servlogf"
 constexpr uint64_t kPullSpanSalt = 0x73657276'70756c6cULL;      // "servpull"
 
+/// Upper bound on entries per served "@log-batch" (a fetch's own
+/// max_entries only tightens it).
+constexpr size_t kLogFetchMaxEntries = 512;
+
 /// Wire size of one RSF1 frame (net/frame.h).
 uint64_t FrameBytes(const transport::Message& frame) {
   return net::kFrameHeaderBytes + frame.label.size() + frame.payload.size();
 }
 
 /// Answers one "@log-fetch": slices the changelog tail after the fetch's
-/// position (capped by `max_entries_cap` and the fetch's own cap), reports
+/// position (capped by kLogFetchMaxEntries and the fetch's own cap), reports
 /// the host's position and dirty flag, and — when the tail is gone, the
 /// host is dirty (its tail does not replay onto the set-at-from_seq), or
 /// the fetch asked — attaches the exact-keys strata estimator so the
@@ -40,13 +44,12 @@ LogBatchFrame BuildLogBatch(const LogFetchFrame& fetch,
                             const replica::Changelog* changelog,
                             const SketchSnapshot& snapshot,
                             uint64_t replica_seq, bool repair_dirty,
-                            const recon::ProtocolContext& context,
-                            size_t max_entries_cap) {
+                            const recon::ProtocolContext& context) {
   LogBatchFrame batch;
   batch.last_seq = replica_seq;
   batch.dirty = repair_dirty;
   if (changelog != nullptr) {
-    size_t cap = max_entries_cap;
+    size_t cap = kLogFetchMaxEntries;
     if (fetch.max_entries > 0) {
       cap = std::min<size_t>(cap, static_cast<size_t>(fetch.max_entries));
     }
@@ -253,7 +256,7 @@ void Connection::ServeLogFetch(const transport::Message& frame) {
     MutexLock lock(host_->replica_mu_);
     batch = BuildLogBatch(fetch, options_.changelog, *host_->store_.Snapshot(),
                           host_->replica_seq_, host_->repair_dirty_,
-                          options_.context, options_.log_fetch_max_entries);
+                          options_.context);
   }
   Emit(EncodeLogBatch(batch, options_.context.universe));
   EndSession(true);
@@ -300,12 +303,14 @@ void Connection::OnPullFrame(transport::Message frame) {
 
 std::unique_ptr<recon::Reconciler> Connection::CreateOrReject(
     const std::string& name) {
-  std::unique_ptr<recon::Reconciler> protocol;
-  if (host_->registry_->Contains(name)) {
-    protocol = host_->registry_->Create(name, options_.context,
-                                        options_.params);
+  const recon::ProtocolRegistry& registry = *host_->registry_;
+  std::unique_ptr<recon::Reconciler> protocol =
+      registry.Create(name, options_.context, options_.params);
+  if (protocol == nullptr) {
+    Reject(registry.Contains(name)
+               ? "protocol \"" + name + "\" does not fit this host's universe"
+               : "unknown protocol \"" + name + "\"");
   }
-  if (protocol == nullptr) Reject("unknown protocol \"" + name + "\"");
   return protocol;
 }
 

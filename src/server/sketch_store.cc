@@ -77,16 +77,10 @@ class ScopedTimer {
   const std::chrono::steady_clock::time_point start_;
 };
 
-struct PointOrder {
-  bool operator()(const Point& a, const Point& b) const {
-    return PointLess(a, b);
-  }
-};
-
-/// Multiset view of the canonical set (sorted, per-point multiplicity):
-/// drives the occurrence-indexed exact keys and the keyed-list
-/// re-derivation.
-using PointCounts = std::map<Point, int64_t, PointOrder>;
+/// Multiset view of the canonical set (sorted by PointLess, which is the
+/// map's default order, with per-point multiplicity): drives the
+/// occurrence-indexed exact keys and the keyed-list re-derivation.
+using PointCounts = std::map<Point, int64_t>;
 
 /// The multiset view of a keyed list (which is sorted by point).
 PointCounts CountKeyedPoints(const recon::KeyedPointList& keyed) {
@@ -127,9 +121,9 @@ size_t StepPointCount(PointCounts* counts, const Point& p, int direction) {
 
 // ------------------------------------------------------------------- Shape
 
-// The cached quadtree levels: the one-shot ladder plus the single-grid
-// protocol's forced level (identical config derivation, so one table serves
-// both).
+// The cached quadtree levels: the one-shot ladder plus single-grid's
+// forced level (single-grid is the one-shot quadtree held to that level,
+// so one table serves both).
 std::vector<int> CachedLevels(const ShiftedGrid& grid,
                               const recon::ProtocolParams& params) {
   std::vector<int> levels = recon::ProtocolLevels(grid, params.quadtree);
@@ -743,7 +737,7 @@ std::shared_ptr<const SketchSnapshot> SketchStore::ApplyUpdate(
   // must also be skipped in the sketch updates — then the inserts are
   // appended. One sweep instead of a find-per-erase keeps a batch
   // O(|S| + batch), not O(|S| · batch).
-  std::map<Point, int64_t, PointOrder> pending;
+  PointCounts pending;
   for (const Point& e : erases) ++pending[e];
   PointSet points;
   points.reserve(head->size() + inserts.size());

@@ -64,7 +64,8 @@ namespace server {
 
 /// The independently materialized sketch families of a snapshot.
 enum class SketchFamily {
-  kQuadtreeIblt,   ///< Quadtree level histogram IBLTs (+ single-grid level).
+  kQuadtreeIblt,   ///< One-shot quadtree level IBLTs: the ladder plus
+                   ///< single-grid's forced level.
   kQuadtreeProbe,  ///< Adaptive quadtree per-level strata probes.
   kExactStrata,    ///< The exact baseline's strata estimator.
   kExactKeyed,     ///< The exact baseline's sorted keyed point list.

@@ -183,7 +183,7 @@ SyncOutcome SyncClient::Sync(net::ByteStream* stream,
       FailOutcome(&outcome, SessionError::kUnexpectedMessage);
       return finish(std::move(outcome));
     }
-    if (++deliveries > options_.max_deliveries) {
+    if (++deliveries > recon::kMaxDeliveries) {
       FailOutcome(&outcome, SessionError::kStalled);
       return finish(std::move(outcome));
     }

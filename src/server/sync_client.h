@@ -34,7 +34,6 @@ struct SyncClientOptions {
   recon::ProtocolContext context;
   recon::ProtocolParams params;
   net::FrameLimits limits;
-  size_t max_deliveries = 1 << 16;
   /// Ask the server to ship the reconciled set back in "@result".
   bool want_result_set = true;
   /// Registry used to build the Alice session; nullptr = the global one.

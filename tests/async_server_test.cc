@@ -5,7 +5,8 @@
 // concurrent mixed-protocol clients (peak_active_sessions == 256, a state
 // a 2-worker threaded host can never reach), (3) per-connection idle
 // deadlines surface as SessionError::kTransportClosed, and (4) Stop()
-// drains deterministically with silent clients connected.
+// drains deterministically with silent clients connected and settles a
+// pull its puller already closed as ok.
 
 #include <sys/socket.h>
 
@@ -520,6 +521,55 @@ TEST(AsyncServerStop, StopWithSilentClientsDrainsDeterministically) {
   EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
   EXPECT_EQ(
       metrics.SumCounters("rsr_sync_sessions_total", {{"outcome", "ok"}}), 0u);
+}
+
+TEST(AsyncServerStop, StopAfterACleanPullCountsItOk) {
+  // A "@pull" ends with the puller's clean close. Stop right behind that
+  // close must read the EOF that already arrived and settle the pull ok,
+  // not fail it as a connection still open — every time.
+  const PointSet canonical = Canonical(64);
+  const PointSet stale = DriftedReplica(canonical, 4711);
+  const auto reconciler =
+      recon::MakeReconciler("full-transfer", Ctx(), Params());
+  for (int round = 0; round < 200; ++round) {
+    AsyncSyncServerOptions server_options;
+    server_options.context = Ctx();
+    server_options.params = Params();
+    server_options.shards = 1;
+    AsyncSyncServer server(canonical, server_options);
+    ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
+    {
+      const auto stream = net::TcpStream::Connect("127.0.0.1", server.port());
+      ASSERT_NE(stream, nullptr);
+      net::FramedStream framed(stream.get());
+      PullFrame pull;
+      pull.protocol = "full-transfer";
+      ASSERT_TRUE(framed.Send(EncodePull(pull)));
+      transport::Message incoming;
+      ASSERT_EQ(framed.Receive(&incoming),
+                net::FramedStream::RecvStatus::kMessage);
+      PullAcceptFrame accept;
+      ASSERT_TRUE(DecodePullAccept(incoming, &accept));
+      // The puller runs Bob over its stale set; the host's Alice ships
+      // the whole set in one frame.
+      const std::unique_ptr<recon::PartySession> bob =
+          reconciler->MakeBobSession(stale);
+      ASSERT_TRUE(bob->Start().empty());
+      ASSERT_EQ(framed.Receive(&incoming),
+                net::FramedStream::RecvStatus::kMessage);
+      ASSERT_TRUE(bob->OnMessage(std::move(incoming)).empty());
+      ASSERT_TRUE(bob->IsDone());
+      ASSERT_TRUE(bob->TakeResult().success);
+    }  // the puller's clean close
+    server.Stop();
+    const obs::MetricsRegistry& metrics = server.metrics_registry();
+    EXPECT_EQ(metrics.CounterValue(
+                  "rsr_sync_sessions_total",
+                  {{"protocol", "@pull:full-transfer"}, {"outcome", "ok"}}),
+              1u)
+        << "round " << round;
+    EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
+  }
 }
 
 }  // namespace

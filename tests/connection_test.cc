@@ -1,6 +1,7 @@
 // The sans-IO verb state machine (server/connection.h), driven frame by
 // frame with no socket: every registry protocol's hello → accept →
-// protocol frames → result path against recon::DrivePair, the rejects,
+// protocol frames → result path against recon::DrivePair, the rejects
+// (a single-grid level beyond a small universe's grid included),
 // the mid-session failure modes (control label, delivery bound, EOF),
 // "@stats", "@log-fetch", "@pull" ended by the puller's close, and
 // hostile wire counts that must fail as malformed instead of allocating.
@@ -97,8 +98,9 @@ SyncServerOptions HostOptions() {
 }
 
 ReconResult DriverResult(const std::string& protocol, const PointSet& alice,
-                         const PointSet& bob) {
-  const auto reconciler = recon::MakeReconciler(protocol, Ctx(), Params());
+                         const PointSet& bob,
+                         const ProtocolContext& ctx = Ctx()) {
+  const auto reconciler = recon::MakeReconciler(protocol, ctx, Params());
   transport::Channel channel;
   return reconciler->Run(alice, bob, &channel);
 }
@@ -132,7 +134,8 @@ struct Served {
 /// frames exchanged with `conn` in FIFO order until "@result", then the
 /// client's close. Returns nullopt if the handshake did not succeed.
 std::optional<Served> DriveSync(Connection* conn, const std::string& protocol,
-                                const PointSet& points) {
+                                const PointSet& points,
+                                const ProtocolContext& ctx = Ctx()) {
   std::deque<Message> to_client;
   const auto feed = [&](Message frame) {
     for (Message& out : Feed(conn, std::move(frame))) {
@@ -145,7 +148,7 @@ std::optional<Served> DriveSync(Connection* conn, const std::string& protocol,
     return std::nullopt;
   }
   to_client.pop_front();
-  const auto reconciler = recon::MakeReconciler(protocol, Ctx(), Params());
+  const auto reconciler = recon::MakeReconciler(protocol, ctx, Params());
   const auto alice = reconciler->MakeAliceSession(points);
   for (Message& opening : alice->Start()) feed(std::move(opening));
   while (!to_client.empty()) {
@@ -163,9 +166,10 @@ std::optional<Served> DriveSync(Connection* conn, const std::string& protocol,
   return std::nullopt;
 }
 
-ResultFrame DecodedResult(const Message& frame) {
+ResultFrame DecodedResult(const Message& frame,
+                          const Universe& universe = Ctx().universe) {
   ResultFrame result;
-  EXPECT_TRUE(DecodeResult(frame, Ctx().universe, &result)) << frame.label;
+  EXPECT_TRUE(DecodeResult(frame, universe, &result)) << frame.label;
   return result;
 }
 
@@ -232,6 +236,59 @@ TEST(ConnectionTest, MalformedOrUnknownFirstFrameIsRejected) {
                 "rsr_sync_handshakes_rejected_total"),
             4u);
   EXPECT_EQ(host.metrics_registry().SumCounters("rsr_sync_sessions_total"), 0u);
+}
+
+TEST(ConnectionTest, SingleGridLevelBeyondTheGridIsRejected) {
+  // Δ = 16: grid levels 0..4, below single-grid's default forced level 6.
+  // A client that pipelines a protocol frame behind its "@hello" gets a
+  // "@reject" (the frame is ignored, no session ever runs), and the host
+  // then serves a clean quadtree sync.
+  ProtocolContext ctx = Ctx();
+  ctx.universe = MakeUniverse(16, 2);
+  SyncServerOptions options = HostOptions();
+  options.context = ctx;
+  Rng rng(16);
+  PointSet canonical(48), client(48);
+  for (PointSet* set : {&canonical, &client}) {
+    for (Point& p : *set) {
+      p = {static_cast<int64_t>(rng.Below(16)),
+           static_cast<int64_t>(rng.Below(16))};
+    }
+  }
+  SyncServer host(canonical, options);
+  {
+    Connection conn(&host);
+    const std::vector<Message> out = Feed(&conn, Hello("single-grid"));
+    BitWriter levels;
+    levels.WriteBits(0xffff, 16);
+    EXPECT_TRUE(
+        Feed(&conn, transport::MakeMessage("qt-levels", std::move(levels)))
+            .empty());
+    ASSERT_EQ(out.size(), 1u);
+    RejectFrame reject;
+    ASSERT_TRUE(DecodeReject(out[0], &reject)) << out[0].label;
+    EXPECT_NE(reject.reason.find("\"single-grid\""), std::string::npos)
+        << reject.reason;
+    EXPECT_EQ(reject.protocols, ProtocolRegistry::Global().ListProtocols());
+    EXPECT_TRUE(conn.done());
+  }
+  EXPECT_EQ(host.metrics_registry().CounterValue(
+                "rsr_sync_handshakes_rejected_total"),
+            1u);
+
+  Connection conn(&host);
+  const std::optional<Served> served =
+      DriveSync(&conn, "quadtree", client, ctx);
+  ASSERT_TRUE(served.has_value());
+  conn.OnClosed(0, 0);
+  const ReconResult want = DriverResult("quadtree", client, canonical, ctx);
+  EXPECT_TRUE(want.success);
+  ExpectMatchesDriver("quadtree",
+                      DecodedResult(served->result, ctx.universe).result,
+                      want);
+  EXPECT_EQ(Sessions(host, "quadtree", "ok"), 1u);
+  EXPECT_EQ(host.metrics_registry().SumCounters("rsr_sync_sessions_total"),
+            1u);
 }
 
 /// Opens an exact-iblt session (Bob ships its strata at Start, then waits

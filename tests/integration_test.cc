@@ -10,42 +10,32 @@
 #include "geometry/emd.h"
 #include "lshrecon/mlsh_recon.h"
 #include "recon/evaluate.h"
-#include "recon/exact_recon.h"
-#include "recon/full_transfer.h"
 #include "recon/quadtree_recon.h"
-#include "recon/single_grid.h"
 #include "workload/scenario.h"
 
 namespace rsr {
 namespace {
 
-using recon::AdaptiveQuadtreeReconciler;
 using recon::EvaluateOptions;
 using recon::EvaluateProtocol;
 using recon::Evaluation;
-using recon::ExactReconciler;
-using recon::FullTransferReconciler;
 using recon::ProtocolContext;
+using recon::ProtocolParams;
 using recon::QuadtreeParams;
 using recon::QuadtreeReconciler;
-using recon::Reconciler;
 using workload::ReplicaPair;
 using workload::Scenario;
 
-std::vector<std::unique_ptr<Reconciler>> AllProtocols(
-    const ProtocolContext& ctx, size_t k) {
-  QuadtreeParams qp;
-  qp.k = k;
-  lshrecon::MlshParams mp;
-  mp.k = k;
-  std::vector<std::unique_ptr<Reconciler>> protocols;
-  protocols.push_back(std::make_unique<FullTransferReconciler>(ctx));
-  protocols.push_back(
-      std::make_unique<ExactReconciler>(ctx, recon::ExactReconParams{}));
-  protocols.push_back(std::make_unique<QuadtreeReconciler>(ctx, qp));
-  protocols.push_back(std::make_unique<AdaptiveQuadtreeReconciler>(ctx, qp));
-  protocols.push_back(std::make_unique<lshrecon::MlshReconciler>(ctx, mp));
-  return protocols;
+// Every protocol of the EMD model, by registry name.
+const char* const kEmdProtocols[] = {"full-transfer", "exact-iblt",
+                                     "quadtree", "quadtree-adaptive",
+                                     "mlsh-riblt"};
+
+// Each family's budget is k; every other tunable keeps its default.
+ProtocolParams ParamsWithK(size_t k) {
+  ProtocolParams params;
+  params.k = k;
+  return params;
 }
 
 TEST(IntegrationTest, AllProtocolsImproveOrPreserveEmdOnStandardScenario) {
@@ -60,14 +50,13 @@ TEST(IntegrationTest, AllProtocolsImproveOrPreserveEmdOnStandardScenario) {
   options.metric = scenario.metric;
   options.k = k;
 
-  for (const auto& protocol : AllProtocols(ctx, k)) {
-    const Evaluation eval =
-        EvaluateProtocol(*protocol, pair.alice, pair.bob, options);
-    EXPECT_TRUE(eval.success) << protocol->Name();
+  for (const char* protocol : kEmdProtocols) {
+    const Evaluation eval = EvaluateProtocol(protocol, ctx, ParamsWithK(k),
+                                             pair.alice, pair.bob, options);
+    EXPECT_TRUE(eval.success) << protocol;
     // No protocol should leave Bob further from Alice than he started
     // (modulo small repair noise: allow 10%).
-    EXPECT_LE(eval.emd_after, eval.emd_before * 1.1 + 1.0)
-        << protocol->Name();
+    EXPECT_LE(eval.emd_after, eval.emd_before * 1.1 + 1.0) << protocol;
   }
 }
 
@@ -84,15 +73,13 @@ TEST(IntegrationTest, RobustBeatsExactOnCommunicationUnderNoise) {
   EvaluateOptions options;
   options.measure_quality = false;
 
-  QuadtreeParams qp;
-  qp.k = k;
+  const ProtocolParams pp = ParamsWithK(k);
   const Evaluation quadtree = EvaluateProtocol(
-      QuadtreeReconciler(ctx, qp), pair.alice, pair.bob, options);
+      "quadtree", ctx, pp, pair.alice, pair.bob, options);
   const Evaluation adaptive = EvaluateProtocol(
-      AdaptiveQuadtreeReconciler(ctx, qp), pair.alice, pair.bob, options);
+      "quadtree-adaptive", ctx, pp, pair.alice, pair.bob, options);
   const Evaluation exact = EvaluateProtocol(
-      ExactReconciler(ctx, recon::ExactReconParams{}), pair.alice, pair.bob,
-      options);
+      "exact-iblt", ctx, pp, pair.alice, pair.bob, options);
 
   ASSERT_TRUE(quadtree.success);
   ASSERT_TRUE(adaptive.success);
@@ -112,12 +99,11 @@ TEST(IntegrationTest, AdaptiveSavesBitsOverOneShotForLargeDelta) {
   EvaluateOptions options;
   options.measure_quality = false;
 
-  QuadtreeParams qp;
-  qp.k = k;
+  const ProtocolParams pp = ParamsWithK(k);
   const Evaluation oneshot = EvaluateProtocol(
-      QuadtreeReconciler(ctx, qp), pair.alice, pair.bob, options);
+      "quadtree", ctx, pp, pair.alice, pair.bob, options);
   const Evaluation adaptive = EvaluateProtocol(
-      AdaptiveQuadtreeReconciler(ctx, qp), pair.alice, pair.bob, options);
+      "quadtree-adaptive", ctx, pp, pair.alice, pair.bob, options);
   ASSERT_TRUE(oneshot.success);
   ASSERT_TRUE(adaptive.success);
   EXPECT_LT(adaptive.comm_bits, oneshot.comm_bits);
@@ -131,19 +117,18 @@ TEST(IntegrationTest, SensorScenarioEndToEnd) {
   ProtocolContext ctx;
   ctx.universe = scenario.universe;
   ctx.seed = 7;
-  QuadtreeParams qp;
-  qp.k = k;
+  const ProtocolParams pp = ParamsWithK(k);
   EvaluateOptions options;
   options.metric = scenario.metric;
   options.k = k;
-  const Evaluation eval = EvaluateProtocol(QuadtreeReconciler(ctx, qp),
-                                           pair.alice, pair.bob, options);
+  const Evaluation eval = EvaluateProtocol(
+      "quadtree", ctx, pp, pair.alice, pair.bob, options);
   ASSERT_TRUE(eval.success);
   EXPECT_LT(eval.emd_after, eval.emd_before);
   // Communication should be a small fraction of full transfer
   // (n * d * 20 bits = 8000 per... n=200 d=2 log=20 -> 8000 bits).
-  const Evaluation full = EvaluateProtocol(FullTransferReconciler(ctx),
-                                           pair.alice, pair.bob, options);
+  const Evaluation full = EvaluateProtocol(
+      "full-transfer", ctx, pp, pair.alice, pair.bob, options);
   EXPECT_DOUBLE_EQ(full.emd_after, 0.0);
 }
 
@@ -174,8 +159,7 @@ TEST(IntegrationTest, NoiseSweepShapesMatchPaperClaim) {
   ctx.seed = 13;
   EvaluateOptions options;
   options.measure_quality = false;
-  QuadtreeParams qp;
-  qp.k = k;
+  const ProtocolParams pp = ParamsWithK(k);
 
   size_t exact_low = 0, exact_high = 0, qt_low = 0, qt_high = 0;
   for (double noise : {0.0, 8.0}) {
@@ -183,10 +167,9 @@ TEST(IntegrationTest, NoiseSweepShapesMatchPaperClaim) {
         workload::StandardScenario(n, 2, 1 << 16, k, noise, /*seed=*/17);
     const ReplicaPair pair = scenario.Materialize();
     const Evaluation exact = EvaluateProtocol(
-        ExactReconciler(ctx, recon::ExactReconParams{}), pair.alice,
-        pair.bob, options);
+        "exact-iblt", ctx, pp, pair.alice, pair.bob, options);
     const Evaluation quadtree = EvaluateProtocol(
-        QuadtreeReconciler(ctx, qp), pair.alice, pair.bob, options);
+        "quadtree", ctx, pp, pair.alice, pair.bob, options);
     ASSERT_TRUE(exact.success);
     ASSERT_TRUE(quadtree.success);
     if (noise == 0.0) {

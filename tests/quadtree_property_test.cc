@@ -18,8 +18,8 @@
 #include "geometry/emd.h"
 #include "hash/mix.h"
 #include "recon/quadtree_recon.h"
+#include "recon/registry.h"
 #include "recon/session.h"
-#include "recon/single_grid.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -384,9 +384,12 @@ TEST_P(LadderByteIdentity, MatchesPerLevelMapHistogram) {
     EXPECT_EQ(served.front().payload,
               Bits(ReferenceIblt(grid, points, served_level, served_config)));
 
-    // Single-grid Alice at a forced level.
+    // Single-grid Alice: the one-shot quadtree at a forced level.
     const int forced = std::min(6, top);
-    EXPECT_EQ(AliceOpening(SingleGridReconciler(ctx, defaults, forced), points),
+    ProtocolParams single_grid;
+    single_grid.single_grid_level = forced;
+    EXPECT_EQ(AliceOpening(*MakeReconciler("single-grid", ctx, single_grid),
+                           points),
               Bits(ReferenceIblt(
                   grid, points, forced,
                   LevelIbltConfig(grid, forced, n, defaults, ctx.seed))));

@@ -1,11 +1,12 @@
 #include <algorithm>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "geometry/emd.h"
 #include "recon/exact_recon.h"
 #include "recon/full_transfer.h"
-#include "recon/single_grid.h"
+#include "recon/registry.h"
 #include "workload/generator.h"
 
 namespace rsr {
@@ -35,6 +36,16 @@ ReplicaPair MakeInstance(int64_t delta, int d, size_t n, size_t k,
   spec.noise_scale = noise;
   spec.outliers = k;
   return MakeReplicaPair(cloud, spec, seed);
+}
+
+// "single-grid" from the registry: the one-shot quadtree, budget k = 4,
+// held to `level`.
+std::unique_ptr<Reconciler> SingleGrid(const ProtocolContext& ctx,
+                                       int level) {
+  ProtocolParams params;
+  params.quadtree.k = 4;
+  params.single_grid_level = level;
+  return MakeReconciler("single-grid", ctx, params);
 }
 
 PointSet Sorted(PointSet points) {
@@ -140,11 +151,9 @@ TEST(ExactReconTest, UnequalSizesSupported) {
 TEST(SingleGridTest, FineLevelFailsUnderNoise) {
   const ReplicaPair pair = MakeInstance(1 << 14, 2, 256, 4, 4.0, 13);
   const ProtocolContext ctx = Context(1 << 14, 2, 14);
-  QuadtreeParams params;
-  params.k = 4;
-  SingleGridReconciler protocol(ctx, params, /*level=*/0);
+  const std::unique_ptr<Reconciler> protocol = SingleGrid(ctx, /*level=*/0);
   transport::Channel channel;
-  const ReconResult result = protocol.Run(pair.alice, pair.bob, &channel);
+  const ReconResult result = protocol->Run(pair.alice, pair.bob, &channel);
   // Nearly every point moved, so the level-0 histogram difference is ~2n,
   // far beyond a k=4-sized IBLT.
   EXPECT_FALSE(result.success);
@@ -154,13 +163,11 @@ TEST(SingleGridTest, FineLevelFailsUnderNoise) {
 TEST(SingleGridTest, CoarseLevelSucceedsUnderNoise) {
   const ReplicaPair pair = MakeInstance(1 << 14, 2, 256, 4, 4.0, 15);
   const ProtocolContext ctx = Context(1 << 14, 2, 16);
-  QuadtreeParams params;
-  params.k = 4;
   // Side 2^9 = 512 vastly exceeds the noise scale 4: nearly all noisy pairs
   // land in the same cell and cancel.
-  SingleGridReconciler protocol(ctx, params, /*level=*/9);
+  const std::unique_ptr<Reconciler> protocol = SingleGrid(ctx, /*level=*/9);
   transport::Channel channel;
-  const ReconResult result = protocol.Run(pair.alice, pair.bob, &channel);
+  const ReconResult result = protocol->Run(pair.alice, pair.bob, &channel);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.bob_final.size(), 256u);
   const double before = ExactEmd(pair.alice, pair.bob, Metric::kL2);
@@ -169,14 +176,12 @@ TEST(SingleGridTest, CoarseLevelSucceedsUnderNoise) {
 }
 
 TEST(SingleGridTest, MatchesQuadtreeAtForcedLevel) {
-  // SingleGrid at level ℓ sends exactly one of the quadtree's per-level
+  // Single-grid at level ℓ sends exactly one of the quadtree's per-level
   // messages; its communication must be ~ 1/(L+1) of the one-shot total.
   const ReplicaPair pair = MakeInstance(1 << 12, 2, 128, 4, 1.0, 17);
   const ProtocolContext ctx = Context(1 << 12, 2, 18);
-  QuadtreeParams params;
-  params.k = 4;
   transport::Channel channel;
-  SingleGridReconciler(ctx, params, 6).Run(pair.alice, pair.bob, &channel);
+  SingleGrid(ctx, 6)->Run(pair.alice, pair.bob, &channel);
   const size_t single_bits = channel.stats().total_bits;
   EXPECT_GT(single_bits, 0u);
   EXPECT_LT(single_bits, 40000u);

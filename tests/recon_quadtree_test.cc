@@ -326,12 +326,13 @@ TEST(EvaluateProtocolTest, MeasuresEverything) {
   const size_t n = 128, k = 4;
   const ReplicaPair pair = MakeInstance(1 << 12, 2, n, k, 1.0, 31);
   const ProtocolContext ctx = Context(1 << 12, 2, 32);
-  QuadtreeReconciler protocol(ctx, Params(k));
+  ProtocolParams params;
+  params.quadtree = Params(k);
   EvaluateOptions options;
   options.metric = Metric::kL2;
   options.k = k;
-  const Evaluation eval =
-      EvaluateProtocol(protocol, pair.alice, pair.bob, options);
+  const Evaluation eval = EvaluateProtocol("quadtree", ctx, params,
+                                           pair.alice, pair.bob, options);
   EXPECT_EQ(eval.protocol, "quadtree");
   EXPECT_TRUE(eval.success);
   EXPECT_GT(eval.comm_bits, 0u);
@@ -350,12 +351,13 @@ TEST_P(QuadtreeQualitySweep, RatioBounded) {
   const size_t n = 128, k = 4;
   const ReplicaPair pair = MakeInstance(1 << 10, d, n, k, 1.0, 40 + d);
   const ProtocolContext ctx = Context(1 << 10, d, 41 + d);
-  QuadtreeReconciler protocol(ctx, Params(k));
+  ProtocolParams params;
+  params.quadtree = Params(k);
   EvaluateOptions options;
   options.metric = Metric::kL2;
   options.k = k;
-  const Evaluation eval =
-      EvaluateProtocol(protocol, pair.alice, pair.bob, options);
+  const Evaluation eval = EvaluateProtocol("quadtree", ctx, params,
+                                           pair.alice, pair.bob, options);
   ASSERT_TRUE(eval.success);
   // The theory gives O(d) (up to constants and EMD_k granularity); allow a
   // wide constant so the test is robust to unlucky shifts while still

@@ -31,16 +31,26 @@ TEST(RegistryTest, BuiltinsArePresent) {
 TEST(RegistryTest, CreateInstantiatesTheRequestedProtocol) {
   ProtocolParams params;
   for (const std::string& name : ProtocolRegistry::Global().ListProtocols()) {
-    const auto protocol = MakeReconciler(name, Ctx(), params);
-    ASSERT_NE(protocol, nullptr) << name;
-    if (name == "single-grid") {
-      // The level is baked into the display name.
-      EXPECT_EQ(protocol->Name(),
-                "single-grid-L" + std::to_string(params.single_grid_level));
-    } else {
-      EXPECT_EQ(protocol->Name(), name);
-    }
+    EXPECT_NE(MakeReconciler(name, Ctx(), params), nullptr) << name;
   }
+}
+
+// A quadtree level range the universe's grid cannot hold is refused at
+// Create, never carried into a session.
+TEST(RegistryTest, LevelsBeyondTheGridAreRefused) {
+  ProtocolContext ctx = Ctx();
+  ctx.universe = MakeUniverse(16, 2);  // levels 0..4
+  ProtocolParams params;
+  params.single_grid_level = 4;
+  EXPECT_NE(MakeReconciler("single-grid", ctx, params), nullptr);
+  params.single_grid_level = 5;
+  EXPECT_EQ(MakeReconciler("single-grid", ctx, params), nullptr);
+  params.single_grid_level = -1;
+  EXPECT_EQ(MakeReconciler("single-grid", ctx, params), nullptr);
+  EXPECT_NE(MakeReconciler("quadtree", ctx, params), nullptr);
+  params.quadtree.max_level = 5;
+  EXPECT_EQ(MakeReconciler("quadtree", ctx, params), nullptr);
+  EXPECT_EQ(MakeReconciler("quadtree-adaptive", ctx, params), nullptr);
 }
 
 TEST(RegistryTest, UnknownNameYieldsNull) {

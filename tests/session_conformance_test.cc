@@ -20,7 +20,6 @@
 #include "recon/quadtree_recon.h"
 #include "recon/registry.h"
 #include "recon/session.h"
-#include "recon/single_grid.h"
 #include "riblt/riblt_recon.h"
 #include "util/random.h"
 #include "workload/scenario.h"
@@ -224,8 +223,28 @@ TEST(SessionConformanceTest, MalformedMessageSurfacesErrorInsteadOfAbort) {
   EXPECT_EQ(result.bob_final, bob_set);
 }
 
-// Bob borrows his set, so a session factory handed a temporary must not
-// compile — through the interface and through every protocol class.
+// Both endpoints borrow their set, so a session factory handed a temporary
+// must not compile — through the interface and through every protocol
+// class.
+template <typename R>
+concept MakesAliceFromLvalue = requires(const R& r, const PointSet& points) {
+  r.MakeAliceSession(points);
+};
+template <typename R>
+concept MakesAliceFromTemporary =
+    requires(const R& r) { r.MakeAliceSession(PointSet{}); };
+template <typename R>
+constexpr bool kBorrowsAliceSet =
+    MakesAliceFromLvalue<R> && !MakesAliceFromTemporary<R>;
+static_assert(kBorrowsAliceSet<Reconciler>);
+static_assert(kBorrowsAliceSet<QuadtreeReconciler>);
+static_assert(kBorrowsAliceSet<AdaptiveQuadtreeReconciler>);
+static_assert(kBorrowsAliceSet<ExactReconciler>);
+static_assert(kBorrowsAliceSet<FullTransferReconciler>);
+static_assert(kBorrowsAliceSet<lshrecon::MlshReconciler>);
+static_assert(kBorrowsAliceSet<RibltReconciler>);
+static_assert(kBorrowsAliceSet<gaprecon::GapReconciler>);
+
 template <typename R>
 concept MakesBobFromLvalue = requires(const R& r, const PointSet& points,
                                       const CanonicalSketchProvider* cache) {
@@ -244,7 +263,6 @@ constexpr bool kBorrowsBobSet =
 static_assert(kBorrowsBobSet<Reconciler>);
 static_assert(kBorrowsBobSet<QuadtreeReconciler>);
 static_assert(kBorrowsBobSet<AdaptiveQuadtreeReconciler>);
-static_assert(kBorrowsBobSet<SingleGridReconciler>);
 static_assert(kBorrowsBobSet<ExactReconciler>);
 static_assert(kBorrowsBobSet<FullTransferReconciler>);
 static_assert(kBorrowsBobSet<lshrecon::MlshReconciler>);
@@ -303,8 +321,8 @@ TEST(SessionConformanceTest, UnexpectedMessageSurfacesError) {
   ProtocolParams params;
   const std::unique_ptr<Reconciler> protocol =
       MakeReconciler("quadtree", ctx, params);
-  std::unique_ptr<PartySession> alice =
-      protocol->MakeAliceSession({{1, 2}, {3, 4}});
+  const PointSet alice_set = {{1, 2}, {3, 4}};  // borrowed by the session
+  std::unique_ptr<PartySession> alice = protocol->MakeAliceSession(alice_set);
   (void)alice->Start();  // one-shot Alice is done after Start
   EXPECT_TRUE(alice->IsDone());
   BitWriter w;
