@@ -1,6 +1,7 @@
 #include "lshrecon/mlsh_recon.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 #include <vector>
 
@@ -55,44 +56,84 @@ double MlshEffectiveWidth(const Universe& universe,
              : static_cast<double>(universe.delta) / 8.0;
 }
 
-namespace {
+MlshLadderSpec::MlshLadderSpec(const recon::ProtocolContext& context,
+                               const MlshParams& params)
+    : LinearSketch(recon::SketchKey{
+          "mlsh-riblt",
+          {static_cast<uint64_t>(context.universe.d),
+           static_cast<uint64_t>(context.universe.delta), context.seed,
+           MlshLevelConfig(context.universe, params, 0, 0, context.seed)
+               .RoundedCells(),
+           static_cast<uint64_t>(params.q),
+           static_cast<uint64_t>(params.count_bits),
+           static_cast<uint64_t>(params.family),
+           std::bit_cast<uint64_t>(
+               MlshEffectiveWidth(context.universe, params)),
+           params.NumFunctions()}}),
+      context_(context),
+      params_(params),
+      prefixes_(MlshPrefixLadder(params.NumFunctions())),
+      family_(MakeMlshFamily(params.family, context.universe,
+                             MlshEffectiveWidth(context.universe, params),
+                             params.NumFunctions(), context.seed)) {}
 
-// Per-point key chains for a party's own points.
-std::vector<std::vector<uint64_t>> ChainsFor(const MlshFamily& family,
-                                             const PointSet& points,
-                                             uint64_t seed) {
-  std::vector<std::vector<uint64_t>> chains;
-  chains.reserve(points.size());
-  for (const Point& p : points) {
-    chains.push_back(MlshKeyChain(family, p, seed));
-  }
-  return chains;
+RibltConfig MlshLadderSpec::Config(size_t n, size_t level_index) const {
+  return MlshLevelConfig(context_.universe, params_, n, level_index,
+                         context_.seed);
 }
+
+std::vector<uint64_t> MlshLadderSpec::Chain(const Point& p) const {
+  return MlshKeyChain(*family_, p, context_.seed);
+}
+
+void MlshLadderSpec::Apply(const Point& p, int direction,
+                           Sketch* tables) const {
+  const std::vector<uint64_t> chain = Chain(p);
+  for (size_t li = 0; li < prefixes_.size(); ++li) {
+    const uint64_t key = chain[prefixes_[li] - 1];
+    if (direction > 0) {
+      (*tables)[li].Insert(key, p);
+    } else {
+      (*tables)[li].Erase(key, p);
+    }
+  }
+}
+
+MlshLadderSpec::Built MlshLadderSpec::Build(const PointSet& points) const {
+  Built built;
+  built.sketch.reserve(prefixes_.size());
+  for (size_t li = 0; li < prefixes_.size(); ++li) {
+    built.sketch.emplace_back(Config(points.size(), li));
+  }
+  for (const Point& p : points) Apply(p, +1, &built.sketch);
+  return built;
+}
+
+bool MlshLadderSpec::Carries(size_t from, size_t to) const {
+  return SameSumWidths(Config(from, 0), Config(to, 0));
+}
+
+MlshLadderSpec::Sketch MlshLadderSpec::Advance(
+    const Sketch& tables, recon::NoUpkeep*,
+    const recon::SketchBatch& batch) const {
+  Sketch next = tables;
+  for (const Point& p : batch.erases) Apply(p, -1, &next);
+  for (const Point& p : batch.inserts) Apply(p, +1, &next);
+  return next;
+}
+
+namespace {
 
 class MlshAlice : public recon::PartySessionBase {
  public:
-  MlshAlice(const recon::ProtocolContext& context, const MlshParams& params,
+  MlshAlice(std::shared_ptr<const MlshLadderSpec> spec,
             const PointSet& points)
-      : context_(context), params_(params), points_(points) {}
+      : spec_(std::move(spec)), points_(points) {}
 
   std::vector<transport::Message> Start() override {
-    const Universe& universe = context_.universe;
-    const size_t n = points_.size();
-    const size_t s = params_.NumFunctions();
-    const std::vector<size_t> prefixes = MlshPrefixLadder(s);
-    const std::unique_ptr<MlshFamily> family = MakeMlshFamily(
-        params_.family, universe, MlshEffectiveWidth(universe, params_), s,
-        context_.seed);
-    const auto chains = ChainsFor(*family, points_, context_.seed);
-
     // One RIBLT per level, all in one message.
     BitWriter w;
-    for (size_t li = 0; li < prefixes.size(); ++li) {
-      Riblt table(MlshLevelConfig(universe, params_, n, li, context_.seed));
-      const size_t prefix = prefixes[li];
-      for (size_t i = 0; i < points_.size(); ++i) {
-        table.Insert(chains[i][prefix - 1], points_[i]);
-      }
+    for (const Riblt& table : spec_->Build(points_).sketch) {
       table.Serialize(&w);
     }
     result_.success = true;
@@ -106,18 +147,17 @@ class MlshAlice : public recon::PartySessionBase {
   }
 
  private:
-  recon::ProtocolContext context_;
-  MlshParams params_;
+  std::shared_ptr<const MlshLadderSpec> spec_;
   const PointSet& points_;
 };
 
 class MlshBob : public recon::BobSessionBase {
  public:
-  MlshBob(const recon::ProtocolContext& context, const MlshParams& params,
+  MlshBob(std::shared_ptr<const MlshLadderSpec> spec, const MlshParams& params,
           const PointSet& points,
           const recon::CanonicalSketchProvider* sketches)
       : BobSessionBase(points),
-        context_(context),
+        spec_(std::move(spec)),
         params_(params),
         sketches_(sketches) {}
 
@@ -129,19 +169,16 @@ class MlshBob : public recon::BobSessionBase {
       FailWith(recon::SessionError::kUnexpectedMessage);
       return NoMessages();
     }
-    const Universe& universe = context_.universe;
     const PointSet& bob = points_;
     const size_t n = bob.size();
-    const size_t s = params_.NumFunctions();
-    const std::vector<size_t> prefixes = MlshPrefixLadder(s);
+    const std::vector<size_t>& prefixes = spec_->prefixes();
 
     BitReader r(message.payload);
     // Deserialize every level first (stream order), then scan finest-first.
     std::vector<Riblt> alice_tables;
     alice_tables.reserve(prefixes.size());
     for (size_t li = 0; li < prefixes.size(); ++li) {
-      std::optional<Riblt> table = Riblt::Deserialize(
-          MlshLevelConfig(universe, params_, n, li, context_.seed), &r);
+      std::optional<Riblt> table = Riblt::Deserialize(spec_->Config(n, li), &r);
       if (!table.has_value()) {  // truncated mlsh-levels message
         FailWith(recon::SessionError::kMalformedMessage);
         return NoMessages();
@@ -149,37 +186,27 @@ class MlshBob : public recon::BobSessionBase {
       alice_tables.push_back(std::move(*table));
     }
 
-    // The hash chains are only needed to erase Bob's pairs by hand; with a
-    // sketch cache the per-level erase loop collapses into one linear
-    // Subtract of the cached table (identical cell arithmetic), so the
-    // chains are built lazily, on the first level the cache declines.
-    std::unique_ptr<MlshFamily> family;
+    // With a sketch cache the per-level erase loop collapses into one
+    // linear Subtract of the cached table (identical cell arithmetic).
+    // Without one, Bob's pairs are erased straight into Alice's table, from
+    // hash chains built on the first level that needs them.
+    const std::shared_ptr<const std::vector<Riblt>> cached =
+        spec_->Find(sketches_);
     std::vector<std::vector<uint64_t>> bob_chains;
-    const auto ensure_chains = [&] {
-      if (family != nullptr) return;
-      family = MakeMlshFamily(params_.family, universe,
-                              MlshEffectiveWidth(universe, params_), s,
-                              context_.seed);
-      bob_chains = ChainsFor(*family, bob, context_.seed);
-    };
 
     const size_t budget = params_.DecodeBudget();
-    Rng rounding_rng(context_.seed ^ 0x726f756e64ULL);  // "round" tag
+    Rng rounding_rng(spec_->seed() ^ 0x726f756e64ULL);  // "round" tag
     for (size_t li = prefixes.size(); li-- > 0;) {
       Riblt diff = alice_tables[li];
-      const size_t prefix = prefixes[li];
-      std::optional<Riblt> cached =
-          sketches_ != nullptr
-              ? sketches_->MlshLevelRiblt(
-                    MlshLevelConfig(universe, params_, n, li, context_.seed),
-                    li)
-              : std::nullopt;
-      if (cached.has_value()) {
-        diff.Subtract(*cached);
+      if (cached != nullptr) {
+        diff.Subtract((*cached)[li]);
       } else {
-        ensure_chains();
-        for (size_t i = 0; i < bob.size(); ++i) {
-          diff.Erase(bob_chains[i][prefix - 1], bob[i]);
+        if (bob_chains.empty()) {
+          bob_chains.reserve(n);
+          for (const Point& p : bob) bob_chains.push_back(spec_->Chain(p));
+        }
+        for (size_t i = 0; i < n; ++i) {
+          diff.Erase(bob_chains[i][prefixes[li] - 1], bob[i]);
         }
       }
       const RibltDecodeResult decoded = diff.Decode(&rounding_rng, budget);
@@ -209,7 +236,7 @@ class MlshBob : public recon::BobSessionBase {
   }
 
  private:
-  recon::ProtocolContext context_;
+  std::shared_ptr<const MlshLadderSpec> spec_;
   MlshParams params_;
   const recon::CanonicalSketchProvider* sketches_;
 };
@@ -218,13 +245,13 @@ class MlshBob : public recon::BobSessionBase {
 
 std::unique_ptr<recon::PartySession> MlshReconciler::NewAliceSession(
     const PointSet& points) const {
-  return std::make_unique<MlshAlice>(context_, params_, points);
+  return std::make_unique<MlshAlice>(spec_, points);
 }
 
 std::unique_ptr<recon::PartySession> MlshReconciler::NewBobSession(
     const PointSet& points,
     const recon::CanonicalSketchProvider* sketches) const {
-  return std::make_unique<MlshBob>(context_, params_, points, sketches);
+  return std::make_unique<MlshBob>(spec_, params_, points, sketches);
 }
 
 }  // namespace lshrecon

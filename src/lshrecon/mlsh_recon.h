@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "geometry/metric.h"
@@ -59,10 +60,8 @@ struct MlshParams {
   }
 };
 
-// Public derivations of the protocol's per-level sketch structure,
-// exported so a canonical sketch store (server/sketch_store.h) can build
-// and maintain exactly the RIBLTs a Bob session expects. All are pure
-// functions of public parameters.
+// Public derivations of the protocol's per-level sketch structure: pure
+// functions of public parameters, which MlshLadderSpec composes.
 
 /// Prefix lengths of the level ladder: 1, 2, 4, …, s.
 std::vector<size_t> MlshPrefixLadder(size_t s);
@@ -80,13 +79,48 @@ RibltConfig MlshLevelConfig(const Universe& universe, const MlshParams& params,
 /// The protocol's effective MLSH width (params.width, or Δ/8 when unset).
 double MlshEffectiveWidth(const Universe& universe, const MlshParams& params);
 
+/// The MLSH ladder: one RIBLT of (key chain prefix, point) pairs per
+/// prefix length 1, 2, 4, …, s. Keyed by the universe, the seed, the MLSH
+/// family (kind, width, s) and the cell arithmetic (rounded cells, q,
+/// count width); max_entries = 2n + 2 fixes the serialized sum-field
+/// widths only, which are the width rule.
+class MlshLadderSpec final : public recon::LinearSketch<std::vector<Riblt>> {
+ public:
+  MlshLadderSpec(const recon::ProtocolContext& context,
+                 const MlshParams& params);
+
+  uint64_t seed() const { return context_.seed; }
+  const std::vector<size_t>& prefixes() const { return prefixes_; }
+  /// Ladder level `level_index`'s table config for sets of size n.
+  RibltConfig Config(size_t n, size_t level_index) const;
+  /// A point's key chain (MlshKeyChain); its level-`level_index` key is
+  /// chain[prefixes()[level_index] - 1].
+  std::vector<uint64_t> Chain(const Point& p) const;
+
+  Built Build(const PointSet& points) const override;
+  bool Carries(size_t from, size_t to) const override;
+  Sketch Advance(const Sketch& tables, recon::NoUpkeep* upkeep,
+                 const recon::SketchBatch& batch) const override;
+
+ private:
+  /// Adds (direction +1) or removes (-1) p's pair at every level.
+  void Apply(const Point& p, int direction, Sketch* tables) const;
+
+  recon::ProtocolContext context_;
+  MlshParams params_;
+  std::vector<size_t> prefixes_;
+  std::unique_ptr<MlshFamily> family_;
+};
+
 class MlshReconciler : public recon::Reconciler {
  public:
   MlshReconciler(const recon::ProtocolContext& context,
                  const MlshParams& params)
-      : context_(context), params_(params) {}
+      : params_(params),
+        spec_(std::make_shared<MlshLadderSpec>(context, params)) {}
 
   bool RequiresEqualSizes() const override { return true; }
+  recon::SketchSpecList SketchSpecs() const override { return {spec_}; }
 
  private:
   std::unique_ptr<recon::PartySession> NewAliceSession(
@@ -95,8 +129,8 @@ class MlshReconciler : public recon::Reconciler {
       const PointSet& points,
       const recon::CanonicalSketchProvider* sketches) const override;
 
-  recon::ProtocolContext context_;
   MlshParams params_;
+  std::shared_ptr<const MlshLadderSpec> spec_;
 };
 
 }  // namespace lshrecon

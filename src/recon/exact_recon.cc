@@ -1,6 +1,7 @@
 #include "recon/exact_recon.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -12,6 +13,7 @@
 #include "iblt/sizing.h"
 #include "iblt/strata.h"
 #include "recon/session.h"
+#include "util/check.h"
 
 namespace rsr {
 namespace recon {
@@ -39,6 +41,117 @@ KeyedPointList ExactKeyedPoints(const PointSet& points, uint64_t seed) {
 uint64_t ExactOccurrenceKey(const Point& p, size_t occurrence,
                             uint64_t seed) {
   return HashCombine(PointKey(p, seed), occurrence);
+}
+
+namespace {
+
+/// The multiset view of a keyed list (which is sorted by point).
+PointCounts CountKeyedPoints(const KeyedPointList& keyed) {
+  PointCounts counts;
+  for (const auto& [key, point] : keyed) {
+    (void)key;
+    if (!counts.empty() && std::prev(counts.end())->first == point) {
+      ++std::prev(counts.end())->second;
+    } else {
+      counts.emplace_hint(counts.end(), point, 1);
+    }
+  }
+  return counts;
+}
+
+/// Moves p's multiplicity by `direction` and returns the occurrence index
+/// of the copy that moved: its multiplicity before an insert, after an
+/// erase.
+size_t StepPointCount(PointCounts* counts, const Point& p, int direction) {
+  const auto it = counts->find(p);
+  const int64_t copies = it == counts->end() ? 0 : it->second;
+  if (direction > 0) {
+    if (it == counts->end()) {
+      counts->emplace(p, 1);
+    } else {
+      ++it->second;
+    }
+    return static_cast<size_t>(copies);
+  }
+  RSR_CHECK(copies > 0);
+  if (copies == 1) {
+    counts->erase(it);
+  } else {
+    --it->second;
+  }
+  return static_cast<size_t>(copies - 1);
+}
+
+/// Applies `fn(point, direction)` to every mutation of `batch`, erases
+/// first.
+template <typename Fn>
+void ForEachMutation(const SketchBatch& batch, Fn&& fn) {
+  for (const Point& p : batch.erases) fn(p, -1);
+  for (const Point& p : batch.inserts) fn(p, +1);
+}
+
+}  // namespace
+
+ExactStrataSpec::ExactStrataSpec(uint64_t seed)
+    : LinearSketch(SketchKey{"exact-strata", {seed}}), seed_(seed) {}
+
+StrataEstimator ExactStrataSpec::FromKeys(const KeyedPointList& keyed) const {
+  StrataEstimator estimator(ExactReconStrataConfig(seed_));
+  for (const auto& [key, point] : keyed) {
+    (void)point;
+    estimator.Insert(key);
+  }
+  return estimator;
+}
+
+ExactStrataSpec::Built ExactStrataSpec::Build(const PointSet& points) const {
+  const KeyedPointList keyed = ExactKeyedPoints(points, seed_);
+  return {FromKeys(keyed), CountKeyedPoints(keyed)};
+}
+
+// The occurrence index of a mutated copy is its multiplicity before
+// (insert) / after (erase) the update.
+ExactStrataSpec::Sketch ExactStrataSpec::Advance(
+    const Sketch& estimator, PointCounts* counts,
+    const SketchBatch& batch) const {
+  Sketch next = estimator;
+  ForEachMutation(batch, [&](const Point& p, int direction) {
+    const uint64_t key =
+        ExactOccurrenceKey(p, StepPointCount(counts, p, direction), seed_);
+    if (direction > 0) {
+      next.Insert(key);
+    } else {
+      next.Erase(key);
+    }
+  });
+  return next;
+}
+
+ExactKeyedSpec::ExactKeyedSpec(uint64_t seed)
+    : LinearSketch(SketchKey{"exact-keyed", {seed}}), seed_(seed) {}
+
+ExactKeyedSpec::Built ExactKeyedSpec::Build(const PointSet& points) const {
+  KeyedPointList keyed = ExactKeyedPoints(points, seed_);
+  PointCounts counts = CountKeyedPoints(keyed);
+  return {std::move(keyed), std::move(counts)};
+}
+
+// Every point is copied and re-hashed (ExactOccurrenceKey calls PointKey).
+ExactKeyedSpec::Sketch ExactKeyedSpec::Advance(const Sketch&,
+                                               PointCounts* counts,
+                                               const SketchBatch& batch) const {
+  ForEachMutation(batch, [&](const Point& p, int direction) {
+    StepPointCount(counts, p, direction);
+  });
+  KeyedPointList keyed;
+  keyed.reserve(batch.n);
+  for (const auto& [point, copies] : *counts) {
+    for (int64_t occ = 0; occ < copies; ++occ) {
+      keyed.emplace_back(
+          ExactOccurrenceKey(point, static_cast<size_t>(occ), seed_), point);
+    }
+  }
+  return keyed;
 }
 
 StrataConfig ExactReconStrataConfig(uint64_t seed) {
@@ -76,9 +189,11 @@ IbltConfig ExactIbltConfig(const ProtocolContext& context,
 class ExactAlice : public PartySessionBase {
  public:
   ExactAlice(const ProtocolContext& context, const ExactReconParams& params,
+             std::shared_ptr<const ExactStrataSpec> strata_spec,
              const PointSet& points)
       : context_(context),
         params_(params),
+        strata_spec_(std::move(strata_spec)),
         keyed_(ExactKeyedPoints(points, context.seed)) {}
 
   std::vector<transport::Message> Start() override { return NoMessages(); }
@@ -100,12 +215,8 @@ class ExactAlice : public PartySessionBase {
         FailWith(SessionError::kMalformedMessage);
         return NoMessages();
       }
-      StrataEstimator alice_est(strata_config);
-      for (const auto& [key, point] : keyed_) {
-        (void)point;
-        alice_est.Insert(key);
-      }
-      const uint64_t estimate = alice_est.EstimateDifference(*bob_est);
+      const uint64_t estimate =
+          strata_spec_->FromKeys(keyed_).EstimateDifference(*bob_est);
       target_ = static_cast<uint64_t>(static_cast<double>(estimate) *
                                       params_.estimate_safety);
       if (target_ < 16) target_ = 16;
@@ -149,6 +260,7 @@ class ExactAlice : public PartySessionBase {
 
   ProtocolContext context_;
   ExactReconParams params_;
+  std::shared_ptr<const ExactStrataSpec> strata_spec_;
   KeyedPointList keyed_;
   State state_ = State::kAwaitStrata;
   uint64_t target_ = 0;
@@ -159,36 +271,32 @@ class ExactAlice : public PartySessionBase {
 class ExactBob : public BobSessionBase {
  public:
   ExactBob(const ProtocolContext& context, const ExactReconParams& params,
-           const PointSet& points, const CanonicalSketchProvider* sketches)
-      : BobSessionBase(points), context_(context), params_(params) {
-    // The keyed list itself is shareable canonical state (the sort is the
-    // per-session cost worth skipping); the difference-sized IBLT below is
-    // not — its size comes from the client's estimate.
-    if (sketches != nullptr) {
-      keyed_ = sketches->ExactKeyedPoints(context_.seed);
-    }
+           std::shared_ptr<const ExactStrataSpec> strata_spec,
+           const ExactKeyedSpec& keyed_spec, const PointSet& points,
+           const CanonicalSketchProvider* sketches)
+      : BobSessionBase(points),
+        context_(context),
+        params_(params),
+        strata_spec_(std::move(strata_spec)),
+        // The keyed list is shareable canonical state (the sort is the
+        // per-session cost worth skipping); the difference-sized IBLT below
+        // is not — its size comes from the client's estimate.
+        keyed_(keyed_spec.Find(sketches)),
+        strata_(strata_spec_->Find(sketches)) {
     if (keyed_ == nullptr) {
       keyed_ = std::make_shared<const KeyedPointList>(
           ExactKeyedPoints(points_, context_.seed));
-    }
-    if (sketches != nullptr) {
-      cached_strata_ =
-          sketches->ExactStrata(ExactReconStrataConfig(context_.seed));
     }
   }
 
   std::vector<transport::Message> Start() override {
     // --- Message 1 (B->A): strata estimator of Bob's keys. ---
-    std::optional<StrataEstimator> est = std::move(cached_strata_);
-    if (!est.has_value()) {
-      est.emplace(ExactReconStrataConfig(context_.seed));
-      for (const auto& [key, point] : *keyed_) {
-        (void)point;
-        est->Insert(key);
-      }
-    }
     BitWriter w;
-    est->Serialize(&w);
+    if (strata_ != nullptr) {
+      strata_->Serialize(&w);
+    } else {
+      strata_spec_->FromKeys(*keyed_).Serialize(&w);
+    }
     return OneMessage(transport::MakeMessage("exact-strata", std::move(w)));
   }
 
@@ -271,8 +379,9 @@ class ExactBob : public BobSessionBase {
  private:
   ProtocolContext context_;
   ExactReconParams params_;
+  std::shared_ptr<const ExactStrataSpec> strata_spec_;
   std::shared_ptr<const KeyedPointList> keyed_;
-  std::optional<StrataEstimator> cached_strata_;
+  std::shared_ptr<const StrataEstimator> strata_;  // the provider's, if any
   size_t attempt_ = 0;
 };
 
@@ -280,12 +389,13 @@ class ExactBob : public BobSessionBase {
 
 std::unique_ptr<PartySession> ExactReconciler::NewAliceSession(
     const PointSet& points) const {
-  return std::make_unique<ExactAlice>(context_, params_, points);
+  return std::make_unique<ExactAlice>(context_, params_, strata_spec_, points);
 }
 
 std::unique_ptr<PartySession> ExactReconciler::NewBobSession(
     const PointSet& points, const CanonicalSketchProvider* sketches) const {
-  return std::make_unique<ExactBob>(context_, params_, points, sketches);
+  return std::make_unique<ExactBob>(context_, params_, strata_spec_,
+                                    *keyed_spec_, points, sketches);
 }
 
 }  // namespace recon

@@ -23,6 +23,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "iblt/strata.h"
 #include "recon/protocol.h"
@@ -31,23 +35,64 @@
 namespace rsr {
 namespace recon {
 
+/// Occurrence-indexed (key, point) list of a multiset, sorted by point.
+using KeyedPointList = std::vector<std::pair<uint64_t, Point>>;
+
 /// Canonical occurrence-indexed keying of a point multiset: points sorted
 /// by PointLess, the i-th copy of a duplicate keyed by
 /// HashCombine(PointKey(p, seed), i) so duplicates are distinct sketch
 /// elements while the i-th copy of a shared point still cancels across
-/// parties. Exported (alongside ExactReconStrataConfig) so a canonical
-/// sketch store can maintain the same estimator and keyed list the Bob
-/// session expects (server/sketch_store.h, DESIGN.md §9).
+/// parties.
 KeyedPointList ExactKeyedPoints(const PointSet& points, uint64_t seed);
 
 /// The key of the `occurrence`-th copy of `p` (the single formula behind
-/// ExactKeyedPoints; exported so the sketch store's incremental
-/// maintenance can never drift from the session-side keying).
+/// ExactKeyedPoints and both exact specs' Advance).
 uint64_t ExactOccurrenceKey(const Point& p, size_t occurrence, uint64_t seed);
 
 /// Strata-estimator configuration of the exact baseline (derived from the
 /// public seed).
 StrataConfig ExactReconStrataConfig(uint64_t seed);
+
+/// Multiset view of a set — point to multiplicity, in PointLess order —
+/// which gives a mutated copy its occurrence index: the exact specs'
+/// upkeep.
+using PointCounts = std::map<Point, int64_t>;
+
+/// The exact baseline's strata estimator over occurrence-indexed point
+/// keys, the opening message of every Bob session. Keyed by the seed; no
+/// width depends on |S|.
+class ExactStrataSpec final
+    : public LinearSketch<StrataEstimator, PointCounts> {
+ public:
+  explicit ExactStrataSpec(uint64_t seed);
+
+  /// The estimator of an already keyed set: Build after the keying.
+  StrataEstimator FromKeys(const KeyedPointList& keyed) const;
+
+  Built Build(const PointSet& points) const override;
+  Sketch Advance(const Sketch& estimator, PointCounts* counts,
+                 const SketchBatch& batch) const override;
+
+ private:
+  uint64_t seed_;
+};
+
+/// The exact baseline's sorted keyed list itself. Not a sketch — the
+/// difference-sized IBLT Bob erases it into depends on the client — but
+/// caching it saves a session the O(n log n) keying. It is positional, so
+/// Advance re-derives it from the multiset view: no sort, but O(n).
+class ExactKeyedSpec final
+    : public LinearSketch<KeyedPointList, PointCounts> {
+ public:
+  explicit ExactKeyedSpec(uint64_t seed);
+
+  Built Build(const PointSet& points) const override;
+  Sketch Advance(const Sketch& keyed, PointCounts* counts,
+                 const SketchBatch& batch) const override;
+
+ private:
+  uint64_t seed_;
+};
 
 /// Tunables of the exact baseline.
 struct ExactReconParams {
@@ -63,7 +108,14 @@ class ExactReconciler : public Reconciler {
  public:
   ExactReconciler(const ProtocolContext& context,
                   const ExactReconParams& params)
-      : context_(context), params_(params) {}
+      : context_(context),
+        params_(params),
+        strata_spec_(std::make_shared<ExactStrataSpec>(context.seed)),
+        keyed_spec_(std::make_shared<ExactKeyedSpec>(context.seed)) {}
+
+  SketchSpecList SketchSpecs() const override {
+    return {strata_spec_, keyed_spec_};
+  }
 
  private:
   std::unique_ptr<PartySession> NewAliceSession(
@@ -74,6 +126,8 @@ class ExactReconciler : public Reconciler {
 
   ProtocolContext context_;
   ExactReconParams params_;
+  std::shared_ptr<const ExactStrataSpec> strata_spec_;
+  std::shared_ptr<const ExactKeyedSpec> keyed_spec_;
 };
 
 }  // namespace recon

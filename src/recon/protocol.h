@@ -22,6 +22,7 @@
 
 #include "geometry/metric.h"
 #include "geometry/point.h"
+#include "recon/sketch_provider.h"
 #include "transport/channel.h"
 
 namespace rsr {
@@ -104,8 +105,7 @@ struct ProtocolContext {
   uint64_t seed = 0;
 };
 
-class PartySession;            // recon/session.h
-class CanonicalSketchProvider; // recon/sketch_provider.h
+class PartySession;  // recon/session.h
 
 /// Abstract reconciliation protocol: a factory for the two endpoint state
 /// machines. Its name is its registry key (recon/registry.h). Both
@@ -124,9 +124,9 @@ class Reconciler {
   /// Creates Bob's endpoint over S_B; Bob's session owns the deliverable
   /// result. `sketches`, when given, is a canonical sketch cache
   /// (recon/sketch_provider.h) that must describe exactly `points`: a
-  /// session consults it instead of rebuilding the canonical-side
-  /// sketches, and falls back to build-from-set whenever the provider
-  /// declines. Protocols without cacheable state ignore it.
+  /// session asks it for its specs' sketches instead of building them,
+  /// and builds from the set with the same spec code whenever the provider
+  /// declines. Protocols without specs ignore it.
   std::unique_ptr<PartySession> MakeBobSession(
       const PointSet& points,
       const CanonicalSketchProvider* sketches = nullptr) const;
@@ -138,6 +138,10 @@ class Reconciler {
   /// clear diagnostic; across a real network no endpoint can verify it —
   /// it is part of the protocol's contract.
   virtual bool RequiresEqualSizes() const { return false; }
+
+  /// The canonical sketches this protocol's Bob sessions ask a provider
+  /// for, one linear-sketch spec each (recon/sketch_provider.h).
+  virtual SketchSpecList SketchSpecs() const { return {}; }
 
   /// Convenience in-process driver: pumps the two sessions through
   /// `channel` (see recon/driver.h) and returns Bob's result. Exactly

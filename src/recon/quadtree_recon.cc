@@ -170,24 +170,136 @@ StrataEstimator BuildLevelProbe(const ShiftedGrid& grid,
 
 namespace {
 
+/// Advances `ladder` across the batch, first calling fn(level, codec, cell,
+/// before, after) once per cell whose point count the batch changes, at
+/// every grid level: `codec` is the level's entry codec for the new set
+/// size, `before` the cell's count in the ladder before the batch, `after`
+/// that plus the batch's net change. Updating a histogram sketch is then
+/// erase (cell, before), insert (cell, after). The batch is sorted once,
+/// in the ladder's Z-order, so every level's changed cells are runs of it;
+/// the order cells are visited in does not matter, as sketch updates
+/// commute.
+template <typename Fn>
+void AdvanceLadder(const ShiftedGrid& grid, const SketchBatch& batch,
+                   CellLadder* ladder, Fn&& fn) {
+  CellMoves moves(grid, *ladder, batch.erases, batch.inserts);
+  for (int level = 0; level <= grid.max_level(); ++level) {
+    HistogramEntryCodec codec(grid, level, batch.n);
+    moves.ForEachCell(level, [&](const Cell& cell, int64_t before,
+                                 int64_t net) {
+      if (net != 0) fn(static_cast<size_t>(level), codec, cell, before,
+                       before + net);
+    });
+  }
+  *ladder = ladder->Updated(moves);
+}
+
+/// Build of both quadtree specs: Spec::BuildLevel of every grid level, over
+/// one ladder of `points`, which stays as the upkeep.
+template <typename Spec>
+typename Spec::Built BuildEveryLevel(const Spec& spec,
+                                     const PointSet& points) {
+  typename Spec::Built built{{}, CellLadder(spec.grid(), points)};
+  for (int level = 0; level <= spec.grid().max_level(); ++level) {
+    built.sketch.push_back(spec.BuildLevel(built.upkeep, level));
+  }
+  return built;
+}
+
+}  // namespace
+
+QuadtreeIbltSpec::QuadtreeIbltSpec(const ProtocolContext& context,
+                                   const QuadtreeParams& params)
+    : LinearSketch(SketchKey{
+          "quadtree-iblt",
+          {static_cast<uint64_t>(context.universe.d),
+           static_cast<uint64_t>(context.universe.delta), context.seed,
+           RecommendedCells(params.DecodeBudget(), params.q, params.headroom),
+           static_cast<uint64_t>(params.q),
+           static_cast<uint64_t>(params.checksum_bits),
+           static_cast<uint64_t>(params.count_bits)}}),
+      context_(context),
+      params_(params),
+      grid_(context.universe, context.seed) {}
+
+IbltConfig QuadtreeIbltSpec::Config(int level, size_t n) const {
+  return LevelIbltConfig(grid_, level, n, params_, context_.seed);
+}
+
+Iblt QuadtreeIbltSpec::BuildLevel(const CellLadder& ladder, int level) const {
+  Iblt table(Config(level, ladder.size()));
+  SketchLevelHistogram(grid_, ladder, level, ladder.size(), &table);
+  return table;
+}
+
+QuadtreeIbltSpec::Built QuadtreeIbltSpec::Build(const PointSet& points) const {
+  return BuildEveryLevel(*this, points);
+}
+
+bool QuadtreeIbltSpec::Carries(size_t from, size_t to) const {
+  return HistogramCountBits(from) == HistogramCountBits(to);
+}
+
+QuadtreeIbltSpec::Sketch QuadtreeIbltSpec::Advance(
+    const Sketch& tables, CellLadder* ladder, const SketchBatch& batch) const {
+  Sketch next = tables;
+  AdvanceLadder(grid_, batch, ladder,
+                [&](size_t l, HistogramEntryCodec& codec, const Cell& cell,
+                    int64_t before, int64_t after) {
+                  if (before > 0) codec.Erase(&next[l], cell, before);
+                  if (after > 0) codec.Insert(&next[l], cell, after);
+                });
+  return next;
+}
+
+QuadtreeProbeSpec::QuadtreeProbeSpec(const ProtocolContext& context)
+    : LinearSketch(SketchKey{"quadtree-probe",
+                             {static_cast<uint64_t>(context.universe.d),
+                              static_cast<uint64_t>(context.universe.delta),
+                              context.seed}}),
+      context_(context),
+      grid_(context.universe, context.seed) {}
+
+StrataEstimator QuadtreeProbeSpec::BuildLevel(const CellLadder& ladder,
+                                              int level) const {
+  StrataEstimator probe(AdaptiveLevelProbeConfig(level, context_.seed));
+  SketchLevelHistogram(grid_, ladder, level, ladder.size(), nullptr, &probe);
+  return probe;
+}
+
+QuadtreeProbeSpec::Built QuadtreeProbeSpec::Build(
+    const PointSet& points) const {
+  return BuildEveryLevel(*this, points);
+}
+
+QuadtreeProbeSpec::Sketch QuadtreeProbeSpec::Advance(
+    const Sketch& probes, CellLadder* ladder, const SketchBatch& batch) const {
+  Sketch next = probes;
+  AdvanceLadder(grid_, batch, ladder,
+                [&](size_t l, HistogramEntryCodec& codec, const Cell& cell,
+                    int64_t before, int64_t after) {
+                  if (before > 0) next[l].Erase(codec.Key(cell, before));
+                  if (after > 0) next[l].Insert(codec.Key(cell, after));
+                });
+  return next;
+}
+
+namespace {
+
 // --- One-shot sessions. ---
 
 class QuadtreeAlice : public PartySessionBase {
  public:
-  QuadtreeAlice(const ProtocolContext& context, const QuadtreeParams& params,
-                const PointSet& points)
-      : context_(context),
+  QuadtreeAlice(std::shared_ptr<const QuadtreeIbltSpec> spec,
+                const QuadtreeParams& params, const PointSet& points)
+      : spec_(std::move(spec)),
         params_(params),
-        ladder_(ShiftedGrid(context.universe, context.seed), points) {}
+        ladder_(spec_->grid(), points) {}
 
   std::vector<transport::Message> Start() override {
-    const ShiftedGrid grid(context_.universe, context_.seed);
     BitWriter w;
-    for (int level : ProtocolLevels(grid, params_)) {
-      Iblt table(LevelIbltConfig(grid, level, ladder_.size(), params_,
-                                 context_.seed));
-      SketchLevelHistogram(grid, ladder_, level, ladder_.size(), &table);
-      table.Serialize(&w);
+    for (int level : ProtocolLevels(spec_->grid(), params_)) {
+      spec_->BuildLevel(ladder_, level).Serialize(&w);
     }
     result_.success = true;
     Finish();
@@ -200,17 +312,18 @@ class QuadtreeAlice : public PartySessionBase {
   }
 
  private:
-  ProtocolContext context_;
+  std::shared_ptr<const QuadtreeIbltSpec> spec_;
   QuadtreeParams params_;
   CellLadder ladder_;  // Alice's set, sorted once for every level
 };
 
 class QuadtreeBob : public BobSessionBase {
  public:
-  QuadtreeBob(const ProtocolContext& context, const QuadtreeParams& params,
-              const PointSet& points, const CanonicalSketchProvider* sketches)
+  QuadtreeBob(std::shared_ptr<const QuadtreeIbltSpec> spec,
+              const QuadtreeParams& params, const PointSet& points,
+              const CanonicalSketchProvider* sketches)
       : BobSessionBase(points),
-        context_(context),
+        spec_(std::move(spec)),
         params_(params),
         sketches_(sketches) {}
 
@@ -223,13 +336,16 @@ class QuadtreeBob : public BobSessionBase {
       return NoMessages();
     }
     const size_t n = points_.size();
-    const ShiftedGrid grid(context_.universe, context_.seed);
+    const ShiftedGrid& grid = spec_->grid();
     BitReader r(message.payload);
     const size_t budget = params_.DecodeBudget();
-    std::optional<CellLadder> ladder;  // sorted on the first cache miss
+    // Bob's tables: the provider's, asked for once Alice's first table has
+    // parsed, or built level by level from a ladder sorted on first need.
+    std::shared_ptr<const std::vector<Iblt>> cached;
+    bool asked = false;
+    std::optional<CellLadder> ladder;
     for (int level : ProtocolLevels(grid, params_)) {
-      const IbltConfig config =
-          LevelIbltConfig(grid, level, n, params_, context_.seed);
+      const IbltConfig config = spec_->Config(level, n);
       if (result_.success) {
         // Already repaired: the other levels only have to be there, and
         // Deserialize fails exactly when fewer bits remain than a level's.
@@ -244,16 +360,19 @@ class QuadtreeBob : public BobSessionBase {
         FailWith(SessionError::kMalformedMessage);
         return NoMessages();
       }
-      std::optional<Iblt> bob_iblt =
-          sketches_ != nullptr ? sketches_->QuadtreeLevelIblt(config, level)
-                               : std::nullopt;
-      if (!bob_iblt.has_value()) {
-        if (!ladder.has_value()) ladder.emplace(grid, points_);
-        SketchLevelHistogram(grid, *ladder, level, n,
-                             &bob_iblt.emplace(config));
+      if (!asked) {
+        cached = spec_->Find(sketches_);
+        asked = true;
       }
+      std::optional<Iblt> built;
+      if (cached == nullptr) {
+        if (!ladder.has_value()) ladder.emplace(grid, points_);
+        built.emplace(spec_->BuildLevel(*ladder, level));
+      }
+      const Iblt& bob_iblt =
+          cached != nullptr ? (*cached)[static_cast<size_t>(level)] : *built;
       std::optional<std::vector<LevelDiffEntry>> diff = TryDecodeLevelDiff(
-          grid, level, n, *std::move(alice_iblt), *bob_iblt, budget);
+          grid, level, n, *std::move(alice_iblt), bob_iblt, budget);
       if (diff.has_value()) {
         result_.success = true;
         result_.chosen_level = level;
@@ -266,7 +385,7 @@ class QuadtreeBob : public BobSessionBase {
   }
 
  private:
-  ProtocolContext context_;
+  std::shared_ptr<const QuadtreeIbltSpec> spec_;
   QuadtreeParams params_;
   const CanonicalSketchProvider* sketches_;
 };
@@ -280,19 +399,18 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
  public:
   AdaptiveQuadtreeAlice(const ProtocolContext& context,
                         const QuadtreeParams& params, size_t max_attempts,
+                        std::shared_ptr<const QuadtreeProbeSpec> spec,
                         const PointSet& points)
       : context_(context),
         params_(params),
         max_attempts_(max_attempts),
-        ladder_(ShiftedGrid(context.universe, context.seed), points) {}
+        spec_(std::move(spec)),
+        ladder_(spec_->grid(), points) {}
 
   std::vector<transport::Message> Start() override {
-    const ShiftedGrid grid(context_.universe, context_.seed);
     BitWriter w;
-    for (int level : ProtocolLevels(grid, params_)) {
-      StrataEstimator est(AdaptiveLevelProbeConfig(level, context_.seed));
-      SketchLevelHistogram(grid, ladder_, level, ladder_.size(), nullptr, &est);
-      est.Serialize(&w);
+    for (int level : ProtocolLevels(spec_->grid(), params_)) {
+      spec_->BuildLevel(ladder_, level).Serialize(&w);
     }
     result_.success = true;
     return OneMessage(transport::MakeMessage("qt-strata", std::move(w)));
@@ -303,7 +421,7 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
     // Serve a "qt-level-request": ship this level's histogram IBLT at the
     // requested size, salted by the attempt number.
     const size_t n = ladder_.size();
-    const ShiftedGrid grid(context_.universe, context_.seed);
+    const ShiftedGrid& grid = spec_->grid();
     BitReader rr(message.payload);
     uint64_t req_level = 0, req_cells = 0, req_attempt = 0;
     if (!rr.ReadVarint(&req_level) || !rr.ReadVarint(&req_cells) ||
@@ -343,6 +461,7 @@ class AdaptiveQuadtreeAlice : public PartySessionBase {
   ProtocolContext context_;
   QuadtreeParams params_;
   size_t max_attempts_;
+  std::shared_ptr<const QuadtreeProbeSpec> spec_;
   CellLadder ladder_;  // Alice's set, sorted once for every request
 };
 
@@ -350,12 +469,14 @@ class AdaptiveQuadtreeBob : public BobSessionBase {
  public:
   AdaptiveQuadtreeBob(const ProtocolContext& context,
                       const QuadtreeParams& params, size_t max_attempts,
+                      std::shared_ptr<const QuadtreeProbeSpec> spec,
                       const PointSet& points,
                       const CanonicalSketchProvider* sketches)
       : BobSessionBase(points),
         context_(context),
         params_(params),
         max_attempts_(max_attempts),
+        spec_(std::move(spec)),
         sketches_(sketches) {}
 
   std::vector<transport::Message> Start() override { return NoMessages(); }
@@ -380,13 +501,16 @@ class AdaptiveQuadtreeBob : public BobSessionBase {
   enum class State { kAwaitProbes, kAwaitIblt };
 
   std::vector<transport::Message> HandleProbes(transport::Message message) {
-    const ShiftedGrid grid(context_.universe, context_.seed);
-    const std::vector<int> levels = ProtocolLevels(grid, params_);
+    const std::vector<int> levels = ProtocolLevels(spec_->grid(), params_);
     BitReader pr(message.payload);
     const size_t budget = params_.DecodeBudget();
     int chosen = levels.back();
     uint64_t chosen_estimate = 0;
     bool have_choice = false;
+    // Bob's probes: the provider's, asked for once Alice's first probe has
+    // parsed, or built level by level.
+    std::shared_ptr<const std::vector<StrataEstimator>> cached;
+    bool asked = false;
     for (int level : levels) {
       const StrataConfig probe_config =
           AdaptiveLevelProbeConfig(level, context_.seed);
@@ -397,16 +521,17 @@ class AdaptiveQuadtreeBob : public BobSessionBase {
         return NoMessages();
       }
       if (have_choice) continue;  // drain remaining probes
-      std::optional<StrataEstimator> bob_est =
-          sketches_ != nullptr
-              ? sketches_->QuadtreeLevelProbe(probe_config, level)
-              : std::nullopt;
-      if (!bob_est.has_value()) {
-        if (!ladder_.has_value()) ladder_.emplace(grid, points_);
-        SketchLevelHistogram(grid, *ladder_, level, points_.size(), nullptr,
-                             &bob_est.emplace(probe_config));
+      if (!asked) {
+        cached = spec_->Find(sketches_);
+        asked = true;
       }
-      const uint64_t estimate = alice_est->EstimateDifference(*bob_est);
+      std::optional<StrataEstimator> built;
+      if (cached == nullptr) {
+        if (!ladder_.has_value()) ladder_.emplace(spec_->grid(), points_);
+        built.emplace(spec_->BuildLevel(*ladder_, level));
+      }
+      const uint64_t estimate = alice_est->EstimateDifference(
+          cached != nullptr ? (*cached)[static_cast<size_t>(level)] : *built);
       if (estimate <= budget || level == levels.back()) {
         chosen = level;
         chosen_estimate = estimate;
@@ -425,7 +550,7 @@ class AdaptiveQuadtreeBob : public BobSessionBase {
 
   std::vector<transport::Message> HandleIblt(transport::Message message) {
     const size_t n = points_.size();
-    const ShiftedGrid grid(context_.universe, context_.seed);
+    const ShiftedGrid& grid = spec_->grid();
     IbltConfig config =
         LevelIbltConfig(grid, chosen_, n, params_, context_.seed);
     config.cells = cells_;
@@ -473,6 +598,7 @@ class AdaptiveQuadtreeBob : public BobSessionBase {
   ProtocolContext context_;
   QuadtreeParams params_;
   size_t max_attempts_;
+  std::shared_ptr<const QuadtreeProbeSpec> spec_;
   const CanonicalSketchProvider* sketches_;
   std::optional<CellLadder> ladder_;  // sorted on the first rebuild
   State state_ = State::kAwaitProbes;
@@ -486,25 +612,24 @@ class AdaptiveQuadtreeBob : public BobSessionBase {
 
 std::unique_ptr<PartySession> QuadtreeReconciler::NewAliceSession(
     const PointSet& points) const {
-  return std::make_unique<QuadtreeAlice>(context_, params_, points);
+  return std::make_unique<QuadtreeAlice>(spec_, params_, points);
 }
 
 std::unique_ptr<PartySession> QuadtreeReconciler::NewBobSession(
     const PointSet& points, const CanonicalSketchProvider* sketches) const {
-  return std::make_unique<QuadtreeBob>(context_, params_, points, sketches);
+  return std::make_unique<QuadtreeBob>(spec_, params_, points, sketches);
 }
 
 std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::NewAliceSession(
     const PointSet& points) const {
   return std::make_unique<AdaptiveQuadtreeAlice>(context_, params_,
-                                                 max_attempts_, points);
+                                                 max_attempts_, spec_, points);
 }
 
 std::unique_ptr<PartySession> AdaptiveQuadtreeReconciler::NewBobSession(
     const PointSet& points, const CanonicalSketchProvider* sketches) const {
-  return std::make_unique<AdaptiveQuadtreeBob>(context_, params_,
-                                               max_attempts_, points,
-                                               sketches);
+  return std::make_unique<AdaptiveQuadtreeBob>(
+      context_, params_, max_attempts_, spec_, points, sketches);
 }
 
 }  // namespace recon

@@ -22,6 +22,7 @@
 #ifndef RSR_RECON_QUADTREE_RECON_H_
 #define RSR_RECON_QUADTREE_RECON_H_
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -107,9 +108,7 @@ Iblt BuildLevelIblt(const ShiftedGrid& grid, const PointSet& points,
                     uint64_t seed);
 
 /// Strata configuration of the adaptive variant's level-`level` probe
-/// (LevelStrataConfig with the level folded into the seed). Exported so a
-/// canonical sketch store can maintain the same probes the sessions expect
-/// (server/sketch_store.h).
+/// (LevelStrataConfig with the level folded into the seed).
 StrataConfig AdaptiveLevelProbeConfig(int level, uint64_t seed);
 
 /// Builds a party's level-`level` probe: the level's histogram entry keys
@@ -131,6 +130,61 @@ std::optional<std::vector<LevelDiffEntry>> TryDecodeLevelDiff(
     const ShiftedGrid& grid, int level, size_t n, Iblt alice_iblt,
     const Iblt& bob_iblt, size_t budget);
 
+/// The one-shot quadtree's canonical sketch: the level-ℓ histogram IBLT of
+/// every grid level ℓ = 0 … max_level, indexed by level. It spans every
+/// level whatever range an instance ships, so one table set, with one
+/// CellLadder of upkeep, serves each ladder — single-grid's forced level
+/// included. Keyed by the grid and the table shape (cells, q, checksum and
+/// count widths); the value width follows |S| (HistogramCountBits), which
+/// is the width rule.
+class QuadtreeIbltSpec final
+    : public LinearSketch<std::vector<Iblt>, CellLadder> {
+ public:
+  QuadtreeIbltSpec(const ProtocolContext& context,
+                   const QuadtreeParams& params);
+
+  const ShiftedGrid& grid() const { return grid_; }
+
+  /// The level-`level` table's config for sets of size n.
+  IbltConfig Config(int level, size_t n) const;
+
+  /// The level-`level` table of `ladder`'s points: one level of Build.
+  Iblt BuildLevel(const CellLadder& ladder, int level) const;
+
+  Built Build(const PointSet& points) const override;
+  bool Carries(size_t from, size_t to) const override;
+  Sketch Advance(const Sketch& tables, CellLadder* ladder,
+                 const SketchBatch& batch) const override;
+
+ private:
+  ProtocolContext context_;
+  QuadtreeParams params_;
+  ShiftedGrid grid_;
+};
+
+/// The adaptive quadtree's canonical sketch: every grid level's strata
+/// probe (AdaptiveLevelProbeConfig), indexed by level, with the set's
+/// CellLadder as upkeep. Keyed by the grid alone: probe keys carry no
+/// value field, so no width depends on |S|.
+class QuadtreeProbeSpec final
+    : public LinearSketch<std::vector<StrataEstimator>, CellLadder> {
+ public:
+  explicit QuadtreeProbeSpec(const ProtocolContext& context);
+
+  const ShiftedGrid& grid() const { return grid_; }
+
+  /// The level-`level` probe of `ladder`'s points: one level of Build.
+  StrataEstimator BuildLevel(const CellLadder& ladder, int level) const;
+
+  Built Build(const PointSet& points) const override;
+  Sketch Advance(const Sketch& probes, CellLadder* ladder,
+                 const SketchBatch& batch) const override;
+
+ private:
+  ProtocolContext context_;
+  ShiftedGrid grid_;
+};
+
 /// One-shot (single round) robust reconciliation.
 ///
 /// Sessions: Alice sends every ladder level's IBLT in one "qt-levels"
@@ -142,9 +196,11 @@ class QuadtreeReconciler : public Reconciler {
  public:
   QuadtreeReconciler(const ProtocolContext& context,
                      const QuadtreeParams& params)
-      : context_(context), params_(params) {}
+      : params_(params),
+        spec_(std::make_shared<QuadtreeIbltSpec>(context, params)) {}
 
   bool RequiresEqualSizes() const override { return true; }
+  SketchSpecList SketchSpecs() const override { return {spec_}; }
 
  private:
   std::unique_ptr<PartySession> NewAliceSession(
@@ -153,8 +209,8 @@ class QuadtreeReconciler : public Reconciler {
       const PointSet& points,
       const CanonicalSketchProvider* sketches) const override;
 
-  ProtocolContext context_;
   QuadtreeParams params_;
+  std::shared_ptr<const QuadtreeIbltSpec> spec_;
 };
 
 /// Adaptive (strata-probe) robust reconciliation; at most `max_attempts`
@@ -170,9 +226,13 @@ class AdaptiveQuadtreeReconciler : public Reconciler {
   AdaptiveQuadtreeReconciler(const ProtocolContext& context,
                              const QuadtreeParams& params,
                              size_t max_attempts = 3)
-      : context_(context), params_(params), max_attempts_(max_attempts) {}
+      : context_(context),
+        params_(params),
+        max_attempts_(max_attempts),
+        spec_(std::make_shared<QuadtreeProbeSpec>(context)) {}
 
   bool RequiresEqualSizes() const override { return true; }
+  SketchSpecList SketchSpecs() const override { return {spec_}; }
 
  private:
   std::unique_ptr<PartySession> NewAliceSession(
@@ -184,6 +244,7 @@ class AdaptiveQuadtreeReconciler : public Reconciler {
   ProtocolContext context_;
   QuadtreeParams params_;
   size_t max_attempts_;
+  std::shared_ptr<const QuadtreeProbeSpec> spec_;
 };
 
 }  // namespace recon

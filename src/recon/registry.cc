@@ -1,5 +1,6 @@
 #include "recon/registry.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "recon/full_transfer.h"
@@ -38,6 +39,25 @@ std::unique_ptr<Reconciler> ProtocolRegistry::Create(
   const auto it = entries_.find(name);
   if (it == entries_.end()) return nullptr;
   return it->second.factory(context, params.Resolved());
+}
+
+SketchSpecList ProtocolRegistry::SketchSpecs(
+    const ProtocolContext& context, const ProtocolParams& params) const {
+  SketchSpecList specs;
+  for (const auto& [name, entry] : entries_) {
+    (void)entry;
+    const std::unique_ptr<Reconciler> protocol =
+        Create(name, context, params);
+    if (protocol == nullptr) continue;
+    for (std::shared_ptr<const LinearSketchSpec>& spec :
+         protocol->SketchSpecs()) {
+      const bool known = std::any_of(
+          specs.begin(), specs.end(),
+          [&](const auto& kept) { return kept->key() == spec->key(); });
+      if (!known) specs.push_back(std::move(spec));
+    }
+  }
+  return specs;
 }
 
 std::vector<std::string> ProtocolRegistry::ListProtocols() const {

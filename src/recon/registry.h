@@ -76,6 +76,12 @@ class ProtocolRegistry {
                                      const ProtocolContext& context,
                                      const ProtocolParams& params) const;
 
+  /// The linear-sketch specs of every protocol Create builds under
+  /// (context, params), one per key: every canonical sketch a session of a
+  /// registered protocol may ask a provider for (server/sketch_store.h).
+  SketchSpecList SketchSpecs(const ProtocolContext& context,
+                             const ProtocolParams& params) const;
+
   /// Registered names, sorted. The sync-server handshake sends this list
   /// back to a client whose requested protocol is unknown, so rejection
   /// errors are self-describing.

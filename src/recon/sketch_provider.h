@@ -1,32 +1,43 @@
-// Seam between the Bob-side protocol sessions and a canonical sketch
-// cache.
+// Linear-sketch specs, and the seam between the sessions and a cache of
+// canonical sketches.
 //
-// Every serving sketch of the canonical party — the quadtree per-level
-// histogram IBLTs, the adaptive variant's per-level strata probes, the
-// exact baseline's strata estimator, the MLSH per-level RIBLTs and the
-// one-shot exact-key RIBLT — is a *linear* function of the point multiset:
-// Insert and Erase commute, so a sketch computed once can be kept current
-// under churn and handed to any number of sessions. A provider is that
-// hand-off: Reconciler::MakeBobSession (recon/protocol.h), the one Bob
-// factory, takes an optional CanonicalSketchProvider; a session asks for
-// the sketch it would otherwise build from its point set and, when the
-// provider declines (nullptr provider, config mismatch, or nothing
-// cached), builds it from the set exactly as before. The in-process
-// driver never passes a provider.
+// Every serving sketch of the canonical party — the quadtree level
+// histogram IBLTs, the adaptive probes, the exact baseline's strata
+// estimator, the MLSH ladder RIBLTs, the one-shot exact-key RIBLT — is a
+// *linear* function of the point multiset: Insert and Erase commute, so a
+// sketch built once can be kept current under churn and handed to any
+// number of sessions (DESIGN.md §9.1). Each protocol defines every such
+// sketch once, beside its sessions, as a LinearSketch spec:
+//
+//  * a name — the `family` label of the rsr_store_* metrics;
+//  * a key — the name plus every config field the sketch's cell arithmetic
+//    depends on, derived from public parameters only;
+//  * Build(points) — the sketch plus its upkeep, what Advance needs;
+//  * Advance(sketch, upkeep, batch) — the sketch of the set after a batch;
+//  * the width rule Carries(n, n') — whether a batch from n to n' points
+//    keeps every width the sketch serializes with.
+//
+// Reconciler::SketchSpecs lists a protocol's specs, and its sessions build
+// their sketches with the same spec code. A cache (server/sketch_store.h)
+// builds and advances specs without knowing which protocol owns them.
+//
+// A provider is the hand-off: MakeBobSession (recon/protocol.h) takes an
+// optional CanonicalSketchProvider, and a Bob session asks it for each of
+// its specs' sketches. When the provider declines — no provider, or no
+// spec with an equal key — the session builds what it needs from its set
+// with the spec's own code. The in-process driver never passes one.
 //
 // Contract:
-//  * Every method takes the configuration the session derived from public
-//    parameters and must return a sketch built with a matching
-//    configuration over the canonical set the session was created with —
-//    or nullopt. Returning a mismatched sketch is a correctness bug, which
-//    is why implementations compare configs and decline on any difference
-//    (server/sketch_store.h is the reference implementation).
-//  * Returned sketches are private copies: the session may subtract into
-//    them or hand them to Iblt/Riblt::Subtract freely. Cloning is a plain
-//    copy of O(cells) words — set-size-independent, which is the whole
-//    point (DESIGN.md §9).
-//  * Providers must be safe for concurrent use from multiple sessions;
-//    the server side satisfies this with immutable generation-stamped
+//  * Find returns the sketch a spec with a key equal to `spec.key()` built
+//    over the canonical set the session was created with, or null. Keys
+//    are compared whole, so any config difference declines. A spec's name
+//    names its class — no two spec classes share one — so an equal key
+//    means an equal sketch type.
+//  * Returned sketches are shared and immutable: sessions read them
+//    (Subtract and EstimateDifference take them by const reference) and
+//    never copy one.
+//  * Providers must be safe for concurrent use from multiple sessions; the
+//    server side satisfies this with immutable generation-stamped
 //    snapshots.
 
 #ifndef RSR_RECON_SKETCH_PROVIDER_H_
@@ -35,83 +46,128 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "geometry/point.h"
-#include "iblt/iblt.h"
-#include "iblt/strata.h"
-#include "riblt/riblt.h"
 
 namespace rsr {
 namespace recon {
 
-/// Occurrence-indexed (key, point) list of the exact baseline, sorted the
-/// way recon::ExactKeyedPoints produces it.
-using KeyedPointList = std::vector<std::pair<uint64_t, Point>>;
+/// What a sketch's cell arithmetic depends on: its spec's name, then the
+/// config fields, in a spec-defined order.
+struct SketchKey {
+  std::string name;
+  std::vector<uint64_t> fields;
+
+  bool operator==(const SketchKey&) const = default;
+};
+
+/// One batch of mutations as a spec advances across it: the erases that
+/// found a point, the inserts, and the set size after the batch.
+struct SketchBatch {
+  const PointSet& erases;
+  const PointSet& inserts;
+  size_t n;
+};
+
+/// The upkeep of a sketch that needs none to advance.
+struct NoUpkeep {};
+
+class LinearSketchSpec;
 
 class CanonicalSketchProvider {
  public:
   virtual ~CanonicalSketchProvider() = default;
 
-  /// Canonical level-`level` quadtree histogram IBLT, asked for by the
-  /// one-shot quadtree at each level of its ladder — single-grid's one
-  /// forced level included (recon::BuildLevelIblt is the from-scratch
-  /// equivalent).
-  virtual std::optional<Iblt> QuadtreeLevelIblt(const IbltConfig& config,
-                                                int level) const {
-    (void)config;
-    (void)level;
-    return std::nullopt;
-  }
-
-  /// Canonical level-`level` strata probe of the adaptive quadtree
-  /// (recon::AdaptiveLevelProbeConfig fixes `config`).
-  virtual std::optional<StrataEstimator> QuadtreeLevelProbe(
-      const StrataConfig& config, int level) const {
-    (void)config;
-    (void)level;
-    return std::nullopt;
-  }
-
-  /// Canonical strata estimator of the exact baseline's occurrence-indexed
-  /// point keys.
-  virtual std::optional<StrataEstimator> ExactStrata(
-      const StrataConfig& config) const {
-    (void)config;
-    return std::nullopt;
-  }
-
-  /// Shared canonical keyed-point list of the exact baseline. Not a sketch
-  /// — the exact protocol's difference-sized IBLT depends on the client and
-  /// cannot be cached (DESIGN.md §9) — but caching the sorted keyed list
-  /// saves the per-connection O(n log n) canonicalisation. `seed` is the
-  /// public seed the keys were derived from.
-  virtual std::shared_ptr<const KeyedPointList> ExactKeyedPoints(
-      uint64_t seed) const {
-    (void)seed;
-    return nullptr;
-  }
-
-  /// Canonical RIBLT of MLSH ladder level `level_index` (lshrecon's
-  /// prefix-doubling ladder). `config` is compared ignoring max_entries,
-  /// which only fixes serialized field widths, never cell arithmetic.
-  virtual std::optional<Riblt> MlshLevelRiblt(const RibltConfig& config,
-                                              size_t level_index) const {
-    (void)config;
-    (void)level_index;
-    return std::nullopt;
-  }
-
-  /// Canonical exact-key one-shot RIBLT (riblt-oneshot). `config` is the
-  /// one the session derived from the *initiator's* set size; it is
-  /// compared ignoring max_entries for the same reason as MlshLevelRiblt.
-  virtual std::optional<Riblt> OneShotRiblt(const RibltConfig& config) const {
-    (void)config;
-    return std::nullopt;
-  }
+  /// The canonical sketch of a spec whose key equals `spec.key()`, or null
+  /// (LinearSketch::Find gives it its type).
+  virtual std::shared_ptr<const void> Find(
+      const LinearSketchSpec& spec) const = 0;
 };
+
+/// A spec as a cache holds it: its key, its width rule, and Build and
+/// Advance with the sketch and upkeep types erased (LinearSketch below
+/// implements them).
+class LinearSketchSpec {
+ public:
+  virtual ~LinearSketchSpec() = default;
+
+  const SketchKey& key() const { return key_; }
+  const std::string& name() const { return key_.name; }
+
+  /// The width rule. The default suits a sketch with no width that
+  /// depends on |S|.
+  virtual bool Carries(size_t from, size_t to) const {
+    (void)from;
+    (void)to;
+    return true;
+  }
+
+  struct ErasedBuild {
+    std::shared_ptr<const void> sketch;
+    std::shared_ptr<void> upkeep;
+  };
+  virtual ErasedBuild BuildErased(const PointSet& points) const = 0;
+  virtual std::shared_ptr<const void> AdvanceErased(
+      const void* sketch, void* upkeep, const SketchBatch& batch) const = 0;
+
+ protected:
+  explicit LinearSketchSpec(SketchKey key) : key_(std::move(key)) {}
+
+ private:
+  SketchKey key_;
+};
+
+/// A spec whose sketch is a `SketchT`, advanced with an `UpkeepT`.
+template <typename SketchT, typename UpkeepT = NoUpkeep>
+class LinearSketch : public LinearSketchSpec {
+ public:
+  using Sketch = SketchT;
+  using Upkeep = UpkeepT;
+
+  struct Built {
+    Sketch sketch;
+    Upkeep upkeep;
+  };
+
+  /// The sketch of `points`, plus the upkeep that advances it.
+  virtual Built Build(const PointSet& points) const = 0;
+
+  /// The sketch of the set after `batch`, from `sketch` (the set's sketch
+  /// before it); moves `upkeep` across the batch too.
+  virtual Sketch Advance(const Sketch& sketch, Upkeep* upkeep,
+                         const SketchBatch& batch) const = 0;
+
+  /// This spec's canonical sketch from `provider`; null when there is no
+  /// provider or it declines.
+  std::shared_ptr<const Sketch> Find(
+      const CanonicalSketchProvider* provider) const {
+    if (provider == nullptr) return nullptr;
+    return std::static_pointer_cast<const Sketch>(provider->Find(*this));
+  }
+
+  ErasedBuild BuildErased(const PointSet& points) const final {
+    Built built = Build(points);
+    return {std::make_shared<const Sketch>(std::move(built.sketch)),
+            std::make_shared<Upkeep>(std::move(built.upkeep))};
+  }
+
+  std::shared_ptr<const void> AdvanceErased(
+      const void* sketch, void* upkeep,
+      const SketchBatch& batch) const final {
+    return std::make_shared<const Sketch>(
+        Advance(*static_cast<const Sketch*>(sketch),
+                static_cast<Upkeep*>(upkeep), batch));
+  }
+
+ protected:
+  using LinearSketchSpec::LinearSketchSpec;
+};
+
+/// The specs a set of protocols' sessions may ask a provider for.
+using SketchSpecList = std::vector<std::shared_ptr<const LinearSketchSpec>>;
 
 }  // namespace recon
 }  // namespace rsr

@@ -27,6 +27,48 @@ RibltConfig RibltOneShotConfig(const Universe& universe,
   return config;
 }
 
+OneShotRibltSpec::OneShotRibltSpec(const recon::ProtocolContext& context,
+                                   const RibltReconParams& params)
+    : LinearSketch(recon::SketchKey{
+          "oneshot-riblt",
+          {static_cast<uint64_t>(context.universe.d),
+           static_cast<uint64_t>(context.universe.delta), context.seed,
+           RibltOneShotConfig(context.universe, params, 0, context.seed)
+               .RoundedCells(),
+           static_cast<uint64_t>(params.q),
+           static_cast<uint64_t>(params.count_bits)}}),
+      universe_(context.universe),
+      params_(params),
+      seed_(context.seed) {}
+
+RibltConfig OneShotRibltSpec::Config(size_t n) const {
+  return RibltOneShotConfig(universe_, params_, n, seed_);
+}
+
+OneShotRibltSpec::Built OneShotRibltSpec::Build(const PointSet& points) const {
+  Built built{Riblt(Config(points.size())), {}};
+  for (const Point& p : points) built.sketch.Insert(PointKeyOf(p), p);
+  return built;
+}
+
+bool SameSumWidths(const RibltConfig& a, const RibltConfig& b) {
+  return a.KeySumBits() == b.KeySumBits() &&
+         a.CoordSumBits() == b.CoordSumBits();
+}
+
+bool OneShotRibltSpec::Carries(size_t from, size_t to) const {
+  return SameSumWidths(Config(from), Config(to));
+}
+
+OneShotRibltSpec::Sketch OneShotRibltSpec::Advance(
+    const Sketch& table, recon::NoUpkeep*,
+    const recon::SketchBatch& batch) const {
+  Sketch next = table;
+  for (const Point& p : batch.erases) next.Erase(PointKeyOf(p), p);
+  for (const Point& p : batch.inserts) next.Insert(PointKeyOf(p), p);
+  return next;
+}
+
 recon::RepairedSet RetireAndAdopt(const PointSet& bob, const PointSet& retire,
                                   PointSet adopt, Metric metric) {
   // Bob's positions holding each retired value, in index order, with a
@@ -81,19 +123,14 @@ namespace {
 
 class RibltOneShotAlice : public recon::PartySessionBase {
  public:
-  RibltOneShotAlice(const recon::ProtocolContext& context,
-                    const RibltReconParams& params, const PointSet& points)
-      : context_(context), params_(params), points_(points) {}
+  RibltOneShotAlice(std::shared_ptr<const OneShotRibltSpec> spec,
+                    const PointSet& points)
+      : spec_(std::move(spec)), points_(points) {}
 
   std::vector<transport::Message> Start() override {
-    Riblt table(RibltOneShotConfig(context_.universe, params_,
-                                   points_.size(), context_.seed));
-    for (const Point& p : points_) {
-      table.Insert(PointKey(p, context_.seed), p);
-    }
     BitWriter w;
     w.WriteVarint(points_.size());
-    table.Serialize(&w);
+    spec_->Build(points_).sketch.Serialize(&w);
     result_.success = true;
     Finish();
     return OneMessage(transport::MakeMessage("riblt-set", std::move(w)));
@@ -105,18 +142,17 @@ class RibltOneShotAlice : public recon::PartySessionBase {
   }
 
  private:
-  recon::ProtocolContext context_;
-  RibltReconParams params_;
+  std::shared_ptr<const OneShotRibltSpec> spec_;
   const PointSet& points_;
 };
 
 class RibltOneShotBob : public recon::BobSessionBase {
  public:
-  RibltOneShotBob(const recon::ProtocolContext& context,
+  RibltOneShotBob(std::shared_ptr<const OneShotRibltSpec> spec,
                   const RibltReconParams& params, const PointSet& points,
                   const recon::CanonicalSketchProvider* sketches)
       : BobSessionBase(points),
-        context_(context),
+        spec_(std::move(spec)),
         params_(params),
         sketches_(sketches) {}
 
@@ -137,10 +173,8 @@ class RibltOneShotBob : public recon::BobSessionBase {
       FailWith(recon::SessionError::kMalformedMessage);
       return NoMessages();
     }
-    const RibltConfig config =
-        RibltOneShotConfig(context_.universe, params_,
-                           static_cast<size_t>(alice_n), context_.seed);
-    std::optional<Riblt> diff = Riblt::Deserialize(config, &r);
+    std::optional<Riblt> diff = Riblt::Deserialize(
+        spec_->Config(static_cast<size_t>(alice_n)), &r);
     if (!diff.has_value()) {
       FailWith(recon::SessionError::kMalformedMessage);
       return NoMessages();
@@ -148,16 +182,13 @@ class RibltOneShotBob : public recon::BobSessionBase {
     // Erasing Bob's pairs one by one and subtracting a cached table of the
     // same pairs are the same linear operation on the cells; the cache
     // makes this step difference-independent of |S_B|.
-    std::optional<Riblt> cached =
-        sketches_ != nullptr ? sketches_->OneShotRiblt(config) : std::nullopt;
-    if (cached.has_value()) {
+    const std::shared_ptr<const Riblt> cached = spec_->Find(sketches_);
+    if (cached != nullptr) {
       diff->Subtract(*cached);
     } else {
-      for (const Point& p : bob) {
-        diff->Erase(PointKey(p, context_.seed), p);
-      }
+      for (const Point& p : bob) diff->Erase(spec_->PointKeyOf(p), p);
     }
-    Rng rounding_rng(context_.seed ^ 0x726c7472ULL);  // "rltr" tag
+    Rng rounding_rng(spec_->seed() ^ 0x726c7472ULL);  // "rltr" tag
     const RibltDecodeResult decoded =
         diff->Decode(&rounding_rng, params_.DecodeBudget());
     if (decoded.success) {
@@ -179,7 +210,7 @@ class RibltOneShotBob : public recon::BobSessionBase {
   }
 
  private:
-  recon::ProtocolContext context_;
+  std::shared_ptr<const OneShotRibltSpec> spec_;
   RibltReconParams params_;
   const recon::CanonicalSketchProvider* sketches_;
 };
@@ -188,13 +219,13 @@ class RibltOneShotBob : public recon::BobSessionBase {
 
 std::unique_ptr<recon::PartySession> RibltReconciler::NewAliceSession(
     const PointSet& points) const {
-  return std::make_unique<RibltOneShotAlice>(context_, params_, points);
+  return std::make_unique<RibltOneShotAlice>(spec_, points);
 }
 
 std::unique_ptr<recon::PartySession> RibltReconciler::NewBobSession(
     const PointSet& points,
     const recon::CanonicalSketchProvider* sketches) const {
-  return std::make_unique<RibltOneShotBob>(context_, params_, points,
+  return std::make_unique<RibltOneShotBob>(spec_, params_, points,
                                            sketches);
 }
 

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "geometry/metric.h"
 #include "recon/protocol.h"
@@ -47,12 +48,14 @@ struct RibltReconParams {
 };
 
 /// The shared one-shot RIBLT configuration for a party of size n (n only
-/// fixes max_entries, i.e. the serialized sum-field widths). Exported so a
-/// canonical sketch store can maintain the table a Bob session expects
-/// (server/sketch_store.h).
+/// fixes max_entries, i.e. the serialized sum-field widths).
 RibltConfig RibltOneShotConfig(const Universe& universe,
                                const RibltReconParams& params, size_t n,
                                uint64_t seed);
+
+/// The width rule of the RIBLT specs: whether tables of configs `a` and
+/// `b` serialize their sum fields at the same widths.
+bool SameSumWidths(const RibltConfig& a, const RibltConfig& b);
 
 /// Bob's repair from a decoded RIBLT difference (riblt-oneshot and
 /// mlsh-riblt), as a RepairedSet over `bob` (which must outlive it):
@@ -67,11 +70,41 @@ RibltConfig RibltOneShotConfig(const Universe& universe,
 recon::RepairedSet RetireAndAdopt(const PointSet& bob, const PointSet& retire,
                                   PointSet adopt, Metric metric);
 
+/// The one-shot table: every (PointKey(p), p) pair of a set. Keyed by the
+/// universe, the seed and the cell arithmetic (rounded cells, q, count
+/// width), not by max_entries: that fixes the serialized sum-field widths
+/// only, and a Bob session derives it from the *initiator's* set size.
+/// Those widths are the width rule.
+class OneShotRibltSpec final : public recon::LinearSketch<Riblt> {
+ public:
+  OneShotRibltSpec(const recon::ProtocolContext& context,
+                   const RibltReconParams& params);
+
+  uint64_t seed() const { return seed_; }
+  /// The table config for an initiator of size n.
+  RibltConfig Config(size_t n) const;
+  /// The key a point's pair goes in under.
+  uint64_t PointKeyOf(const Point& p) const { return PointKey(p, seed_); }
+
+  Built Build(const PointSet& points) const override;
+  bool Carries(size_t from, size_t to) const override;
+  Sketch Advance(const Sketch& table, recon::NoUpkeep* upkeep,
+                 const recon::SketchBatch& batch) const override;
+
+ private:
+  Universe universe_;
+  RibltReconParams params_;
+  uint64_t seed_;
+};
+
 class RibltReconciler : public recon::Reconciler {
  public:
   RibltReconciler(const recon::ProtocolContext& context,
                   const RibltReconParams& params)
-      : context_(context), params_(params) {}
+      : params_(params),
+        spec_(std::make_shared<OneShotRibltSpec>(context, params)) {}
+
+  recon::SketchSpecList SketchSpecs() const override { return {spec_}; }
 
  private:
   std::unique_ptr<recon::PartySession> NewAliceSession(
@@ -80,8 +113,8 @@ class RibltReconciler : public recon::Reconciler {
       const PointSet& points,
       const recon::CanonicalSketchProvider* sketches) const override;
 
-  recon::ProtocolContext context_;
   RibltReconParams params_;
+  std::shared_ptr<const OneShotRibltSpec> spec_;
 };
 
 }  // namespace rsr

@@ -10,11 +10,11 @@ namespace server {
 
 StrataEstimator SnapshotStrata(const SketchSnapshot& snapshot,
                                const recon::ProtocolContext& context) {
-  std::optional<StrataEstimator> strata =
-      snapshot.ExactStrata(recon::ExactReconStrataConfig(context.seed));
-  RSR_CHECK_MSG(strata.has_value(),
+  const std::shared_ptr<const StrataEstimator> strata =
+      recon::ExactStrataSpec(context.seed).Find(&snapshot);
+  RSR_CHECK_MSG(strata != nullptr,
                 "the host's context must be the one its store was built with");
-  return *std::move(strata);
+  return *strata;
 }
 
 }  // namespace server

@@ -16,7 +16,7 @@ namespace server {
 
 /// The exact-keys strata estimator of `snapshot`'s point set under the
 /// baseline config recon::ExactReconStrataConfig(context.seed), served by
-/// the snapshot's exact-strata family (materialized on first use).
+/// the snapshot's recon::ExactStrataSpec slot (materialized on first use).
 /// `context` must be the one the snapshot's store was built with. This is
 /// the estimator every ExactBob session ships, so a repair sized from it
 /// matches what the repair protocol will see.

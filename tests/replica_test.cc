@@ -87,10 +87,9 @@ void Churn(ReplicaNode* writer, const workload::ChurnSpec& spec,
 }
 
 std::vector<uint8_t> StrataBits(const server::SketchSnapshot& snapshot) {
-  const auto strata =
-      snapshot.ExactStrata(recon::ExactReconStrataConfig(Ctx().seed));
+  const auto strata = recon::ExactStrataSpec(Ctx().seed).Find(&snapshot);
   BitWriter w;
-  if (strata.has_value()) strata->Serialize(&w);
+  if (strata != nullptr) strata->Serialize(&w);
   return std::move(w).TakeBytes();
 }
 

@@ -1,6 +1,7 @@
 // Test helper shared by the store and replication tests: checks every
-// sketch family a SketchSnapshot serves against a from-scratch build over
-// its points, bit for bit.
+// spec's sketch a SketchSnapshot serves against a from-scratch build over
+// its points, bit for bit. The scratch builds use the protocols' exported
+// derivations, never a spec's Build, so they stay an independent oracle.
 
 #ifndef RSR_TESTS_SKETCH_FAMILIES_H_
 #define RSR_TESTS_SKETCH_FAMILIES_H_
@@ -48,8 +49,8 @@ inline std::vector<uint8_t> Bits(const Riblt& table) {
 /// from-scratch build over `expected` (which must equal snapshot->points()
 /// as a multiset — in fact, by ApplyUpdate's first-equal erase semantics,
 /// as an ordered sequence too). `context` and `protocol_params` are the
-/// ones the snapshot's store was built with. A family the snapshot holds
-/// is checked as carried; any other is built on this first request.
+/// ones the snapshot's store was built with. A spec's sketch the snapshot
+/// holds is checked as carried; any other is built on this first request.
 inline void ExpectFamiliesMatchScratch(
     const SketchSnapshot& snapshot, const PointSet& expected,
     const recon::ProtocolContext& context,
@@ -59,6 +60,11 @@ inline void ExpectFamiliesMatchScratch(
   const recon::ProtocolParams params = protocol_params.Resolved();
   const size_t n = expected.size();
   const ShiftedGrid grid(ctx.universe, ctx.seed);
+  const auto tables =
+      recon::QuadtreeIbltSpec(ctx, params.quadtree).Find(&snapshot);
+  ASSERT_NE(tables, nullptr);
+  const auto probes = recon::QuadtreeProbeSpec(ctx).Find(&snapshot);
+  ASSERT_NE(probes, nullptr);
 
   // Quadtree level IBLTs + adaptive probes, over the one-shot ladder and
   // the single-grid forced level.
@@ -68,28 +74,20 @@ inline void ExpectFamiliesMatchScratch(
     levels.push_back(params.single_grid_level);
   }
   for (int level : levels) {
-    const IbltConfig config =
-        recon::LevelIbltConfig(grid, level, n, params.quadtree, ctx.seed);
-    const auto cached = snapshot.QuadtreeLevelIblt(config, level);
-    ASSERT_TRUE(cached.has_value()) << "level " << level;
-    EXPECT_EQ(Bits(*cached),
+    EXPECT_EQ(Bits((*tables)[static_cast<size_t>(level)]),
               Bits(recon::BuildLevelIblt(grid, expected, level, n,
                                          params.quadtree, ctx.seed)))
         << "level " << level;
 
-    const StrataConfig probe_config =
-        recon::AdaptiveLevelProbeConfig(level, ctx.seed);
-    const auto probe = snapshot.QuadtreeLevelProbe(probe_config, level);
-    ASSERT_TRUE(probe.has_value()) << "level " << level;
-    EXPECT_EQ(Bits(*probe),
+    EXPECT_EQ(Bits((*probes)[static_cast<size_t>(level)]),
               Bits(recon::BuildLevelProbe(grid, expected, level, ctx.seed)))
         << "level " << level;
   }
 
   // Exact baseline: strata estimator + keyed list.
   const StrataConfig exact_config = recon::ExactReconStrataConfig(ctx.seed);
-  const auto exact = snapshot.ExactStrata(exact_config);
-  ASSERT_TRUE(exact.has_value());
+  const auto exact = recon::ExactStrataSpec(ctx.seed).Find(&snapshot);
+  ASSERT_NE(exact, nullptr);
   const recon::KeyedPointList keyed =
       recon::ExactKeyedPoints(expected, ctx.seed);
   StrataEstimator scratch_exact(exact_config);
@@ -98,13 +96,16 @@ inline void ExpectFamiliesMatchScratch(
     scratch_exact.Insert(key);
   }
   EXPECT_EQ(Bits(*exact), Bits(scratch_exact));
-  const auto cached_keyed = snapshot.ExactKeyedPoints(ctx.seed);
+  const auto cached_keyed = recon::ExactKeyedSpec(ctx.seed).Find(&snapshot);
   ASSERT_NE(cached_keyed, nullptr);
   EXPECT_EQ(*cached_keyed, keyed);
 
   // MLSH ladder RIBLTs.
   const auto prefixes =
       lshrecon::MlshPrefixLadder(params.mlsh.NumFunctions());
+  const auto mlsh =
+      lshrecon::MlshLadderSpec(ctx, params.mlsh).Find(&snapshot);
+  ASSERT_NE(mlsh, nullptr);
   const auto family = lshrecon::MakeMlshFamily(
       params.mlsh.family, ctx.universe,
       lshrecon::MlshEffectiveWidth(ctx.universe, params.mlsh),
@@ -112,21 +113,19 @@ inline void ExpectFamiliesMatchScratch(
   for (size_t li = 0; li < prefixes.size(); ++li) {
     const RibltConfig config = lshrecon::MlshLevelConfig(
         ctx.universe, params.mlsh, n, li, ctx.seed);
-    const auto cached = snapshot.MlshLevelRiblt(config, li);
-    ASSERT_TRUE(cached.has_value()) << "mlsh level " << li;
     Riblt scratch(config);
     for (const Point& p : expected) {
       scratch.Insert(
           lshrecon::MlshKeyChain(*family, p, ctx.seed)[prefixes[li] - 1], p);
     }
-    EXPECT_EQ(Bits(*cached), Bits(scratch)) << "mlsh level " << li;
+    EXPECT_EQ(Bits((*mlsh)[li]), Bits(scratch)) << "mlsh level " << li;
   }
 
   // One-shot RIBLT.
   const RibltConfig oneshot_config =
       RibltOneShotConfig(ctx.universe, params.riblt, n, ctx.seed);
-  const auto oneshot = snapshot.OneShotRiblt(oneshot_config);
-  ASSERT_TRUE(oneshot.has_value());
+  const auto oneshot = OneShotRibltSpec(ctx, params.riblt).Find(&snapshot);
+  ASSERT_NE(oneshot, nullptr);
   Riblt scratch_oneshot(oneshot_config);
   for (const Point& p : expected) {
     scratch_oneshot.Insert(PointKey(p, ctx.seed), p);

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,10 +36,12 @@
 #include "lshrecon/mlsh_recon.h"
 #include "net/tcp.h"
 #include "obs/metrics.h"
+#include "recon/driver.h"
 #include "recon/exact_recon.h"
 #include "recon/params.h"
 #include "recon/quadtree_recon.h"
 #include "recon/registry.h"
+#include "recon/session.h"
 #include "riblt/riblt_recon.h"
 #include "server/sketch_store.h"
 #include "server/sync_client.h"
@@ -74,10 +77,14 @@ PointSet Cloud(size_t n, uint64_t seed) {
   return workload::GenerateCloud(spec, &rng);
 }
 
-constexpr SketchFamily kAllFamilies[] = {
-    SketchFamily::kQuadtreeIblt, SketchFamily::kQuadtreeProbe,
-    SketchFamily::kExactStrata,  SketchFamily::kExactKeyed,
-    SketchFamily::kMlsh,         SketchFamily::kOneShotRiblt};
+// The store's spec names, which are the rsr_store_* `family` labels.
+constexpr const char* kQuadtreeIblt = "quadtree-iblt";
+constexpr const char* kMlsh = "mlsh-riblt";
+constexpr const char* kOneShotRiblt = "oneshot-riblt";
+constexpr const char* kAllFamilies[] = {
+    kQuadtreeIblt, "quadtree-probe", "exact-strata",
+    "exact-keyed", kMlsh,            kOneShotRiblt};
+using FamilyTable = std::map<std::string, bool>;
 
 /// A store wired to its own registry, so tests can read the per-family
 /// materialization counters and live gauges.
@@ -87,13 +94,12 @@ struct InstrumentedStore {
               SketchStoreOptions{Ctx(), Params(),
                                  MakeStoreMetrics(&registry, false)}) {}
 
-  uint64_t Materializations(SketchFamily family) const {
+  uint64_t Materializations(const std::string& family) const {
     return registry.CounterValue("rsr_store_materializations_total",
-                                 {{"family", SketchFamilyName(family)}});
+                                 {{"family", family}});
   }
-  int64_t Live(SketchFamily family) const {
-    return registry.GaugeValue("rsr_store_family_live",
-                               {{"family", SketchFamilyName(family)}});
+  int64_t Live(const std::string& family) const {
+    return registry.GaugeValue("rsr_store_family_live", {{"family", family}});
   }
 
   obs::MetricsRegistry registry;  // declared first: outlives the store
@@ -105,32 +111,32 @@ struct InstrumentedStore {
 /// batches since the first request all took the incremental path.
 void ExpectAllCarried(const InstrumentedStore& s,
                       const SketchSnapshot& snapshot, uint64_t builds = 1) {
-  for (SketchFamily family : kAllFamilies) {
-    EXPECT_TRUE(snapshot.Materialized(family)) << SketchFamilyName(family);
-    EXPECT_EQ(s.Materializations(family), builds) << SketchFamilyName(family);
-    EXPECT_EQ(s.Live(family), 1) << SketchFamilyName(family);
+  for (const char* family : kAllFamilies) {
+    EXPECT_TRUE(snapshot.Materialized(family)) << family;
+    EXPECT_EQ(s.Materializations(family), builds) << family;
+    EXPECT_EQ(s.Live(family), 1) << family;
   }
 }
 
 /// Per family: whether a batch taking the set from `from` to `to` points
 /// keeps the widths its sketches serialize with (so the store carries it).
-std::array<bool, kSketchFamilyCount> KeptWidths(size_t from, size_t to) {
+FamilyTable KeptWidths(size_t from, size_t to) {
   const recon::ProtocolContext ctx = Ctx();
   const recon::ProtocolParams params = Params().Resolved();
   const auto same = [](const RibltConfig& a, const RibltConfig& b) {
     return a.KeySumBits() == b.KeySumBits() &&
            a.CoordSumBits() == b.CoordSumBits();
   };
-  std::array<bool, kSketchFamilyCount> kept;
-  kept.fill(true);
-  kept[static_cast<size_t>(SketchFamily::kQuadtreeIblt)] =
+  FamilyTable kept;
+  for (const char* family : kAllFamilies) kept[family] = true;
+  kept[kQuadtreeIblt] =
       recon::HistogramCountBits(from) == recon::HistogramCountBits(to);
-  kept[static_cast<size_t>(SketchFamily::kMlsh)] =
+  kept[kMlsh] =
       same(lshrecon::MlshLevelConfig(ctx.universe, params.mlsh, from, 0,
                                      ctx.seed),
            lshrecon::MlshLevelConfig(ctx.universe, params.mlsh, to, 0,
                                      ctx.seed));
-  kept[static_cast<size_t>(SketchFamily::kOneShotRiblt)] =
+  kept[kOneShotRiblt] =
       same(RibltOneShotConfig(ctx.universe, params.riblt, from, ctx.seed),
            RibltOneShotConfig(ctx.universe, params.riblt, to, ctx.seed));
   return kept;
@@ -144,16 +150,13 @@ std::array<bool, kSketchFamilyCount> KeptWidths(size_t from, size_t to) {
 void ExpectCarriedAcross(const InstrumentedStore& s,
                          const SketchSnapshot& snapshot, size_t from,
                          size_t to,
-                         std::array<uint64_t, kSketchFamilyCount>* builds) {
-  const std::array<bool, kSketchFamilyCount> kept = KeptWidths(from, to);
-  for (SketchFamily family : kAllFamilies) {
-    const size_t f = static_cast<size_t>(family);
-    EXPECT_EQ(snapshot.Materialized(family), kept[f])
-        << SketchFamilyName(family);
-    EXPECT_EQ(s.Materializations(family), (*builds)[f])
-        << SketchFamilyName(family);
-    EXPECT_EQ(s.Live(family), kept[f] ? 1 : 0) << SketchFamilyName(family);
-    if (!kept[f]) ++(*builds)[f];
+                         std::map<std::string, uint64_t>* builds) {
+  FamilyTable kept = KeptWidths(from, to);
+  for (const char* family : kAllFamilies) {
+    EXPECT_EQ(snapshot.Materialized(family), kept[family]) << family;
+    EXPECT_EQ(s.Materializations(family), (*builds)[family]) << family;
+    EXPECT_EQ(s.Live(family), kept[family] ? 1 : 0) << family;
+    if (!kept[family]) ++(*builds)[family];
   }
 }
 
@@ -212,14 +215,13 @@ TEST(SketchStoreTest, WidthBoundaryCrossingRebuilds) {
   // 120 -> 140 inserts crosses the HistogramCountBits boundary at 127
   // (bits of n + 1), dropping the level IBLTs, which then rebuild on
   // demand; then an unbalanced erase-only batch shrinks back across it.
-  ASSERT_FALSE(KeptWidths(120, 140)[static_cast<size_t>(
-      SketchFamily::kQuadtreeIblt)]);
+  ASSERT_FALSE(KeptWidths(120, 140)[kQuadtreeIblt]);
   PointSet mirror = Cloud(120, 77);
   InstrumentedStore s(mirror);
   SketchStore& store = s.store;
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
-  std::array<uint64_t, kSketchFamilyCount> builds;
-  builds.fill(1);
+  std::map<std::string, uint64_t> builds;
+  for (const char* family : kAllFamilies) builds[family] = 1;
   const PointSet grow = Cloud(20, 78);
   store.ApplyUpdate(grow, {});
   mirror.insert(mirror.end(), grow.begin(), grow.end());
@@ -299,16 +301,16 @@ TEST(SketchStoreTest, RibltWidthBoundaryWithoutHistogramBoundaryRebuilds) {
   // the RIBLT max_entries = 2n + 2 from 126 to 128, widening the
   // serialized sum fields. The cached one-shot and MLSH tables must be
   // rebuilt, or their serialization would keep the stale widths.
-  const std::array<bool, kSketchFamilyCount> kept = KeptWidths(62, 63);
-  ASSERT_TRUE(kept[static_cast<size_t>(SketchFamily::kQuadtreeIblt)]);
-  ASSERT_FALSE(kept[static_cast<size_t>(SketchFamily::kOneShotRiblt)]);
-  ASSERT_FALSE(kept[static_cast<size_t>(SketchFamily::kMlsh)]);
+  FamilyTable kept = KeptWidths(62, 63);
+  ASSERT_TRUE(kept[kQuadtreeIblt]);
+  ASSERT_FALSE(kept[kOneShotRiblt]);
+  ASSERT_FALSE(kept[kMlsh]);
   PointSet mirror = Cloud(62, 2026);
   InstrumentedStore s(mirror);
   SketchStore& store = s.store;
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
-  std::array<uint64_t, kSketchFamilyCount> builds;
-  builds.fill(1);
+  std::map<std::string, uint64_t> builds;
+  for (const char* family : kAllFamilies) builds[family] = 1;
   const PointSet grow = Cloud(1, 2027);
   store.ApplyUpdate(grow, {});
   mirror.insert(mirror.end(), grow.begin(), grow.end());
@@ -327,8 +329,9 @@ TEST(SketchStoreTest, RibltWidthBoundaryWithoutHistogramBoundaryRebuilds) {
 TEST(SketchStoreTest, ErasingAbsentPointsIsIgnoredConsistently) {
   // 40 -> 39 points crosses no width boundary, so the absent erase is
   // exercised on the incremental path.
-  const std::array<bool, kSketchFamilyCount> kept = KeptWidths(40, 39);
-  ASSERT_TRUE(std::all_of(kept.begin(), kept.end(), [](bool k) { return k; }));
+  const FamilyTable kept = KeptWidths(40, 39);
+  ASSERT_TRUE(std::all_of(kept.begin(), kept.end(),
+                          [](const auto& k) { return k.second; }));
   PointSet mirror = Cloud(40, 9);
   InstrumentedStore s(mirror);
   SketchStore& store = s.store;
@@ -361,36 +364,34 @@ TEST(SketchStoreTest, FamilyIsAbsentAndUnmaintainedUntilAskedFor) {
   };
   churn();
   churn();
-  for (SketchFamily family : kAllFamilies) {
-    EXPECT_FALSE(store.Snapshot()->Materialized(family))
-        << SketchFamilyName(family);
-    EXPECT_EQ(s.Materializations(family), 0u) << SketchFamilyName(family);
-    EXPECT_EQ(s.Live(family), 0) << SketchFamilyName(family);
+  for (const char* family : kAllFamilies) {
+    EXPECT_FALSE(store.Snapshot()->Materialized(family)) << family;
+    EXPECT_EQ(s.Materializations(family), 0u) << family;
+    EXPECT_EQ(s.Live(family), 0) << family;
   }
 
   // Asking for one family builds that family alone...
   const RibltConfig config = RibltOneShotConfig(
       Ctx().universe, Params().Resolved().riblt, mirror.size(), Ctx().seed);
-  ASSERT_TRUE(store.Snapshot()->OneShotRiblt(config).has_value());
-  const auto asked = SketchFamily::kOneShotRiblt;
+  const OneShotRibltSpec oneshot(Ctx(), Params().Resolved().riblt);
+  ASSERT_NE(oneshot.Find(store.Snapshot().get()), nullptr);
+  const std::string asked = kOneShotRiblt;
   EXPECT_EQ(s.Materializations(asked), 1u);
   EXPECT_EQ(s.Live(asked), 1);
 
   // ...and from then on the store maintains that family alone.
   for (int step = 0; step < 3; ++step) {
     const auto snapshot = churn();
-    for (SketchFamily family : kAllFamilies) {
+    for (const char* family : kAllFamilies) {
       const bool live = family == asked;
-      EXPECT_EQ(snapshot->Materialized(family), live)
-          << SketchFamilyName(family);
-      EXPECT_EQ(s.Materializations(family), live ? 1u : 0u)
-          << SketchFamilyName(family);
-      EXPECT_EQ(s.Live(family), live ? 1 : 0) << SketchFamilyName(family);
+      EXPECT_EQ(snapshot->Materialized(family), live) << family;
+      EXPECT_EQ(s.Materializations(family), live ? 1u : 0u) << family;
+      EXPECT_EQ(s.Live(family), live ? 1 : 0) << family;
     }
   }
   Riblt scratch(config);
   for (const Point& p : mirror) scratch.Insert(PointKey(p, Ctx().seed), p);
-  EXPECT_EQ(Bits(*store.Snapshot()->OneShotRiblt(config)), Bits(scratch));
+  EXPECT_EQ(Bits(*oneshot.Find(store.Snapshot().get())), Bits(scratch));
 }
 
 TEST(SketchStoreTest, StaleGenerationServesItsOwnBytes) {
@@ -411,18 +412,17 @@ TEST(SketchStoreTest, StaleGenerationServesItsOwnBytes) {
     store.ApplyUpdate(batch.inserts, batch.erases);
   }
   ExpectSnapshotMatchesScratch(*pinned, pinned_points);
-  for (SketchFamily family : kAllFamilies) {
+  for (const char* family : kAllFamilies) {
     // The late builds are of a stale generation: the published one still
     // holds no family, and its gauges say so.
-    EXPECT_EQ(s.Materializations(family), 1u) << SketchFamilyName(family);
-    EXPECT_EQ(s.Live(family), 0) << SketchFamilyName(family);
-    EXPECT_FALSE(store.Snapshot()->Materialized(family))
-        << SketchFamilyName(family);
+    EXPECT_EQ(s.Materializations(family), 1u) << family;
+    EXPECT_EQ(s.Live(family), 0) << family;
+    EXPECT_FALSE(store.Snapshot()->Materialized(family)) << family;
   }
   ExpectSnapshotMatchesScratch(*store.Snapshot(), mirror);
-  for (SketchFamily family : kAllFamilies) {
-    EXPECT_EQ(s.Materializations(family), 2u) << SketchFamilyName(family);
-    EXPECT_EQ(s.Live(family), 1) << SketchFamilyName(family);
+  for (const char* family : kAllFamilies) {
+    EXPECT_EQ(s.Materializations(family), 2u) << family;
+    EXPECT_EQ(s.Live(family), 1) << family;
   }
 }
 
@@ -430,17 +430,49 @@ TEST(SketchStoreTest, ConfigMismatchDeclines) {
   const PointSet points = Cloud(32, 5);
   SketchStore store(points, SketchStoreOptions{Ctx(), Params(), {}});
   const auto snapshot = store.Snapshot();
-  const ShiftedGrid grid(Ctx().universe, Ctx().seed);
-  IbltConfig config = recon::LevelIbltConfig(
-      grid, 3, points.size(), Params().Resolved().quadtree, Ctx().seed);
-  IbltConfig other = config;
-  other.seed ^= 1;  // different public coins -> must decline, not serve
-  EXPECT_FALSE(snapshot->QuadtreeLevelIblt(other, 3).has_value());
+  const recon::QuadtreeIbltSpec spec(Ctx(), Params().Resolved().quadtree);
+  recon::ProtocolContext other_coins = Ctx();
+  other_coins.seed ^= 1;  // different public coins -> must decline, not serve
+  const recon::QuadtreeIbltSpec other(other_coins,
+                                      Params().Resolved().quadtree);
+  // A reconciler whose quadtree headroom differs from the store's sizes
+  // its level tables differently.
+  recon::ProtocolParams roomier = Params();
+  roomier.quadtree.headroom = 2.0;
+  const auto roomy = recon::MakeReconciler("quadtree", Ctx(), roomier);
+  ASSERT_EQ(roomy->SketchSpecs().size(), 1u);
+  const recon::LinearSketchSpec& roomy_spec = *roomy->SketchSpecs()[0];
+  ASSERT_EQ(roomy_spec.name(), kQuadtreeIblt);
+
+  EXPECT_EQ(other.Find(snapshot.get()), nullptr);
+  EXPECT_EQ(snapshot->Find(roomy_spec), nullptr);
   // A declined request builds nothing.
-  EXPECT_FALSE(snapshot->Materialized(SketchFamily::kQuadtreeIblt));
-  EXPECT_TRUE(snapshot->QuadtreeLevelIblt(config, 3).has_value());
-  EXPECT_TRUE(snapshot->Materialized(SketchFamily::kQuadtreeIblt));
-  EXPECT_FALSE(snapshot->QuadtreeLevelIblt(other, 3).has_value());
+  EXPECT_FALSE(snapshot->Materialized(kQuadtreeIblt));
+  EXPECT_NE(spec.Find(snapshot.get()), nullptr);
+  EXPECT_TRUE(snapshot->Materialized(kQuadtreeIblt));
+  EXPECT_EQ(other.Find(snapshot.get()), nullptr);
+  EXPECT_EQ(snapshot->Find(roomy_spec), nullptr);
+
+  // The declined reconciler's Bob builds his own tables, so his result is
+  // the driver's.
+  Rng rng(77);
+  PointSet alice;
+  for (const Point& p : points) {
+    alice.push_back(workload::PerturbPoint(
+        p, Ctx().universe, workload::NoiseKind::kGaussian, 0.5, &rng));
+  }
+  transport::Channel channel;
+  const recon::ReconResult expected = roomy->Run(alice, points, &channel);
+  const auto alice_session = roomy->MakeAliceSession(alice);
+  const auto bob_session =
+      roomy->MakeBobSession(snapshot->points(), snapshot.get());
+  transport::Channel served_channel;
+  const recon::ReconResult served = recon::DrivePair(
+      alice_session.get(), bob_session.get(), &served_channel);
+  EXPECT_EQ(served.success, expected.success);
+  EXPECT_EQ(served.bob_final, expected.bob_final);
+  EXPECT_EQ(served_channel.stats().total_bits,
+            channel.stats().total_bits);
 }
 
 /// Replicas of `canonical` drifted by Gaussian noise, one per seed.
@@ -519,9 +551,8 @@ TEST(SketchStoreTest, HostNotServingFromCacheMatchesDriverAndBuildsNothing) {
   EXPECT_EQ(server.metrics_registry().SumCounters(
                 "rsr_store_materializations_total"),
             0u);
-  for (SketchFamily family : kAllFamilies) {
-    EXPECT_FALSE(server.snapshot()->Materialized(family))
-        << SketchFamilyName(family);
+  for (const char* family : kAllFamilies) {
+    EXPECT_FALSE(server.snapshot()->Materialized(family)) << family;
   }
 }
 
@@ -624,31 +655,24 @@ TEST(SketchStoreConcurrencyTest, LazyBuildsRacingApplyUpdateServeTheirSet) {
     readers.emplace_back([&, r] {
       Rng rng(900 + r);
       const recon::ProtocolParams params = Params().Resolved();
-      const ShiftedGrid grid(Ctx().universe, Ctx().seed);
+      const recon::QuadtreeIbltSpec quadtree(Ctx(), params.quadtree);
+      const recon::ExactStrataSpec exact(Ctx().seed);
+      const lshrecon::MlshLadderSpec mlsh(Ctx(), params.mlsh);
+      const OneShotRibltSpec oneshot(Ctx(), params.riblt);
       while (!stop.load()) {
         const auto snapshot = store.Snapshot();
-        const size_t n = snapshot->size();
         switch (rng.Next64() % 4) {
-          case 0: {
-            const int level = recon::ProtocolLevels(grid, params.quadtree)[0];
-            snapshot->QuadtreeLevelIblt(
-                recon::LevelIbltConfig(grid, level, n, params.quadtree,
-                                       Ctx().seed),
-                level);
+          case 0:
+            quadtree.Find(snapshot.get());
             break;
-          }
           case 1:
-            snapshot->ExactStrata(recon::ExactReconStrataConfig(Ctx().seed));
+            exact.Find(snapshot.get());
             break;
           case 2:
-            snapshot->MlshLevelRiblt(
-                lshrecon::MlshLevelConfig(Ctx().universe, params.mlsh, n, 0,
-                                          Ctx().seed),
-                0);
+            mlsh.Find(snapshot.get());
             break;
           default:
-            snapshot->OneShotRiblt(RibltOneShotConfig(
-                Ctx().universe, params.riblt, n, Ctx().seed));
+            oneshot.Find(snapshot.get());
             break;
         }
         std::lock_guard<std::mutex> lock(seen_mu);
