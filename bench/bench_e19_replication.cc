@@ -331,12 +331,15 @@ int main(int argc, char** argv) {
 
   const obs::MetricsRegistry& node0 = mesh.node(0).host().metrics_registry();
   std::printf(
-      "node0: replica_seq=%lld sessions ok=%llu failed=%llu\n",
+      "node0: replica_seq=%lld sessions ok=%llu failed=%llu "
+      "malformed=%llu\n",
       static_cast<long long>(node0.GaugeValue("rsr_replica_seq")),
       static_cast<unsigned long long>(node0.SumCounters(
           "rsr_sync_sessions_total", {{"outcome", "ok"}})),
       static_cast<unsigned long long>(node0.SumCounters(
-          "rsr_sync_sessions_total", {{"outcome", "fail"}})));
+          "rsr_sync_sessions_total", {{"outcome", "fail"}})),
+      static_cast<unsigned long long>(node0.SumCounters(
+          "rsr_sync_sessions_total", {{"outcome", "malformed"}})));
 
   // Scrape window: publish the nodes' endpoints for meshmon, then keep
   // the converged mesh serving so the external scraper reads settled

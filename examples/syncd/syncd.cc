@@ -267,11 +267,12 @@ int main(int argc, char** argv) {
         registry.SumCounters(name, labels));
   };
   std::printf(
-      "\nserver: %llu accepted, %llu ok, %llu failed, %llu rejected, "
-      "peak %lld concurrent, %llu B in, %llu B out\n",
+      "\nserver: %llu accepted, %llu ok, %llu failed, %llu malformed, "
+      "%llu rejected, peak %lld concurrent, %llu B in, %llu B out\n",
       count("rsr_sync_connections_accepted_total", {}),
       count("rsr_sync_sessions_total", {{"outcome", "ok"}}),
       count("rsr_sync_sessions_total", {{"outcome", "fail"}}),
+      count("rsr_sync_sessions_total", {{"outcome", "malformed"}}),
       count("rsr_sync_handshakes_rejected_total", {}),
       static_cast<long long>(
           registry.GaugeValue("rsr_sync_active_sessions_peak")),
@@ -289,7 +290,9 @@ int main(int argc, char** argv) {
         count("rsr_sync_sessions_total",
               {{"protocol", name}, {"outcome", "ok"}}),
         count("rsr_sync_sessions_total",
-              {{"protocol", name}, {"outcome", "fail"}}),
+              {{"protocol", name}, {"outcome", "fail"}}) +
+            count("rsr_sync_sessions_total",
+                  {{"protocol", name}, {"outcome", "malformed"}}),
         1e3 * seconds->sum / static_cast<double>(seconds->count),
         count("rsr_sync_protocol_bytes_total",
               {{"protocol", name}, {"direction", "in"}}),

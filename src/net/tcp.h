@@ -71,9 +71,11 @@ class TcpListener {
   /// Binds and listens on host:port. `host` must be a dotted-quad IPv4
   /// address ("127.0.0.1", "0.0.0.0", ...); anything else fails rather
   /// than silently binding all interfaces. Pass port 0 for an ephemeral
-  /// port and read it back with port(). Returns nullptr on failure.
+  /// port and read it back with port(). Listens with the kernel's largest
+  /// accept queue (SOMAXCONN), so a burst of connects queues rather than
+  /// overflowing into SYN retransmits. Returns nullptr on failure.
   static std::unique_ptr<TcpListener> Listen(const std::string& host,
-                                             uint16_t port, int backlog = 64);
+                                             uint16_t port);
 
   ~TcpListener();
 

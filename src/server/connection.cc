@@ -109,7 +109,7 @@ void Connection::OnStreamEnd(SessionError error) {
       break;
     case Phase::kPull:
       // The puller's clean close is the end of a pull.
-      EndSession(error == SessionError::kNone);
+      EndSession(error == SessionError::kNone, error);
       break;
     case Phase::kHandshake:  // the connection never got off the ground
     case Phase::kDraining:
@@ -147,6 +147,7 @@ void Connection::OnClosed(size_t bytes_in, size_t bytes_out) {
   settle.session_counted = counted_;
   settle.protocol = protocol_;
   settle.success = success_;
+  settle.malformed = malformed_;
   settle.wall_seconds = wall_seconds_;
   settle.rejected = rejected_;
   settle.timed_out = timed_out_;
@@ -156,6 +157,7 @@ void Connection::OnClosed(size_t bytes_in, size_t bytes_out) {
   span_.set_outcome(rejected_   ? "rejected"
                     : counted_  ? (success_     ? "ok"
                                    : timed_out_ ? "idle-timeout"
+                                   : malformed_ ? "malformed"
                                                 : "fail")
                     : timed_out_ ? "idle-timeout"
                                  : "never-started");
@@ -295,8 +297,10 @@ void Connection::OnPullFrame(transport::Message frame) {
   Emit(party_->OnMessage(std::move(frame)));
   // Alice refusing the puller's frame (malformed, unexpected) ends the
   // pull as failed; a finished, successful Alice waits for the close.
-  if (party_->IsDone() && !party_->TakeResult().success) {
-    EndSession(false);
+  if (!party_->IsDone()) return;
+  const recon::ReconResult result = party_->TakeResult();
+  if (!result.success) {
+    EndSession(false, result.error);
     phase_ = Phase::kDone;
   }
 }
@@ -329,9 +333,10 @@ void Connection::BeginSession(const std::string& protocol) {
   span_.set_protocol(protocol);
 }
 
-void Connection::EndSession(bool success) {
+void Connection::EndSession(bool success, SessionError error) {
   counted_ = true;
   success_ = success;
+  malformed_ = error == SessionError::kMalformedMessage;
   wall_seconds_ = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start_)
                       .count();
@@ -347,7 +352,7 @@ void Connection::FinishBob(SessionError pump_error) {
     result.success = false;
     if (result.error == SessionError::kNone) result.error = pump_error;
   }
-  EndSession(result.success);
+  EndSession(result.success, result.error);
   span_.BeginPhase("result");
   ResultFrame frame;
   frame.has_set = want_result_set_ && result.success;

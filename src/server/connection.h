@@ -115,7 +115,10 @@ class Connection {
   void Reject(const std::string& reason);
   /// Starts the counted session named `protocol` (its settle label).
   void BeginSession(const std::string& protocol);
-  void EndSession(bool success);
+  /// Counts the session as ended: ok, fail, or — when `error` is
+  /// kMalformedMessage — malformed.
+  void EndSession(bool success,
+                  recon::SessionError error = recon::SessionError::kNone);
   /// Ends the Bob session: applies `pump_error`, ships "@result", drains.
   void FinishBob(recon::SessionError pump_error);
   /// Adopts the inbound trace context (deriving this host's span id with
@@ -143,6 +146,7 @@ class Connection {
   std::string protocol_;
   bool counted_ = false;
   bool success_ = false;
+  bool malformed_ = false;
   bool rejected_ = false;
   bool timed_out_ = false;
   bool settled_ = false;

@@ -56,6 +56,9 @@ ServerObs::ProtocolInstruments& ServerObs::ProtocolFor(
   bundle.failed = registry_.GetCounter(
       kSessionsName, "Sessions finished, by protocol/outcome",
       {{"protocol", name}, {"outcome", "fail"}});
+  bundle.malformed = registry_.GetCounter(
+      kSessionsName, "Sessions finished, by protocol/outcome",
+      {{"protocol", name}, {"outcome", "malformed"}});
   bundle.bytes_in = registry_.GetCounter(
       kProtocolBytesName, "Framed bytes, by protocol/direction",
       {{"protocol", name}, {"direction", "in"}});
@@ -82,7 +85,10 @@ void ServerObs::OnClosed(const Settle& settle) {
   if (!settle.session_counted) return;
   MutexLock lock(mu_);
   ProtocolInstruments& bundle = ProtocolFor(settle.protocol);
-  (settle.success ? bundle.ok : bundle.failed)->Inc();
+  (settle.success     ? bundle.ok
+   : settle.malformed ? bundle.malformed
+                      : bundle.failed)
+      ->Inc();
   bundle.bytes_in->Inc(settle.bytes_in);
   bundle.bytes_out->Inc(settle.bytes_out);
   bundle.seconds->Observe(settle.wall_seconds);

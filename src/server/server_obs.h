@@ -70,6 +70,9 @@ class ServerObs {
     bool session_counted = false;
     std::string protocol;
     bool success = false;
+    /// A failed session that ended in kMalformedMessage: counted as
+    /// outcome="malformed", apart from "fail".
+    bool malformed = false;
     double wall_seconds = 0.0;
     bool rejected = false;
     bool timed_out = false;
@@ -87,6 +90,7 @@ class ServerObs {
   struct ProtocolInstruments {
     obs::Counter* ok = nullptr;
     obs::Counter* failed = nullptr;
+    obs::Counter* malformed = nullptr;
     obs::Counter* bytes_in = nullptr;
     obs::Counter* bytes_out = nullptr;
     obs::Histogram* seconds = nullptr;

@@ -359,7 +359,9 @@ TEST(ConnectionTest, StreamEndMidSessionFailsWithTheTransportError) {
     conn->OnClosed(10, 20);
     EXPECT_TRUE(conn->TakeOutbox().empty());
   }
-  EXPECT_EQ(Sessions(host, "exact-iblt", "fail"), 3u);
+  // The truncated frame is the peer's fault, counted apart as malformed.
+  EXPECT_EQ(Sessions(host, "exact-iblt", "fail"), 2u);
+  EXPECT_EQ(Sessions(host, "exact-iblt", "malformed"), 1u);
   EXPECT_EQ(host.metrics_registry().GaugeValue("rsr_sync_active_sessions"),
             0);
 }
@@ -535,8 +537,8 @@ TEST(ConnectionTest, HostileWireCountsFailMalformedWithoutAllocating) {
     EXPECT_EQ(ResultError(Feed(&conn, HostileCount("full-transfer"))),
               SessionError::kMalformedMessage);
   }
-  EXPECT_EQ(Sessions(host, "exact-iblt", "fail"), 1u);
-  EXPECT_EQ(Sessions(host, "full-transfer", "fail"), 1u);
+  EXPECT_EQ(Sessions(host, "exact-iblt", "malformed"), 1u);
+  EXPECT_EQ(Sessions(host, "full-transfer", "malformed"), 1u);
 
   // The host is unharmed: a clean sync right after matches the driver.
   for (const char* protocol : {"exact-iblt", "full-transfer"}) {
@@ -587,8 +589,8 @@ TEST(ConnectionTest, HostilePullRequestsFailThePull) {
     EXPECT_TRUE(conn.done()) << protocol;
     conn.OnClosed(0, 0);
   }
-  EXPECT_EQ(Sessions(host, "@pull:quadtree-adaptive", "fail"), 4u);
-  EXPECT_EQ(Sessions(host, "@pull:gap-lattice", "fail"), 1u);
+  EXPECT_EQ(Sessions(host, "@pull:quadtree-adaptive", "malformed"), 4u);
+  EXPECT_EQ(Sessions(host, "@pull:gap-lattice", "malformed"), 1u);
   EXPECT_EQ(host.metrics_registry().SumCounters("rsr_sync_sessions_total",
                                                 {{"outcome", "ok"}}),
             0u);
@@ -694,7 +696,7 @@ TEST(ConnectionHostsTest, ThreadedPipeAndReactorTcpShipIdenticalResults) {
   }));
   reactor.Stop();
   for (const std::string& protocol : protocols) {
-    for (const char* outcome : {"ok", "fail"}) {
+    for (const char* outcome : {"ok", "fail", "malformed"}) {
       EXPECT_EQ(Sessions(threaded, protocol, outcome),
                 Sessions(reactor, protocol, outcome))
           << protocol << " " << outcome;
