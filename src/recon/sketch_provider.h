@@ -1,44 +1,31 @@
-// Linear-sketch specs, and the seam between the sessions and a cache of
-// canonical sketches.
+// Linear-sketch specs, and the provider seam between Bob sessions and a
+// cache of canonical sketches.
 //
-// Every serving sketch of the canonical party — the quadtree level
-// histogram IBLTs, the adaptive probes, the exact baseline's strata
-// estimator, the MLSH ladder RIBLTs, the one-shot exact-key RIBLT — is a
-// *linear* function of the point multiset: Insert and Erase commute, so a
-// sketch built once can be kept current under churn and handed to any
-// number of sessions (DESIGN.md §9.1). Each protocol defines every such
-// sketch once, beside its sessions, as a LinearSketch spec:
+// Every sketch a Bob session can take from the canonical side is linear
+// in the point multiset: Insert and Erase commute, so a sketch built once
+// can be kept current under churn and shared by any number of sessions
+// (DESIGN.md §9.1). A protocol defines each such sketch once, beside its
+// sessions, as a LinearSketch spec: a name (the `family` label of the
+// rsr_store_* metrics); a key, the name plus every public config field
+// the cell arithmetic depends on; Build, the sketch of a point set plus
+// the upkeep that advances it; Advance, across one batch; and the width
+// rule Carries(n, n'), whether a batch from n to n' points keeps every
+// width the sketch serializes with. Reconciler::SketchSpecs lists a
+// protocol's specs; its sessions build with the same spec code, and a
+// cache (server/sketch_store.h) holds specs without knowing their
+// protocol.
 //
-//  * a name — the `family` label of the rsr_store_* metrics;
-//  * a key — the name plus every config field the sketch's cell arithmetic
-//    depends on, derived from public parameters only;
-//  * Build(points) — the sketch plus its upkeep, what Advance needs;
-//  * Advance(sketch, upkeep, batch) — the sketch of the set after a batch;
-//  * the width rule Carries(n, n') — whether a batch from n to n' points
-//    keeps every width the sketch serializes with.
-//
-// Reconciler::SketchSpecs lists a protocol's specs, and its sessions build
-// their sketches with the same spec code. A cache (server/sketch_store.h)
-// builds and advances specs without knowing which protocol owns them.
-//
-// A provider is the hand-off: MakeBobSession (recon/protocol.h) takes an
-// optional CanonicalSketchProvider, and a Bob session asks it for each of
-// its specs' sketches. When the provider declines — no provider, or no
-// spec with an equal key — the session builds what it needs from its set
-// with the spec's own code. The in-process driver never passes one.
-//
-// Contract:
-//  * Find returns the sketch a spec with a key equal to `spec.key()` built
-//    over the canonical set the session was created with, or null. Keys
-//    are compared whole, so any config difference declines. A spec's name
-//    names its class — no two spec classes share one — so an equal key
-//    means an equal sketch type.
-//  * Returned sketches are shared and immutable: sessions read them
-//    (Subtract and EstimateDifference take them by const reference) and
-//    never copy one.
-//  * Providers must be safe for concurrent use from multiple sessions; the
-//    server side satisfies this with immutable generation-stamped
-//    snapshots.
+// MakeBobSession (recon/protocol.h) takes an optional provider. A Bob
+// session asks it for each spec's sketch and, when it declines, builds
+// what it needs from its own set. Contract:
+//  * Find returns the sketch a spec with a key equal to `spec.key()`
+//    built over the set the session was created with, or null: any config
+//    difference declines. No two spec classes share a name, so an equal
+//    key means an equal sketch type.
+//  * Sketches are shared and immutable; sessions read them (Subtract and
+//    EstimateDifference take const references) and never copy one.
+//  * Providers are safe for concurrent use (the server's snapshots are
+//    immutable and generation-stamped).
 
 #ifndef RSR_RECON_SKETCH_PROVIDER_H_
 #define RSR_RECON_SKETCH_PROVIDER_H_

@@ -10,7 +10,6 @@
 #include "recon/exact_recon.h"
 #include "recon/session.h"
 #include "server/handshake.h"
-#include "server/replica_serving.h"
 #include "util/check.h"
 
 namespace rsr {
@@ -331,9 +330,11 @@ RoundRecord ReplicaNode::RunRound(const StreamFactory& fetch_peer,
   uint64_t estimate = 0;
   bool have_estimate = false;
   if (batch.strata.has_value()) {
-    const StrataEstimator own = server::SnapshotStrata(
-        *server_.snapshot(), options_.server.context);
-    estimate = own.EstimateDifference(*batch.strata);
+    const std::shared_ptr<const StrataEstimator> own =
+        recon::ExactStrataSpec(options_.server.context.seed)
+            .Find(server_.snapshot().get());
+    RSR_CHECK(own != nullptr);
+    estimate = own->EstimateDifference(*batch.strata);
     estimate = static_cast<uint64_t>(
         std::ceil(static_cast<double>(estimate) * kEstimateHeadroom));
     have_estimate = true;

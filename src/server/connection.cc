@@ -6,7 +6,7 @@
 
 #include "net/frame.h"
 #include "server/handshake.h"
-#include "server/replica_serving.h"
+#include "recon/exact_recon.h"
 #include "util/check.h"
 
 namespace rsr {
@@ -59,7 +59,12 @@ LogBatchFrame BuildLogBatch(const LogFetchFrame& fetch,
     batch.entries = std::move(fetched.entries);
   }
   if (!batch.ok || batch.dirty || fetch.want_strata) {
-    batch.strata = SnapshotStrata(snapshot, context);
+    // The estimator every exact-iblt Bob opens with, so a repair sized
+    // from it matches what the repair protocol will see.
+    const std::shared_ptr<const StrataEstimator> strata =
+        recon::ExactStrataSpec(context.seed).Find(&snapshot);
+    RSR_CHECK_MSG(strata != nullptr, "the host's store shares its context");
+    batch.strata = *strata;
   }
   return batch;
 }

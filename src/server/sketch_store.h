@@ -2,40 +2,29 @@
 // then keep it current under churn.
 //
 // The serving hosts reconcile one canonical point set against every
-// connecting replica. Every sketch a Bob session takes from the canonical
-// side is linear in the point multiset, so there is no reason to pay the
-// set-proportional build per connection (which is what made sketch
-// protocols serve slower than full transfer in BENCH_E16).
+// connecting replica, and every sketch a Bob session takes from it is
+// linear in the point multiset, so no connection need pay the
+// set-proportional build (which made sketch protocols serve slower than
+// full transfer in BENCH_E16).
 //
-// Specs, not protocols: the store knows no protocol. It serves the
-// linear-sketch specs (recon/sketch_provider.h) that the registry's
-// protocols declare under the store's own context and params
-// (ProtocolRegistry::SketchSpecs), one slot per spec key, and matches a
-// session's request to a slot by one key comparison.
+// The store knows no protocol. It serves the linear-sketch specs
+// (recon/sketch_provider.h) that the registry's protocols declare under
+// the store's own context and params, one slot per key, and matches a
+// session's request to a slot by one key comparison. Slots are lazy: a
+// slot materializes in a snapshot on the first Find that names it, built
+// once from that snapshot's points under the slot's leaf lock; from then
+// on ApplyUpdate advances it into each new generation with the spec's
+// Advance, or drops it when its width rule rejects the batch (it rebuilds
+// on demand). A spec nobody asks for costs nothing per batch.
 //
-// Lazy slots: the store builds none up front. A slot materializes in a
-// snapshot on the first Find that names its spec, built once from that
-// snapshot's own points under the slot's leaf lock, and from then on
-// ApplyUpdate advances it to each new generation with the spec's Advance.
-// A spec nobody asks for costs nothing per batch.
-//
-// Snapshots: readers (sessions) get an immutable, generation-stamped
-// SketchSnapshot — the point set plus whichever slots have been asked
-// for — behind a shared_ptr. ApplyUpdate never changes what a published
-// snapshot serves; it builds the next generation beside it and publishes
-// that, so in-flight sessions pinned to an older generation keep a
-// consistent view for as long as they hold the pointer. The generation
-// travels in the "@accept" handshake frame, which is what lets a load
-// harness check a served result against the exact canonical set it was
-// served from (bench/bench_e18_churn.cc).
-//
-// Per-batch cost: one O(n) copy of the point set into the new generation,
-// plus each live slot's Advance (see DESIGN.md §9.2 for what each spec's
-// costs).
-//
-// Width changes: a batch that a live slot's width rule (Carries) rejects
-// drops that slot from the new generation; it rebuilds on demand. See
-// DESIGN.md §9 for the linearity argument and the coverage table.
+// Readers (sessions) get an immutable, generation-stamped SketchSnapshot
+// behind a shared_ptr. ApplyUpdate builds the next generation beside the
+// published one, so a session pinned to an older generation keeps a
+// consistent view for as long as it holds the pointer. The generation
+// travels in "@accept", which lets a load harness check a served result
+// against the set it was served from (bench/bench_e18_churn.cc). A batch
+// costs one O(n) copy of the point set plus each live slot's Advance
+// (DESIGN.md §9).
 
 #ifndef RSR_SERVER_SKETCH_STORE_H_
 #define RSR_SERVER_SKETCH_STORE_H_
