@@ -200,6 +200,7 @@ template <typename Spec>
 typename Spec::Built BuildEveryLevel(const Spec& spec,
                                      const PointSet& points) {
   typename Spec::Built built{{}, CellLadder(spec.grid(), points)};
+  built.sketch.reserve(static_cast<size_t>(spec.grid().max_level()) + 1);
   for (int level = 0; level <= spec.grid().max_level(); ++level) {
     built.sketch.push_back(spec.BuildLevel(built.upkeep, level));
   }
@@ -364,15 +365,16 @@ class QuadtreeBob : public BobSessionBase {
         cached = spec_->Find(sketches_);
         asked = true;
       }
+      const Iblt* bob_iblt = nullptr;
       std::optional<Iblt> built;
-      if (cached == nullptr) {
+      if (cached != nullptr) {
+        bob_iblt = &(*cached)[static_cast<size_t>(level)];
+      } else {
         if (!ladder.has_value()) ladder.emplace(grid, points_);
-        built.emplace(spec_->BuildLevel(*ladder, level));
+        bob_iblt = &built.emplace(spec_->BuildLevel(*ladder, level));
       }
-      const Iblt& bob_iblt =
-          cached != nullptr ? (*cached)[static_cast<size_t>(level)] : *built;
       std::optional<std::vector<LevelDiffEntry>> diff = TryDecodeLevelDiff(
-          grid, level, n, *std::move(alice_iblt), bob_iblt, budget);
+          grid, level, n, *std::move(alice_iblt), *bob_iblt, budget);
       if (diff.has_value()) {
         result_.success = true;
         result_.chosen_level = level;
@@ -525,13 +527,15 @@ class AdaptiveQuadtreeBob : public BobSessionBase {
         cached = spec_->Find(sketches_);
         asked = true;
       }
+      const StrataEstimator* bob_est = nullptr;
       std::optional<StrataEstimator> built;
-      if (cached == nullptr) {
+      if (cached != nullptr) {
+        bob_est = &(*cached)[static_cast<size_t>(level)];
+      } else {
         if (!ladder_.has_value()) ladder_.emplace(spec_->grid(), points_);
-        built.emplace(spec_->BuildLevel(*ladder_, level));
+        bob_est = &built.emplace(spec_->BuildLevel(*ladder_, level));
       }
-      const uint64_t estimate = alice_est->EstimateDifference(
-          cached != nullptr ? (*cached)[static_cast<size_t>(level)] : *built);
+      const uint64_t estimate = alice_est->EstimateDifference(*bob_est);
       if (estimate <= budget || level == levels.back()) {
         chosen = level;
         chosen_estimate = estimate;

@@ -51,7 +51,7 @@ bool g_update = false;
 
 /// One small cell of a paper sweep.
 struct Cell {
-  std::string id;
+  const char* id;
   size_t n;
   int d;
   int64_t delta;
@@ -61,32 +61,25 @@ struct Cell {
   uint64_t context_seed;
 };
 
-std::vector<Cell> Cells() {
-  std::vector<Cell> cells;
-  // E1: communication vs k (d = 2, Δ = 2^20, ε = 2).
-  for (size_t k : {2, 8, 32}) {
-    cells.push_back({"e1-k" + std::to_string(k), 256, 2, int64_t{1} << 20, k,
-                     2.0, 1, 42});
-  }
-  // E3: noise sweep (k = 8); ε = 0 is the exact-replica corner.
-  for (const auto& [name, eps] : std::vector<std::pair<std::string, double>>{
-           {"0", 0.0}, {"1", 1.0}, {"8", 8.0}}) {
-    cells.push_back({"e3-eps" + name, 256, 2, int64_t{1} << 20, 8, eps, 3,
-                     11});
-  }
-  // E5: dimension sweep (Δ = 2^10, ε = 1, k = 4).
-  for (int d : {1, 3, 6}) {
-    cells.push_back({"e5-d" + std::to_string(d), 128, d, int64_t{1} << 10, 4,
-                     1.0, 200 + static_cast<uint64_t>(d),
-                     23 + static_cast<uint64_t>(d)});
-  }
-  // E6: universe sweep (k = 8, ε = 2).
-  for (int log_delta : {8, 14, 24}) {
-    cells.push_back({"e6-delta2^" + std::to_string(log_delta), 256, 2,
-                     int64_t{1} << log_delta, 8, 2.0, 7, 29});
-  }
-  return cells;
-}
+constexpr int64_t kDelta20 = int64_t{1} << 20;
+constexpr Cell kCells[] = {
+    // E1: communication vs k (d = 2, Δ = 2^20, ε = 2).
+    {"e1-k2", 256, 2, kDelta20, 2, 2.0, 1, 42},
+    {"e1-k8", 256, 2, kDelta20, 8, 2.0, 1, 42},
+    {"e1-k32", 256, 2, kDelta20, 32, 2.0, 1, 42},
+    // E3: noise sweep (k = 8); ε = 0 is the exact-replica corner.
+    {"e3-eps0", 256, 2, kDelta20, 8, 0.0, 3, 11},
+    {"e3-eps1", 256, 2, kDelta20, 8, 1.0, 3, 11},
+    {"e3-eps8", 256, 2, kDelta20, 8, 8.0, 3, 11},
+    // E5: dimension sweep (Δ = 2^10, ε = 1, k = 4).
+    {"e5-d1", 128, 1, int64_t{1} << 10, 4, 1.0, 201, 24},
+    {"e5-d3", 128, 3, int64_t{1} << 10, 4, 1.0, 203, 26},
+    {"e5-d6", 128, 6, int64_t{1} << 10, 4, 1.0, 206, 29},
+    // E6: universe sweep (k = 8, ε = 2).
+    {"e6-delta2^8", 256, 2, int64_t{1} << 8, 8, 2.0, 7, 29},
+    {"e6-delta2^14", 256, 2, int64_t{1} << 14, 8, 2.0, 7, 29},
+    {"e6-delta2^24", 256, 2, int64_t{1} << 24, 8, 2.0, 7, 29},
+};
 
 /// FNV-1a, 64-bit: a stable hash with no dependency on the library's own
 /// hash functions, which a protocol change may touch.
@@ -235,7 +228,7 @@ void ExpectRowMatches(const std::string& key, const Row& want,
 
 TEST(WireGoldenTest, EveryProtocolMatchesTheGoldenWire) {
   std::map<std::string, Row> computed;
-  for (const Cell& cell : Cells()) {
+  for (const Cell& cell : kCells) {
     const workload::ReplicaPair pair =
         workload::StandardScenario(cell.n, cell.d, cell.delta, cell.k,
                                    cell.noise, cell.scenario_seed)
@@ -253,7 +246,7 @@ TEST(WireGoldenTest, EveryProtocolMatchesTheGoldenWire) {
 
     for (const std::string& protocol :
          recon::ProtocolRegistry::Global().ListProtocols()) {
-      const std::string key = cell.id + "\t" + protocol;
+      const std::string key = std::string(cell.id) + "\t" + protocol;
       SCOPED_TRACE(key);
       const auto reconciler = recon::MakeReconciler(protocol, ctx, params);
       Row row;
