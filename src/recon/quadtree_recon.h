@@ -101,8 +101,9 @@ void SketchLevelHistogram(const ShiftedGrid& grid, const CellLadder& ladder,
                           int level, size_t n, Iblt* iblt,
                           StrataEstimator* probe = nullptr);
 
-/// Builds a party's level-ℓ histogram IBLT (one level; a party sketching
-/// several levels sorts one CellLadder and calls SketchLevelHistogram).
+/// Builds a party's level-ℓ histogram IBLT from scratch: the reference
+/// QuadtreeIbltSpec's tables are tested against (sessions build through
+/// the spec, from one CellLadder for every level).
 Iblt BuildLevelIblt(const ShiftedGrid& grid, const PointSet& points,
                     int level, size_t n, const QuadtreeParams& params,
                     uint64_t seed);
@@ -111,8 +112,9 @@ Iblt BuildLevelIblt(const ShiftedGrid& grid, const PointSet& points,
 /// (LevelStrataConfig with the level folded into the seed).
 StrataConfig AdaptiveLevelProbeConfig(int level, uint64_t seed);
 
-/// Builds a party's level-`level` probe: the level's histogram entry keys
-/// inserted into a fresh estimator with AdaptiveLevelProbeConfig.
+/// Builds a party's level-`level` probe from scratch: the level's histogram
+/// entry keys inserted into a fresh estimator with AdaptiveLevelProbeConfig
+/// (the reference for QuadtreeProbeSpec).
 StrataEstimator BuildLevelProbe(const ShiftedGrid& grid,
                                 const PointSet& points, int level,
                                 uint64_t seed);

@@ -45,7 +45,7 @@ struct ServingOptions {
   /// frames discarded while draining after a reply.
   size_t max_deliveries = recon::kMaxDeliveries;
   /// Serve Bob sessions from the SketchStore's cached canonical sketches
-  /// (each family built once, on first demand, then maintained under
+  /// (each spec's sketch built once, on first demand, then maintained under
   /// ApplyUpdate) instead of rebuilding them from the set per connection.
   /// Results are bit-identical either way; false passes sessions no
   /// provider, so the store builds nothing for them — the rebuild

@@ -8,8 +8,8 @@
 // full transfer in BENCH_E16).
 //
 // The store knows no protocol. It serves the linear-sketch specs
-// (recon/sketch_provider.h) that the registry's protocols declare under
-// the store's own context and params, one slot per key, and matches a
+// (recon/sketch_provider.h) that the global registry's protocols declare
+// under the store's own context and params, one slot per key, and matches a
 // session's request to a slot by one key comparison. Slots are lazy: a
 // slot materializes in a snapshot on the first Find that names it, built
 // once from that snapshot's points under the slot's leaf lock; from then
