@@ -1,6 +1,5 @@
 #include "geometry/point.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "hash/mix.h"
@@ -45,71 +44,36 @@ bool UnpackPoint(const Universe& universe, BitReader* in, Point* out) {
 void PackPointWords(const Universe& universe, const Point& p,
                     uint64_t* out) {
   RSR_DCHECK(universe.Contains(p));
-  const int bits = universe.BitsPerCoord();
   WordPacker packer(out);
-  for (int64_t c : p) packer.Put(static_cast<uint64_t>(c), bits);
+  PutPoint(p, universe.BitsPerCoord(), &packer);
   packer.Flush();
-}
-
-PointPacker::PointPacker(const Universe& universe, size_t count)
-    : universe_(universe),
-      bits_(universe.BitsPerCoord()),
-      room_(count),
-      words_((count * static_cast<size_t>(universe.BitsPerPoint()) + 63) /
-             64),
-      packer_(words_.data()) {}
-
-void PointPacker::Add(const Point& p) {
-  RSR_DCHECK(universe_.Contains(p));
-  RSR_CHECK(added_ < room_);
-  ++added_;
-  for (int64_t c : p) packer_.Put(static_cast<uint64_t>(c), bits_);
-}
-
-void PointPacker::WriteTo(BitWriter* out) {
-  packer_.Flush();
-  out->WriteWords(words_.data(),
-                  added_ * static_cast<size_t>(universe_.BitsPerPoint()));
 }
 
 void PackPoints(const Universe& universe, const PointSet& points,
                 BitWriter* out) {
-  PointPacker packer(universe, points.size());
-  for (const Point& p : points) packer.Add(p);
-  packer.WriteTo(out);
+  const int bits = universe.BitsPerCoord();
+  out->Pack(points.size() * static_cast<size_t>(universe.BitsPerPoint()),
+            [&](WordPacker& packer) {
+              for (const Point& p : points) {
+                RSR_DCHECK(universe.Contains(p));
+                PutPoint(p, bits, &packer);
+              }
+            });
 }
 
 bool UnpackPoints(const Universe& universe, size_t count, BitReader* in,
                   PointSet* out) {
   const size_t d = static_cast<size_t>(universe.d);
   const int bits = universe.BitsPerCoord();
+  // Divided, not multiplied: a count off the wire cannot overflow.
   if (count > 0 && in->bits_remaining() / count / d <
                        static_cast<size_t>(bits)) {
     return false;
   }
-  size_t unread = count * d * static_cast<size_t>(bits);
-  const uint64_t mask = bits == 0 ? 0 : (uint64_t{1} << bits) - 1;
-  uint64_t word = 0;
-  int held = 0;  // unconsumed bits of word, below `bits` between reads
+  WordUnpacker coords = *in->Unpack(count * d * static_cast<size_t>(bits));
   for (size_t i = 0; i < count; ++i) {
     Point p(d);
-    for (int64_t& c : p) {
-      uint64_t v = word;
-      if (held < bits) {
-        // Top up from the next (at most 64) bits of the stream.
-        const int take = static_cast<int>(std::min<size_t>(unread, 64));
-        uint64_t next = 0;
-        in->ReadBits(take, &next);
-        unread -= static_cast<size_t>(take);
-        v |= next << held;
-        word = next >> (bits - held);
-        held += take - bits;
-      } else {
-        word >>= bits;
-        held -= bits;
-      }
-      c = static_cast<int64_t>(v & mask);
-    }
+    for (int64_t& c : p) c = static_cast<int64_t>(coords.Take(bits));
     out->push_back(std::move(p));
   }
   return true;

@@ -49,34 +49,19 @@ void PackPoint(const Universe& universe, const Point& p, BitWriter* out);
 /// Reads a point packed by PackPoint. Returns false on underrun.
 bool UnpackPoint(const Universe& universe, BitReader* in, Point* out);
 
+/// PackPoint's bits for `p` through `packer`: each coordinate in `bits`
+/// (the universe's BitsPerCoord()) bits.
+inline void PutPoint(const Point& p, int bits, WordPacker* packer) {
+  for (int64_t c : p) packer->Put(static_cast<uint64_t>(c), bits);
+}
+
 /// PackPoint's bits for `p` as the little-endian words WordPacker lays
 /// out, ceil(BitsPerPoint() / 64) of them at `out`: the value of an IBLT
 /// entry that carries the point.
 void PackPointWords(const Universe& universe, const Point& p, uint64_t* out);
 
-/// PackPoint over a sequence of points, back to back: the same bits,
-/// gathered into 64-bit words by a WordPacker and written at once.
-class PointPacker {
- public:
-  /// A packer with room for `count` points.
-  PointPacker(const Universe& universe, size_t count);
-
-  void Add(const Point& p);
-
-  /// Appends the added points' bits to `out`. Call once, after the last
-  /// Add().
-  void WriteTo(BitWriter* out);
-
- private:
-  const Universe& universe_;
-  const int bits_;
-  const size_t room_;
-  size_t added_ = 0;
-  std::vector<uint64_t> words_;
-  WordPacker packer_;
-};
-
-/// PointPacker over a whole set.
+/// PackPoint over a whole set, back to back: the same bits, packed a word
+/// at a time straight into `out`.
 void PackPoints(const Universe& universe, const PointSet& points,
                 BitWriter* out);
 

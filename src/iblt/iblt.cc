@@ -173,47 +173,44 @@ IbltDecodeResult Iblt::Decode(size_t max_entries) && {
 }
 
 void Iblt::Serialize(BitWriter* out) const {
-  for (size_t i = 0; i < m_; ++i) {
-    out->WriteBits(static_cast<uint64_t>(counts_[i]), config_.count_bits);
-    out->WriteBits(key_xor_[i], 64);
-    out->WriteBits(check_xor_[i], config_.checksum_bits);
-    // Whole words, as Apply stores them; WriteBits keeps only the low
-    // `take` bits, so a last word's reach into the next cell is dropped.
-    const uint8_t* src = values_.data() + i * value_bytes_;
-    for (int remaining = config_.value_bits; remaining > 0;
-         remaining -= 64, src += 8) {
-      uint64_t word;
-      std::memcpy(&word, src, 8);
-      out->WriteBits(word, std::min(remaining, 64));
+  const int count_bits = config_.count_bits;
+  const int checksum_bits = config_.checksum_bits;
+  out->Pack(config_.SerializedBits(), [&](WordPacker& cells) {
+    for (size_t i = 0; i < m_; ++i) {
+      cells.PutSigned(counts_[i], count_bits);
+      cells.Put(key_xor_[i], 64);
+      cells.Put(check_xor_[i], checksum_bits);
+      // Whole words, as Apply stores them; a last word's reach into the
+      // next cell is dropped.
+      const uint8_t* src = values_.data() + i * value_bytes_;
+      for (int left = config_.value_bits; left > 0; left -= 64, src += 8) {
+        const int take = std::min(left, 64);
+        uint64_t word;
+        std::memcpy(&word, src, 8);
+        cells.Put(LowBits(word, take), take);
+      }
     }
-  }
+  });
 }
 
 std::optional<Iblt> Iblt::Deserialize(const IbltConfig& config,
                                       BitReader* in) {
   // The cell count may come off the wire: the table must fit the bits
-  // left before a single cell is allocated.
+  // left before a single cell is allocated. FitsIn checks that without
+  // overflow; Unpack then cannot fail.
   if (!config.FitsIn(in->bits_remaining())) return std::nullopt;
+  WordUnpacker cells = *in->Unpack(config.SerializedBits());
   Iblt table(config);
   const int count_bits = config.count_bits;
+  const int checksum_bits = config.checksum_bits;
   for (size_t i = 0; i < table.m_; ++i) {
-    uint64_t raw = 0;
-    if (!in->ReadBits(count_bits, &raw)) return std::nullopt;
-    // Sign-extend the two's-complement count field.
-    int64_t count = static_cast<int64_t>(raw);
-    if (count_bits < 64 && (raw >> (count_bits - 1)) & 1) {
-      count -= int64_t{1} << count_bits;
-    }
-    table.counts_[i] = count;
-    if (!in->ReadBits(64, &table.key_xor_[i])) return std::nullopt;
-    if (!in->ReadBits(config.checksum_bits, &table.check_xor_[i]))
-      return std::nullopt;
+    table.counts_[i] = cells.TakeSigned(count_bits);
+    table.key_xor_[i] = cells.Take(64);
+    table.check_xor_[i] = cells.Take(checksum_bits);
     uint8_t* dst = table.values_.data() + i * table.value_bytes_;
-    for (int remaining = config.value_bits; remaining > 0;
-         remaining -= 64, dst += 8) {
-      const int take = std::min(remaining, 64);
-      uint64_t word = 0;
-      if (!in->ReadBits(take, &word)) return std::nullopt;
+    for (int left = config.value_bits; left > 0; left -= 64, dst += 8) {
+      const int take = std::min(left, 64);
+      const uint64_t word = cells.Take(take);
       std::memcpy(dst, &word, static_cast<size_t>(take + 7) / 8);
     }
   }

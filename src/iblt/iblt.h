@@ -26,7 +26,10 @@
 //
 // Serialisation is bit-exact: a cell costs count_bits + 64 + checksum_bits +
 // value_bits bits, which is what the transport layer reports as
-// communication.
+// communication. Cells follow each other with no padding, fields in that
+// order, LSB-first; Serialize packs them straight into the writer's buffer
+// and Deserialize takes them from the reader's bytes (util/bitio.h's word
+// codec).
 
 #ifndef RSR_IBLT_IBLT_H_
 #define RSR_IBLT_IBLT_H_
@@ -135,6 +138,8 @@ class Iblt {
                                          BitReader* in);
 
  private:
+  friend struct IbltTestPeer;  // a per-field reference codec
+
   void Apply(uint64_t key, const uint64_t* value, int direction);
   void ApplyBytes(uint64_t key, const std::vector<uint8_t>& value,
                   int direction);

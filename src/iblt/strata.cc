@@ -1,6 +1,7 @@
 #include "iblt/strata.h"
 
 #include <bit>
+#include <utility>
 
 #include "hash/mix.h"
 #include "util/check.h"
@@ -64,7 +65,7 @@ uint64_t StrataEstimator::EstimateDifference(
   for (int i = config_.num_strata - 1; i >= 0; --i) {
     Iblt diff = strata_[static_cast<size_t>(i)];
     diff.Subtract(other.strata_[static_cast<size_t>(i)]);
-    const IbltDecodeResult decoded = diff.Decode();
+    const IbltDecodeResult decoded = std::move(diff).Decode();
     if (!decoded.success) {
       if (i == config_.num_strata - 1) {
         // Even the sparsest stratum overflowed: the difference exceeds what
@@ -82,6 +83,7 @@ uint64_t StrataEstimator::EstimateDifference(
 }
 
 void StrataEstimator::Serialize(BitWriter* out) const {
+  out->Reserve(config_.SerializedBits());
   for (const Iblt& s : strata_) s.Serialize(out);
 }
 

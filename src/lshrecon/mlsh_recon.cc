@@ -131,11 +131,13 @@ class MlshAlice : public recon::PartySessionBase {
       : spec_(std::move(spec)), points_(points) {}
 
   std::vector<transport::Message> Start() override {
-    // One RIBLT per level, all in one message.
+    // One RIBLT per level, all in one message, in one buffer.
+    const std::vector<Riblt> tables = spec_->Build(points_).sketch;
+    size_t bits = 0;
+    for (const Riblt& table : tables) bits += table.config().SerializedBits();
     BitWriter w;
-    for (const Riblt& table : spec_->Build(points_).sketch) {
-      table.Serialize(&w);
-    }
+    w.Reserve(bits);
+    for (const Riblt& table : tables) table.Serialize(&w);
     result_.success = true;
     Finish();
     return OneMessage(transport::MakeMessage("mlsh-levels", std::move(w)));
@@ -197,7 +199,7 @@ class MlshBob : public recon::BobSessionBase {
     const size_t budget = params_.DecodeBudget();
     Rng rounding_rng(spec_->seed() ^ 0x726f756e64ULL);  // "round" tag
     for (size_t li = prefixes.size(); li-- > 0;) {
-      Riblt diff = alice_tables[li];
+      Riblt diff = std::move(alice_tables[li]);
       if (cached != nullptr) {
         diff.Subtract((*cached)[li]);
       } else {
@@ -209,7 +211,8 @@ class MlshBob : public recon::BobSessionBase {
           diff.Erase(bob_chains[i][prefixes[li] - 1], bob[i]);
         }
       }
-      const RibltDecodeResult decoded = diff.Decode(&rounding_rng, budget);
+      const RibltDecodeResult decoded =
+          std::move(diff).Decode(&rounding_rng, budget);
       if (!decoded.success) continue;
 
       // Split decoded pairs into Alice's side (points to adopt) and Bob's

@@ -37,12 +37,17 @@ Evaluation EvaluateProtocol(const std::string& protocol_name,
   if (options.measure_quality && alice.size() == bob.size()) {
     eval.emd_before =
         EmdAuto(alice, bob, options.metric, options.exact_emd_limit);
-    eval.emd_after = EmdAuto(alice, result.bob_final, options.metric,
-                             options.exact_emd_limit);
-    if (options.k > 0 && alice.size() <= options.exact_emd_limit) {
-      eval.emd_k = ExactEmdK(alice, bob, options.k, options.metric);
-      const double denom = eval.emd_k > 1.0 ? eval.emd_k : 1.0;
-      eval.ratio_vs_emdk = eval.emd_after / denom;
+    // EMD is defined between equal-size sets: an S'_B that differs from
+    // S_A in size (gap-lattice's grows by T_A) has no emd_after, and so no
+    // ratio.
+    if (result.bob_final.size() == alice.size()) {
+      eval.emd_after = EmdAuto(alice, result.bob_final, options.metric,
+                               options.exact_emd_limit);
+      if (options.k > 0 && alice.size() <= options.exact_emd_limit) {
+        eval.emd_k = ExactEmdK(alice, bob, options.k, options.metric);
+        const double denom = eval.emd_k > 1.0 ? eval.emd_k : 1.0;
+        eval.ratio_vs_emdk = eval.emd_after / denom;
+      }
     }
   }
   return eval;

@@ -25,7 +25,8 @@ struct Evaluation {
   double wall_seconds = 0.0;
 
   double emd_before = 0.0;  ///< EMD(alice, bob) before the protocol.
-  double emd_after = 0.0;   ///< EMD(alice, bob_final).
+  double emd_after = 0.0;   ///< EMD(alice, bob_final), when their sizes
+                            ///< match.
   double emd_k = 0.0;       ///< Reference EMD_k(alice, bob) (if computed).
   /// emd_after / max(emd_k, 1): the approximation ratio the paper bounds
   /// by O(d). Meaningful only when emd_k was computed.

@@ -1,6 +1,7 @@
 #include "riblt/riblt.h"
 
 #include <deque>
+#include <utility>
 
 #include "util/check.h"
 
@@ -8,35 +9,9 @@ namespace rsr {
 
 namespace {
 
-// Serialises a signed 128-bit value in `bits` bits (two's complement,
-// low word first).
-void WriteSigned128(BitWriter* out, __int128 v, int bits) {
-  const unsigned __int128 u = static_cast<unsigned __int128>(v);
-  if (bits <= 64) {
-    out->WriteBits(static_cast<uint64_t>(u), bits);
-  } else {
-    out->WriteBits(static_cast<uint64_t>(u), 64);
-    out->WriteBits(static_cast<uint64_t>(u >> 64), bits - 64);
-  }
-}
-
-bool ReadSigned128(BitReader* in, int bits, __int128* out) {
-  uint64_t lo = 0, hi = 0;
-  if (bits <= 64) {
-    if (!in->ReadBits(bits, &lo)) return false;
-    // Sign-extend.
-    if (bits < 64 && ((lo >> (bits - 1)) & 1)) lo |= ~uint64_t{0} << bits;
-    hi = (lo >> 63) ? ~uint64_t{0} : 0;
-  } else {
-    if (!in->ReadBits(64, &lo)) return false;
-    if (!in->ReadBits(bits - 64, &hi)) return false;
-    const int hbits = bits - 64;
-    if (hbits < 64 && ((hi >> (hbits - 1)) & 1)) hi |= ~uint64_t{0} << hbits;
-  }
-  *out = static_cast<__int128>(
-      (static_cast<unsigned __int128>(hi) << 64) | lo);
-  return true;
-}
+// The least 128-bit sum field, -2^127.
+constexpr __int128 kMinSum =
+    static_cast<__int128>(static_cast<unsigned __int128>(1) << 127);
 
 }  // namespace
 
@@ -84,6 +59,7 @@ Riblt::Riblt(const RibltConfig& config)
       value_sums_(m_ * static_cast<size_t>(d_), 0) {
   RSR_CHECK(config.universe.d >= 1 && config.universe.delta >= 1);
   RSR_CHECK(config.max_entries >= 1);
+  RSR_CHECK(config.count_bits >= 1 && config.count_bits <= 64);
 }
 
 void Riblt::Apply(uint64_t key, const Point& value, int direction) {
@@ -143,9 +119,14 @@ bool Riblt::IsStructurallyEmpty() const {
   return true;
 }
 
-RibltDecodeResult Riblt::Decode(Rng* rng, size_t max_entries) const {
-  RibltDecodeResult result;
+RibltDecodeResult Riblt::Decode(Rng* rng, size_t max_entries) const& {
+  // Peeling mutates the table, so work on a copy.
   Riblt work = *this;
+  return std::move(work).Decode(rng, max_entries);
+}
+
+RibltDecodeResult Riblt::Decode(Rng* rng, size_t max_entries) && {
+  RibltDecodeResult result;
   const int64_t delta = config_.universe.delta;
 
   // Breadth-first (FIFO) peeling: the specific order the robust analysis
@@ -167,18 +148,20 @@ RibltDecodeResult Riblt::Decode(Rng* rng, size_t max_entries) const {
     queue.pop_front();
     queued[cell] = 0;
 
-    const int64_t count = work.counts_[cell];
+    const int64_t count = counts_[cell];
     if (count == 0) continue;
-    const __int128 key_sum = work.key_sums_[cell];
-    if (key_sum % count != 0) continue;
+    const __int128 key_sum = key_sums_[cell];
+    // c copies of a key below 2^64 sum to less than 2^127 in magnitude:
+    // -2^127, whose division by -1 would overflow, is never c copies.
+    if (key_sum == kMinSum || key_sum % count != 0) continue;
     const __int128 key_wide = key_sum / count;
     if (key_wide < 0 ||
         key_wide > static_cast<__int128>(~uint64_t{0})) {
       continue;
     }
     const uint64_t key = static_cast<uint64_t>(key_wide);
-    if (work.check_sums_[cell] !=
-        static_cast<__int128>(work.checksum_(key)) * count) {
+    if (check_sums_[cell] !=
+        static_cast<__int128>(checksum_(key)) * count) {
       continue;  // not c copies of one key
     }
 
@@ -187,7 +170,7 @@ RibltDecodeResult Riblt::Decode(Rng* rng, size_t max_entries) const {
 
     // Average the value sums and randomly round each copy independently.
     const int64_t* vs =
-        work.value_sums_.data() + cell * static_cast<size_t>(d_);
+        value_sums_.data() + cell * static_cast<size_t>(d_);
     std::vector<int64_t> group_value_sum(vs, vs + d_);
     RibltEntry entry;
     entry.key = key;
@@ -217,7 +200,7 @@ RibltDecodeResult Riblt::Decode(Rng* rng, size_t max_entries) const {
       entry.values.push_back(std::move(p));
     }
 
-    work.RemoveGroup(key, count, group_value_sum);
+    RemoveGroup(key, count, group_value_sum);
     for (int j = 0; j < config_.q; ++j) {
       maybe_enqueue(indexer_.Cell(key, j));
     }
@@ -230,51 +213,53 @@ RibltDecodeResult Riblt::Decode(Rng* rng, size_t max_entries) const {
     }
   }
 
-  result.success = work.IsStructurallyEmpty();
+  result.success = IsStructurallyEmpty();
   return result;
 }
 
 void Riblt::Serialize(BitWriter* out) const {
+  const int count_bits = config_.count_bits;
   const int key_bits = config_.KeySumBits();
   const int coord_bits = config_.CoordSumBits();
-  for (size_t i = 0; i < m_; ++i) {
-    out->WriteBits(static_cast<uint64_t>(counts_[i]), config_.count_bits);
-    WriteSigned128(out, key_sums_[i], key_bits);
-    WriteSigned128(out, check_sums_[i], key_bits);
-    const int64_t* vs = value_sums_.data() + i * static_cast<size_t>(d_);
-    for (int c = 0; c < d_; ++c) {
-      out->WriteBits(static_cast<uint64_t>(vs[c]), coord_bits);
+  out->Pack(config_.SerializedBits(), [&](WordPacker& cells) {
+    // A key or checksum sum is wider than a word: its low word, then the
+    // rest of its two's complement.
+    const auto put_sum = [&](__int128 sum) {
+      cells.Put(static_cast<uint64_t>(sum), 64);
+      cells.PutSigned(static_cast<int64_t>(sum >> 64), key_bits - 64);
+    };
+    for (size_t i = 0; i < m_; ++i) {
+      cells.PutSigned(counts_[i], count_bits);
+      put_sum(key_sums_[i]);
+      put_sum(check_sums_[i]);
+      const int64_t* vs = value_sums_.data() + i * static_cast<size_t>(d_);
+      for (int c = 0; c < d_; ++c) cells.PutSigned(vs[c], coord_bits);
     }
-  }
+  });
 }
 
 std::optional<Riblt> Riblt::Deserialize(const RibltConfig& config,
                                         BitReader* in) {
+  // The whole table must be there before a cell is allocated.
+  std::optional<WordUnpacker> cells = in->Unpack(config.SerializedBits());
+  if (!cells.has_value()) return std::nullopt;
   Riblt table(config);
+  const int count_bits = config.count_bits;
   const int key_bits = config.KeySumBits();
   const int coord_bits = config.CoordSumBits();
+  const auto take_sum = [&] {
+    const uint64_t low = cells->Take(64);
+    const uint64_t high =
+        static_cast<uint64_t>(cells->TakeSigned(key_bits - 64));
+    return static_cast<__int128>(
+        static_cast<unsigned __int128>(high) << 64 | low);
+  };
   for (size_t i = 0; i < table.m_; ++i) {
-    uint64_t raw = 0;
-    if (!in->ReadBits(config.count_bits, &raw)) return std::nullopt;
-    int64_t count = static_cast<int64_t>(raw);
-    if (config.count_bits < 64 && ((raw >> (config.count_bits - 1)) & 1)) {
-      count -= int64_t{1} << config.count_bits;
-    }
-    table.counts_[i] = count;
-    if (!ReadSigned128(in, key_bits, &table.key_sums_[i])) return std::nullopt;
-    if (!ReadSigned128(in, key_bits, &table.check_sums_[i])) {
-      return std::nullopt;
-    }
+    table.counts_[i] = cells->TakeSigned(count_bits);
+    table.key_sums_[i] = take_sum();
+    table.check_sums_[i] = take_sum();
     int64_t* vs = table.value_sums_.data() + i * static_cast<size_t>(table.d_);
-    for (int c = 0; c < table.d_; ++c) {
-      uint64_t v = 0;
-      if (!in->ReadBits(coord_bits, &v)) return std::nullopt;
-      int64_t sv = static_cast<int64_t>(v);
-      if (coord_bits < 64 && ((v >> (coord_bits - 1)) & 1)) {
-        sv -= int64_t{1} << coord_bits;
-      }
-      vs[c] = sv;
-    }
+    for (int c = 0; c < table.d_; ++c) vs[c] = cells->TakeSigned(coord_bits);
   }
   return table;
 }

@@ -20,6 +20,15 @@
 //     residue is silently absorbed into later extractions — the "error
 //     propagation" the protocol's analysis bounds. Decode success is
 //     therefore judged on counts/keys/checksums only.
+//
+// Wire layout (RibltConfig::SerializedBits() bits, cell after cell, no
+// padding): per cell the count in count_bits, the key sum and the checksum
+// sum in KeySumBits() each, then the d coordinate sums in CoordSumBits()
+// each, every field two's complement, LSB-first. A sum field wider than 64
+// bits is its low word, then its high bits. Serialize packs these fields
+// straight into the writer's buffer and Deserialize takes them from the
+// reader's bytes (util/bitio.h's word codec); neither allocates anything
+// else the size of a table.
 
 #ifndef RSR_RIBLT_RIBLT_H_
 #define RSR_RIBLT_RIBLT_H_
@@ -85,18 +94,28 @@ class Riblt {
 
   /// Breadth-first robust peeling. `rng` drives the randomised rounding of
   /// averaged values. If max_entries > 0, aborts once more than that many
-  /// pairs (counting copies) have been extracted.
-  RibltDecodeResult Decode(Rng* rng, size_t max_entries = 0) const;
+  /// pairs (counting copies) have been extracted. Non-destructive.
+  RibltDecodeResult Decode(Rng* rng, size_t max_entries = 0) const&;
+  /// The same, peeling a table about to be discarded in place instead of
+  /// a copy of it: the table is consumed.
+  RibltDecodeResult Decode(Rng* rng, size_t max_entries = 0) &&;
 
   /// True when counts, key sums and checksum sums are all zero (value
   /// residue from matched noisy pairs is permitted).
   bool IsStructurallyEmpty() const;
 
+  /// Appends the cells in the wire layout above.
   void Serialize(BitWriter* out) const;
+  /// Reads a table serialized with the same config. nullopt, consuming
+  /// nothing, when fewer than config.SerializedBits() bits remain: checked
+  /// before anything is allocated.
   static std::optional<Riblt> Deserialize(const RibltConfig& config,
                                           BitReader* in);
 
  private:
+  friend struct RibltTestPeer;  // a per-field reference codec
+
+
   void Apply(uint64_t key, const Point& value, int direction);
   void RemoveGroup(uint64_t key, int64_t count,
                    const std::vector<int64_t>& value_sum);

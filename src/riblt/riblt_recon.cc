@@ -167,9 +167,11 @@ class RibltOneShotBob : public recon::BobSessionBase {
     const PointSet& bob = points_;
     BitReader r(message.payload);
     // Alice's n is prefixed: max_entries (and thus the sum-field widths)
-    // must match hers even when the set sizes differ.
+    // must match hers even when the set sizes differ. An n whose
+    // max_entries = 2n + 2 would overflow is no set's size.
     uint64_t alice_n = 0;
-    if (!r.ReadVarint(&alice_n)) {
+    if (!r.ReadVarint(&alice_n) ||
+        alice_n > (std::numeric_limits<size_t>::max() - 2) / 2) {
       FailWith(recon::SessionError::kMalformedMessage);
       return NoMessages();
     }
@@ -190,7 +192,7 @@ class RibltOneShotBob : public recon::BobSessionBase {
     }
     Rng rounding_rng(spec_->seed() ^ 0x726c7472ULL);  // "rltr" tag
     const RibltDecodeResult decoded =
-        diff->Decode(&rounding_rng, params_.DecodeBudget());
+        std::move(*diff).Decode(&rounding_rng, params_.DecodeBudget());
     if (decoded.success) {
       // +1 entries are Alice-only points to adopt; -1 entries are Bob-only
       // points to retire (matched greedily against his own set, since the

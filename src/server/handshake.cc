@@ -158,9 +158,12 @@ transport::Message EncodeResult(const ResultFrame& frame,
   if (frame.has_set) {
     const size_t count = set.size();
     writer.WriteVarint(count);
-    PointPacker packer(universe, count);
-    set.ForEach([&](const Point& p) { packer.Add(p); });
-    packer.WriteTo(&writer);
+    const int bits = universe.BitsPerCoord();
+    writer.Pack(count * static_cast<size_t>(universe.BitsPerPoint()),
+                [&](WordPacker& packer) {
+                  set.ForEach(
+                      [&](const Point& p) { PutPoint(p, bits, &packer); });
+                });
   }
   return transport::MakeMessage(kResultLabel, std::move(writer));
 }

@@ -3,42 +3,12 @@
 #include <bit>
 #include <cstring>
 
-#include "util/check.h"
-
 namespace rsr {
-
-namespace {
-
-// The low `bytes` (<= 8) bytes of `word`, stored / loaded little-endian:
-// BitWriter's LSB-first layout, a whole word at a time.
-void StoreLittle(uint64_t word, uint8_t* out, size_t bytes) {
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, &word, bytes);
-  } else {
-    for (size_t i = 0; i < bytes; ++i) {
-      out[i] = static_cast<uint8_t>(word >> (8 * i));
-    }
-  }
-}
-
-uint64_t LoadLittle(const uint8_t* in, size_t bytes) {
-  uint64_t word = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&word, in, bytes);
-  } else {
-    for (size_t i = 0; i < bytes; ++i) {
-      word |= static_cast<uint64_t>(in[i]) << (8 * i);
-    }
-  }
-  return word;
-}
-
-}  // namespace
 
 void BitWriter::WriteBits(uint64_t value, int bits) {
   RSR_DCHECK(bits >= 0 && bits <= 64);
   if (bits == 0) return;
-  if (bits < 64) value &= (uint64_t{1} << bits) - 1;
+  value = LowBits(value, bits);
   const int offset = static_cast<int>(bit_count_ & 7);
   size_t index = bit_count_ >> 3;
   bit_count_ += static_cast<size_t>(bits);
@@ -50,15 +20,11 @@ void BitWriter::WriteBits(uint64_t value, int bits) {
     value >>= room;
     ++index;
   }
-  // Byte-aligned now, with at most 64 bits left: one word store.
+  // Byte-aligned now, with at most 64 bits left: one little-endian word
+  // store.
   const size_t end = (bit_count_ + 7) >> 3;
   bytes_.resize(end);
-  StoreLittle(value, bytes_.data() + index, end - index);
-}
-
-void BitWriter::WriteWords(const uint64_t* words, size_t bits) {
-  for (; bits >= 64; bits -= 64) WriteBits(*words++, 64);
-  WriteBits(bits == 0 ? 0 : *words, static_cast<int>(bits));
+  std::memcpy(bytes_.data() + index, &value, end - index);
 }
 
 void BitWriter::WriteVarint(uint64_t value) {
@@ -95,14 +61,13 @@ bool BitReader::ReadBits(int bits, uint64_t* out) {
   pos_ += static_cast<size_t>(bits);
   const size_t end = (pos_ + 7) >> 3;
   const size_t available = (size_bits_ >> 3) - index;
-  uint64_t value = available >= 8 ? LoadLittle(data_ + index, 8)
-                                   : LoadLittle(data_ + index, available);
+  uint64_t value = 0;
+  std::memcpy(&value, data_ + index, available >= 8 ? 8 : available);
   value >>= offset;
   if (end - index > 8) {
     value |= static_cast<uint64_t>(data_[index + 8]) << (64 - offset);
   }
-  if (bits < 64) value &= (uint64_t{1} << bits) - 1;
-  *out = value;
+  *out = LowBits(value, bits);
   return true;
 }
 

@@ -7,8 +7,10 @@
 // hostile wire counts that must fail as malformed instead of allocating.
 // Then both hosts that feed the same Connection — the threaded pump over
 // pipes and the reactor over TCP — must ship the same "@result" bytes and
-// settle the same per-protocol session counts.
+// settle the same per-protocol session counts, and both survive a hostile
+// riblt-oneshot set size.
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <functional>
@@ -29,6 +31,7 @@
 #include "recon/session.h"
 #include "replica/changelog.h"
 #include "replica/replica_node.h"
+#include "riblt/riblt_recon.h"
 #include "server/async_sync_server.h"
 #include "server/connection.h"
 #include "server/handshake.h"
@@ -704,6 +707,102 @@ TEST(ConnectionHostsTest, ThreadedPipeAndReactorTcpShipIdenticalResults) {
                 Sessions(direct, protocol, outcome))
           << protocol << " " << outcome;
     }
+  }
+}
+
+/// A raw client that sends `frame` where Alice's opening belongs, and the
+/// "@result" frame it gets back.
+std::optional<Message> SendForAlice(net::ByteStream* stream,
+                                    const std::string& protocol,
+                                    const Message& frame) {
+  net::FramedStream framed(stream);
+  Message reply;
+  if (!framed.Send(Hello(protocol)) ||
+      framed.Receive(&reply) != net::FramedStream::RecvStatus::kMessage ||
+      reply.label != kAcceptLabel || !framed.Send(frame) ||
+      framed.Receive(&reply) != net::FramedStream::RecvStatus::kMessage ||
+      reply.label != kResultLabel) {
+    return std::nullopt;
+  }
+  stream->Close();
+  return reply;
+}
+
+TEST(ConnectionHostsTest, HostileRibltCountFailsMalformedOnBothHosts) {
+  // riblt-oneshot's table frame opens with Alice's n, which sizes the sum
+  // fields through max_entries = 2n + 2. An n for which that overflows
+  // once wrapped max_entries to 0 and aborted the host; zero cells follow,
+  // as many as the widest table these params size.
+  BitWriter w;
+  w.WriteVarint((uint64_t{1} << 63) - 1);
+  const size_t widest = RibltOneShotConfig(Ctx().universe,
+                                           Params().Resolved().riblt,
+                                           uint64_t{1} << 62, Ctx().seed)
+                            .SerializedBits();
+  for (size_t left = widest; left > 0; left -= std::min<size_t>(left, 64)) {
+    w.WriteBits(0, static_cast<int>(std::min<size_t>(left, 64)));
+  }
+  const Message hostile = transport::MakeMessage("riblt-set", std::move(w));
+  const PointSet canonical = Cloud(96, 4243);
+  // Three points replaced, none perturbed: an exact-key difference the
+  // k = 8 table decodes.
+  PointSet client = canonical;
+  const PointSet fresh = Cloud(3, 600);
+  for (size_t i = 0; i < fresh.size(); ++i) client[10 * i] = fresh[i];
+  const ReconResult want = DriverResult("riblt-oneshot", client, canonical);
+  ASSERT_TRUE(want.success);
+
+  SyncServer threaded(canonical, HostOptions());
+  const auto over_pipe = [&](const auto& sync) {
+    auto [server_end, client_end] = net::PipeStream::CreatePair();
+    std::thread serve([&threaded, end = std::move(server_end)] {
+      threaded.ServeConnection(end.get());
+    });
+    const std::optional<Message> result = sync(client_end.get());
+    serve.join();
+    return result;
+  };
+  AsyncSyncServerOptions async_options;
+  async_options.context = Ctx();
+  async_options.params = Params();
+  async_options.shards = 1;
+  AsyncSyncServer reactor(canonical, async_options);
+  ASSERT_TRUE(reactor.Start(net::TcpListener::Listen("127.0.0.1", 0)));
+  const auto over_tcp = [&](const auto& sync) {
+    auto tcp = net::TcpStream::Connect("127.0.0.1", reactor.port());
+    EXPECT_NE(tcp, nullptr);
+    return tcp == nullptr ? std::nullopt : sync(tcp.get());
+  };
+
+  const auto send_hostile = [&](net::ByteStream* stream) {
+    return SendForAlice(stream, "riblt-oneshot", hostile);
+  };
+  const auto clean_sync = [&](net::ByteStream* stream) {
+    return WireSync(stream, "riblt-oneshot", client);
+  };
+  const std::optional<Message> served[2][2] = {
+      {over_pipe(send_hostile), over_pipe(clean_sync)},
+      {over_tcp(send_hostile), over_tcp(clean_sync)},
+  };
+  for (const auto& [malformed, clean] : served) {
+    ASSERT_TRUE(malformed.has_value());
+    EXPECT_EQ(DecodedResult(*malformed).result.error,
+              SessionError::kMalformedMessage);
+    // The host is unharmed: a clean sync right after matches the driver.
+    ASSERT_TRUE(clean.has_value());
+    ExpectMatchesDriver("riblt-oneshot", DecodedResult(*clean).result, want);
+  }
+
+  ASSERT_TRUE(Eventually([&] {
+    return reactor.metrics_registry().SumCounters(
+               "rsr_sync_sessions_total") == 2u;
+  }));
+  reactor.Stop();
+  for (const CanonicalHost* host :
+       {static_cast<const CanonicalHost*>(&threaded),
+        static_cast<const CanonicalHost*>(&reactor)}) {
+    EXPECT_EQ(Sessions(*host, "riblt-oneshot", "malformed"), 1u);
+    EXPECT_EQ(Sessions(*host, "riblt-oneshot", "ok"), 1u);
   }
 }
 

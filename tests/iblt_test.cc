@@ -1,6 +1,7 @@
 #include "iblt/iblt.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <set>
@@ -15,6 +16,43 @@
 #include "util/random.h"
 
 namespace rsr {
+
+// The per-field codec the word codec replaced, kept as its oracle: one
+// WriteBits call per field and per value word.
+struct IbltTestPeer {
+  static void ReferenceSerialize(const Iblt& table, BitWriter* out) {
+    const IbltConfig& config = table.config_;
+    for (size_t i = 0; i < table.m_; ++i) {
+      out->WriteBits(static_cast<uint64_t>(table.counts_[i]),
+                     config.count_bits);
+      out->WriteBits(table.key_xor_[i], 64);
+      out->WriteBits(table.check_xor_[i], config.checksum_bits);
+      const uint8_t* src = table.values_.data() + i * table.value_bytes_;
+      for (int remaining = config.value_bits; remaining > 0;
+           remaining -= 64, src += 8) {
+        uint64_t word;
+        std::memcpy(&word, src, 8);
+        out->WriteBits(word, std::min(remaining, 64));
+      }
+    }
+  }
+
+  /// `read` holds every field of every cell of `written` as the wire
+  /// keeps it: counts in their low count_bits, sign-extended.
+  static bool SameCells(const Iblt& read, const Iblt& written) {
+    const int shift = 64 - written.config_.count_bits;
+    for (size_t i = 0; i < written.m_; ++i) {
+      const uint64_t count = static_cast<uint64_t>(written.counts_[i]);
+      if (read.counts_[i] != static_cast<int64_t>(count << shift) >> shift) {
+        return false;
+      }
+    }
+    return read.key_xor_ == written.key_xor_ &&
+           read.check_xor_ == written.check_xor_ &&
+           read.values_ == written.values_;
+  }
+};
+
 namespace {
 
 IbltConfig SmallConfig(int value_bits = 0, uint64_t seed = 1) {
@@ -204,6 +242,66 @@ TEST(IbltTest, SerializeNegativeCountsRoundTrip) {
   ASSERT_EQ(result.entries.size(), 2u);
   EXPECT_EQ(result.entries[0].sign, -1);
   EXPECT_EQ(result.entries[1].sign, -1);
+}
+
+// The word codec writes exactly the per-field codec's bits after a prefix
+// of every length 0..63, for every field width the codec distinguishes
+// (keys only, values under, at and over a word, the widest counts and
+// checksums), reads them back to the same table, and refuses input one
+// bit short without consuming it.
+TEST(IbltCodecTest, MatchesPerFieldReferenceAtEveryOffset) {
+  struct Widths {
+    int value_bits, checksum_bits, count_bits;
+  };
+  const Widths widths[] = {{0, 32, 16},  {20, 32, 16}, {64, 64, 64},
+                           {100, 1, 2},  {133, 17, 9}, {7, 63, 63}};
+  Rng rng(404);
+  for (const Widths& width : widths) {
+    IbltConfig config = SmallConfig(width.value_bits, 21);
+    config.cells = 90;
+    config.checksum_bits = width.checksum_bits;
+    config.count_bits = width.count_bits;
+    Iblt table(config);
+    std::vector<uint64_t> value(table.value_words());
+    for (int i = 0; i < 300; ++i) {
+      for (size_t w = 0; w < value.size(); ++w) {
+        const int bits = std::min(config.value_bits - 64 * static_cast<int>(w),
+                                  64);
+        value[w] = LowBits(rng.Next64(), bits);
+      }
+      // Erasures outnumber insertions: counts of both signs.
+      if (i % 3 == 0) {
+        table.Insert(rng.Next64(), value.data());
+      } else {
+        table.Erase(rng.Next64(), value.data());
+      }
+    }
+    const size_t bits = config.SerializedBits();
+    for (int offset = 0; offset < 64; ++offset) {
+      SCOPED_TRACE(testing::Message() << "value_bits " << width.value_bits
+                                      << " offset " << offset);
+      const uint64_t prefix = rng.Next64();
+      BitWriter w, reference;
+      w.WriteBits(prefix, offset);
+      reference.WriteBits(prefix, offset);
+      table.Serialize(&w);
+      IbltTestPeer::ReferenceSerialize(table, &reference);
+      ASSERT_EQ(w.bit_count(), static_cast<size_t>(offset) + bits);
+      ASSERT_EQ(w.bytes(), reference.bytes());
+
+      BitReader r(w.bytes());
+      ASSERT_TRUE(r.Skip(static_cast<size_t>(offset)));
+      const std::optional<Iblt> back = Iblt::Deserialize(config, &r);
+      ASSERT_TRUE(back.has_value());
+      EXPECT_EQ(r.bits_consumed(), static_cast<size_t>(offset) + bits);
+      ASSERT_TRUE(IbltTestPeer::SameCells(*back, table));
+
+      BitReader short_by_one(w.bytes());
+      ASSERT_TRUE(short_by_one.Skip(w.bytes().size() * 8 - (bits - 1)));
+      EXPECT_FALSE(Iblt::Deserialize(config, &short_by_one).has_value());
+      EXPECT_EQ(short_by_one.bits_remaining(), bits - 1);
+    }
+  }
 }
 
 TEST(IbltTest, DeserializeUnderrunFails) {

@@ -342,6 +342,26 @@ TEST(EvaluateProtocolTest, MeasuresEverything) {
   EXPECT_GE(eval.wall_seconds, 0.0);
 }
 
+// gap-lattice's S'_B is S_B plus T_A, so it is larger than S_A: with the
+// default options the run is measured without an EMD between sets of
+// different sizes, and it has no ratio.
+TEST(EvaluateProtocolTest, GapLatticeOutputLargerThanAliceHasNoRatio) {
+  const size_t n = 128, k = 4;
+  const ReplicaPair pair = MakeInstance(1 << 12, 2, n, k, 1.0, 33);
+  const ProtocolContext ctx = Context(1 << 12, 2, 34);
+  EvaluateOptions options;
+  options.k = k;
+  const Evaluation eval = EvaluateProtocol("gap-lattice", ctx,
+                                           ProtocolParams(), pair.alice,
+                                           pair.bob, options);
+  EXPECT_EQ(eval.protocol, "gap-lattice");
+  EXPECT_TRUE(eval.success);
+  EXPECT_GT(eval.comm_bits, 0u);
+  EXPECT_GT(eval.emd_before, 0.0);
+  EXPECT_EQ(eval.emd_after, 0.0);
+  EXPECT_EQ(eval.ratio_vs_emdk, 0.0);
+}
+
 // Approximation-quality sweep: across dimensions, the achieved EMD must be
 // within a (generous) O(d log n)-flavoured factor of EMD_k.
 class QuadtreeQualitySweep : public ::testing::TestWithParam<int> {};

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,55 @@
 #include "util/random.h"
 
 namespace rsr {
+
+// The per-field codec the word codec replaced, kept as its oracle: one
+// WriteBits call per field, a sum wider than a word as its low word and
+// then its high bits.
+struct RibltTestPeer {
+  static void ReferenceSerialize(const Riblt& table, BitWriter* out) {
+    const RibltConfig& config = table.config_;
+    const int key_bits = config.KeySumBits();
+    const int coord_bits = config.CoordSumBits();
+    const auto write_sum = [&](__int128 v) {
+      const unsigned __int128 u = static_cast<unsigned __int128>(v);
+      out->WriteBits(static_cast<uint64_t>(u), 64);
+      out->WriteBits(static_cast<uint64_t>(u >> 64), key_bits - 64);
+    };
+    for (size_t i = 0; i < table.m_; ++i) {
+      out->WriteBits(static_cast<uint64_t>(table.counts_[i]),
+                     config.count_bits);
+      write_sum(table.key_sums_[i]);
+      write_sum(table.check_sums_[i]);
+      const int64_t* vs =
+          table.value_sums_.data() + i * static_cast<size_t>(table.d_);
+      for (int c = 0; c < table.d_; ++c) {
+        out->WriteBits(static_cast<uint64_t>(vs[c]), coord_bits);
+      }
+    }
+  }
+
+  /// Every field of every cell is equal.
+  static bool SameCells(const Riblt& a, const Riblt& b) {
+    return a.counts_ == b.counts_ && a.key_sums_ == b.key_sums_ &&
+           a.check_sums_ == b.check_sums_ && a.value_sums_ == b.value_sums_;
+  }
+
+  /// True when some cell holds a negative count, key sum and value sum and
+  /// some cell a key sum beyond 2^64: the fields whose high bits matter.
+  static bool HasWideAndNegativeFields(const Riblt& table) {
+    bool negative_count = false, negative_sum = false, negative_value = false;
+    bool wide_sum = false;
+    const __int128 word = static_cast<__int128>(1) << 64;
+    for (size_t i = 0; i < table.m_; ++i) {
+      negative_count |= table.counts_[i] < 0;
+      negative_sum |= table.key_sums_[i] < 0;
+      wide_sum |= table.key_sums_[i] >= word || table.key_sums_[i] <= -word;
+    }
+    for (int64_t v : table.value_sums_) negative_value |= v < 0;
+    return negative_count && negative_sum && negative_value && wide_sum;
+  }
+};
+
 namespace {
 
 RibltConfig TestConfig(size_t cells = 120, uint64_t seed = 1) {
@@ -258,6 +309,136 @@ TEST(RibltTest, DeserializeUnderrunFails) {
   w.WriteBits(0, 50);
   BitReader r(w.bytes());
   EXPECT_FALSE(Riblt::Deserialize(config, &r).has_value());
+}
+
+/// `table` after `inserts` random insertions and `erases` random erasures:
+/// counts of both signs, key and checksum sums beyond 2^64 where keys
+/// pile up, negative value sums.
+Riblt Filled(const RibltConfig& config, int inserts, int erases,
+             uint64_t seed) {
+  Riblt table(config);
+  Rng rng(seed);
+  const auto point = [&] {
+    Point p(static_cast<size_t>(config.universe.d));
+    for (int64_t& c : p) {
+      c = static_cast<int64_t>(
+          rng.Below(static_cast<uint64_t>(config.universe.delta)));
+    }
+    return p;
+  };
+  for (int i = 0; i < inserts; ++i) table.Insert(rng.Next64(), point());
+  for (int i = 0; i < erases; ++i) table.Erase(rng.Next64(), point());
+  return table;
+}
+
+// The word codec writes exactly the per-field codec's bits after a prefix
+// of every length 0..63, reads them back to the same table, and refuses
+// input one bit short without consuming it. The k = 1024 one-shot table
+// is mesh-repl's repair sketch.
+TEST(RibltCodecTest, MatchesPerFieldReferenceAtEveryOffset) {
+  RibltReconParams oneshot;
+  oneshot.k = 1024;
+  struct Case {
+    RibltConfig config;
+    int inserts;
+    int erases;
+  };
+  RibltConfig wide_coords = TestConfig(60, 5);
+  wide_coords.universe = MakeUniverse(int64_t{1} << 40, 3);
+  wide_coords.count_bits = 64;
+  const Case cases[] = {
+      {TestConfig(120, 3), 150, 250},
+      {wide_coords, 90, 120},
+      {RibltOneShotConfig(MakeUniverse(1 << 14, 2), oneshot, 1 << 14, 9),
+       12000, 12000},
+  };
+  Rng prefix_rng(31);
+  for (const Case& c : cases) {
+    const Riblt table = Filled(c.config, c.inserts, c.erases, c.inserts);
+    ASSERT_TRUE(RibltTestPeer::HasWideAndNegativeFields(table));
+    const size_t bits = c.config.SerializedBits();
+    for (int offset = 0; offset < 64; ++offset) {
+      SCOPED_TRACE(testing::Message() << "cells " << table.cells()
+                                      << " offset " << offset);
+      const uint64_t prefix = prefix_rng.Next64();
+      BitWriter w, reference;
+      w.WriteBits(prefix, offset);
+      reference.WriteBits(prefix, offset);
+      table.Serialize(&w);
+      RibltTestPeer::ReferenceSerialize(table, &reference);
+      ASSERT_EQ(w.bit_count(), static_cast<size_t>(offset) + bits);
+      ASSERT_EQ(w.bytes(), reference.bytes());
+
+      BitReader r(w.bytes());
+      ASSERT_TRUE(r.Skip(static_cast<size_t>(offset)));
+      const std::optional<Riblt> back = Riblt::Deserialize(c.config, &r);
+      ASSERT_TRUE(back.has_value());
+      EXPECT_EQ(r.bits_consumed(), static_cast<size_t>(offset) + bits);
+      ASSERT_TRUE(RibltTestPeer::SameCells(*back, table));
+
+      BitReader short_by_one(w.bytes());
+      ASSERT_TRUE(short_by_one.Skip(w.bytes().size() * 8 - (bits - 1)));
+      EXPECT_FALSE(Riblt::Deserialize(c.config, &short_by_one).has_value());
+      EXPECT_EQ(short_by_one.bits_remaining(), bits - 1);
+    }
+  }
+}
+
+// A set size near 2^63 widens the sum fields to 128 bits, so a hostile
+// table can hold a key sum of -2^127 over a count of -1: no key's copies
+// sum to that, and the cell must be left unpeeled rather than divided
+// (which overflows; the sanitizer build checks it).
+TEST(RibltTest, LeastKeySumIsNeverPeeled) {
+  RibltConfig config = TestConfig(3, 41);
+  config.max_entries = (size_t{1} << 63) + 2;
+  ASSERT_EQ(config.KeySumBits(), 128);
+  BitWriter w;
+  for (size_t cell = 0; cell < config.RoundedCells(); ++cell) {
+    w.WriteBits(0xffff, config.count_bits);  // -1
+    w.WriteBits(0, 64);                      // key sum -2^127
+    w.WriteBits(uint64_t{1} << 63, 64);
+    w.WriteBits(0, 64);  // checksum sum 0
+    w.WriteBits(0, 64);
+    for (int c = 0; c < config.universe.d; ++c) {
+      w.WriteBits(0, config.CoordSumBits());
+    }
+  }
+  BitReader r(w.bytes());
+  std::optional<Riblt> table = Riblt::Deserialize(config, &r);
+  ASSERT_TRUE(table.has_value());
+  Rng rng(42);
+  const RibltDecodeResult result = std::move(*table).Decode(&rng);
+  EXPECT_FALSE(result.success);
+  EXPECT_TRUE(result.entries.empty());
+}
+
+// Peeling in place gives what peeling a copy gives: the same entries in
+// the same (FIFO) order, from the same rounding stream.
+TEST(RibltTest, DecodeInPlaceMatchesDecodeOfACopy) {
+  const RibltConfig config = TestConfig(240, 12);
+  Riblt table(config);
+  Rng data_rng(12);
+  for (int i = 0; i < 30; ++i) {
+    const uint64_t key = data_rng.Next64();
+    const int copies = 1 + static_cast<int>(data_rng.Below(3));
+    for (int c = 0; c < copies; ++c) {
+      table.Insert(key, {data_rng.Uniform(0, 1023), data_rng.Uniform(0, 1023)});
+    }
+  }
+  for (int i = 0; i < 10; ++i) table.Erase(data_rng.Next64(), {1, 2});
+  Rng copy_rng(40), place_rng(40);
+  const RibltDecodeResult copied = table.Decode(&copy_rng);
+  Riblt consumed = table;
+  const RibltDecodeResult in_place = std::move(consumed).Decode(&place_rng);
+  ASSERT_TRUE(copied.success);
+  EXPECT_EQ(in_place.success, copied.success);
+  ASSERT_EQ(in_place.entries.size(), copied.entries.size());
+  for (size_t i = 0; i < copied.entries.size(); ++i) {
+    EXPECT_EQ(in_place.entries[i].key, copied.entries[i].key);
+    EXPECT_EQ(in_place.entries[i].sign, copied.entries[i].sign);
+    EXPECT_EQ(in_place.entries[i].values, copied.entries[i].values);
+  }
+  EXPECT_EQ(place_rng.Next64(), copy_rng.Next64());
 }
 
 // Reconciliation-shaped sweep: two parties, varying overlap; the subtracted

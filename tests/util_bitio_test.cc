@@ -1,6 +1,7 @@
 #include "util/bitio.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -220,8 +221,7 @@ TEST(BitIoTest, WordWritesMatchBitAtATimeReference) {
   }
 }
 
-// WordPacker lays fields out as BitWriter does, a word at a time, and
-// WriteWords appends exactly those bits after any prefix.
+// WordPacker lays fields out as BitWriter does, a word at a time.
 TEST(BitIoTest, WordPackerMatchesBitWriter) {
   Rng rng(2025);
   for (int trial = 0; trial < 64; ++trial) {
@@ -246,12 +246,7 @@ TEST(BitIoTest, WordPackerMatchesBitWriter) {
       expected.WriteBits(value, width);
     }
     packer.Flush();
-    BitWriter w;
-    w.WriteBits(0x5a5, prefix);
-    w.WriteWords(words.data(), total);
-    ASSERT_EQ(w.bit_count(), expected.bit_count()) << "trial " << trial;
-    ASSERT_EQ(w.bytes(), expected.bytes()) << "trial " << trial;
-    // The words themselves, read back little-endian, hold the same bits.
+    // The words, read back little-endian, hold BitWriter's bits.
     BitReader r(expected.bytes());
     ASSERT_TRUE(r.Skip(static_cast<size_t>(prefix)));
     for (size_t left = total, i = 0; left > 0; ++i) {
@@ -293,6 +288,103 @@ TEST(BitIoTest, ReadsAtEveryOffsetMatchBitAtATimeReference) {
           ASSERT_EQ(r.bits_consumed(), start);  // underrun consumes nothing
         }
       }
+    }
+  }
+}
+
+/// Random fields: a width 0..64 each (signed ones 1..64), the value
+/// within it.
+struct Field {
+  uint64_t value;
+  int width;
+  bool is_signed;
+};
+
+std::vector<Field> RandomFields(Rng* rng, int count) {
+  std::vector<Field> fields;
+  for (int i = 0; i < count; ++i) {
+    Field f;
+    f.is_signed = rng->Below(3) == 0;
+    f.width = f.is_signed ? 1 + static_cast<int>(rng->Below(64))
+                          : static_cast<int>(rng->Below(65));
+    f.value = LowBits(rng->Next64(), f.width);
+    fields.push_back(f);
+  }
+  return fields;
+}
+
+/// The field's value as PutSigned takes it and TakeSigned returns it.
+int64_t SignExtended(const Field& f) {
+  const bool negative = f.width > 0 && (f.value >> (f.width - 1)) & 1;
+  return static_cast<int64_t>(negative && f.width < 64
+                                  ? f.value | ~uint64_t{0} << f.width
+                                  : f.value);
+}
+
+// Pack puts fields straight into the writer's buffer exactly as WriteBits
+// writes them, after a prefix of every length 0..63; Unpack takes them back
+// out of the reader's bytes, signed ones sign-extended. A writer reserved
+// for the fields packs them without reallocating.
+TEST(BitIoTest, PackAndUnpackMatchBitWriterAtEveryOffset) {
+  Rng rng(2027);
+  for (int offset = 0; offset < 64; ++offset) {
+    const std::vector<Field> fields =
+        RandomFields(&rng, static_cast<int>(rng.Below(60)));
+    size_t total = 0;
+    for (const Field& f : fields) total += static_cast<size_t>(f.width);
+    const uint64_t prefix = rng.Next64();
+    BitWriter w, expected;
+    w.WriteBits(prefix, offset);
+    expected.WriteBits(prefix, offset);
+    w.Reserve(total);
+    const uint8_t* reserved = w.bytes().data();
+    w.Pack(total, [&](WordPacker& packer) {
+      for (const Field& f : fields) {
+        if (f.is_signed) {
+          packer.PutSigned(SignExtended(f), f.width);
+        } else {
+          packer.Put(f.value, f.width);
+        }
+      }
+    });
+    for (const Field& f : fields) expected.WriteBits(f.value, f.width);
+    ASSERT_EQ(w.bit_count(), expected.bit_count()) << "offset " << offset;
+    ASSERT_EQ(w.bytes(), expected.bytes()) << "offset " << offset;
+    EXPECT_EQ(w.bytes().data(), reserved) << "offset " << offset;
+
+    // Exactly the bytes written (a sanitizer build flags any load past
+    // them), read from the same offset.
+    BitReader r(w.bytes());
+    ASSERT_TRUE(r.Skip(static_cast<size_t>(offset)));
+    std::optional<WordUnpacker> unpacker = r.Unpack(total);
+    ASSERT_TRUE(unpacker.has_value());
+    EXPECT_EQ(r.bits_consumed(), static_cast<size_t>(offset) + total);
+    for (const Field& f : fields) {
+      if (f.is_signed) {
+        ASSERT_EQ(unpacker->TakeSigned(f.width), SignExtended(f))
+            << "offset " << offset << " width " << f.width;
+      } else {
+        ASSERT_EQ(unpacker->Take(f.width), f.value)
+            << "offset " << offset << " width " << f.width;
+      }
+    }
+  }
+}
+
+// Unpack checks its bound once, up front: a range past the end is refused
+// and consumes nothing; a range ending at the last bit is granted.
+TEST(BitIoTest, UnpackRefusesARangePastTheEnd) {
+  const std::vector<uint8_t> bytes(9, 0xa5);
+  for (size_t start = 0; start <= 72; ++start) {
+    BitReader r(bytes);
+    ASSERT_TRUE(r.Skip(start));
+    EXPECT_FALSE(r.Unpack(72 - start + 1).has_value());
+    EXPECT_EQ(r.bits_consumed(), start);
+    std::optional<WordUnpacker> rest = r.Unpack(72 - start);
+    ASSERT_TRUE(rest.has_value());
+    EXPECT_EQ(r.bits_remaining(), 0u);
+    for (size_t i = start; i < 72; ++i) {
+      EXPECT_EQ(rest->Take(1), (0xa5u >> (i % 8)) & 1) << "bit " << i;
     }
   }
 }

@@ -267,13 +267,8 @@ TEST(WireGoldenTest, EveryProtocolMatchesTheGoldenWire) {
         EXPECT_EQ(cached.result.success, run.result.success);
         EXPECT_EQ(cached.result.bob_final, run.result.bob_final);
 
-        // EMD is defined between equal-size sets; gap-lattice's S'_B grows
-        // by T_A, so it has no ratio.
-        recon::EvaluateOptions eval_options = options;
-        eval_options.measure_quality =
-            run.result.bob_final.size() == pair.alice.size();
         const recon::Evaluation eval = recon::EvaluateProtocol(
-            protocol, ctx, params, pair.alice, pair.bob, eval_options);
+            protocol, ctx, params, pair.alice, pair.bob, options);
         EXPECT_EQ(eval.comm_bits, run.stats.total_bits);
         row.ratio = eval.ratio_vs_emdk;
       }
