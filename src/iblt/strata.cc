@@ -83,7 +83,6 @@ uint64_t StrataEstimator::EstimateDifference(
 }
 
 void StrataEstimator::Serialize(BitWriter* out) const {
-  out->Reserve(config_.SerializedBits());
   for (const Iblt& s : strata_) s.Serialize(out);
 }
 

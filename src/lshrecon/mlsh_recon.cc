@@ -131,13 +131,11 @@ class MlshAlice : public recon::PartySessionBase {
       : spec_(std::move(spec)), points_(points) {}
 
   std::vector<transport::Message> Start() override {
-    // One RIBLT per level, all in one message, in one buffer.
-    const std::vector<Riblt> tables = spec_->Build(points_).sketch;
-    size_t bits = 0;
-    for (const Riblt& table : tables) bits += table.config().SerializedBits();
+    // One RIBLT per level, all in one message.
     BitWriter w;
-    w.Reserve(bits);
-    for (const Riblt& table : tables) table.Serialize(&w);
+    for (const Riblt& table : spec_->Build(points_).sketch) {
+      table.Serialize(&w);
+    }
     result_.success = true;
     Finish();
     return OneMessage(transport::MakeMessage("mlsh-levels", std::move(w)));

@@ -9,9 +9,19 @@ namespace rsr {
 
 namespace {
 
-// The least 128-bit sum field, -2^127.
-constexpr __int128 kMinSum =
-    static_cast<__int128>(static_cast<unsigned __int128>(1) << 127);
+// Value sums wrap modulo 2^64 instead of overflowing. An honest table's
+// sums stay far inside int64, but a peel subtracts a value sum it never
+// checks, so a hostile table's can grow from cell to cell; decoding clamps
+// every average into [0, Δ) anyway.
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
 
 }  // namespace
 
@@ -27,8 +37,7 @@ int RibltConfig::KeySumBits() const {
   // |sum| <= max_entries * 2^64; add one sign bit.
   const int extra = BitWidthForUniverse(
       static_cast<uint64_t>(max_entries) + 1);
-  const int bits = 64 + extra + 1;
-  return bits > 128 ? 128 : bits;
+  return 64 + extra + 1;
 }
 
 int RibltConfig::CoordSumBits() const {
@@ -58,8 +67,10 @@ Riblt::Riblt(const RibltConfig& config)
       check_sums_(m_, 0),
       value_sums_(m_ * static_cast<size_t>(d_), 0) {
   RSR_CHECK(config.universe.d >= 1 && config.universe.delta >= 1);
-  RSR_CHECK(config.max_entries >= 1);
-  RSR_CHECK(config.count_bits >= 1 && config.count_bits <= 64);
+  RSR_CHECK(config.max_entries >= 1 &&
+            config.max_entries <= kRibltMaxEntries);
+  RSR_CHECK(config.count_bits >= 1 &&
+            config.count_bits <= kRibltMaxCountBits);
 }
 
 void Riblt::Apply(uint64_t key, const Point& value, int direction) {
@@ -72,7 +83,7 @@ void Riblt::Apply(uint64_t key, const Point& value, int direction) {
     check_sums_[cell] += check * direction;
     int64_t* vs = value_sums_.data() + cell * static_cast<size_t>(d_);
     for (int i = 0; i < d_; ++i) {
-      vs[i] += direction * value[static_cast<size_t>(i)];
+      vs[i] = WrapAdd(vs[i], direction * value[static_cast<size_t>(i)]);
     }
   }
 }
@@ -91,7 +102,7 @@ void Riblt::Subtract(const Riblt& other) {
     check_sums_[i] -= other.check_sums_[i];
   }
   for (size_t i = 0; i < value_sums_.size(); ++i) {
-    value_sums_[i] -= other.value_sums_[i];
+    value_sums_[i] = WrapSub(value_sums_[i], other.value_sums_[i]);
   }
 }
 
@@ -106,7 +117,9 @@ void Riblt::RemoveGroup(uint64_t key, int64_t count,
     key_sums_[cell] -= key_total;
     check_sums_[cell] -= check;
     int64_t* vs = value_sums_.data() + cell * static_cast<size_t>(d_);
-    for (int i = 0; i < d_; ++i) vs[i] -= value_sum[static_cast<size_t>(i)];
+    for (int i = 0; i < d_; ++i) {
+      vs[i] = WrapSub(vs[i], value_sum[static_cast<size_t>(i)]);
+    }
   }
 }
 
@@ -151,9 +164,7 @@ RibltDecodeResult Riblt::Decode(Rng* rng, size_t max_entries) && {
     const int64_t count = counts_[cell];
     if (count == 0) continue;
     const __int128 key_sum = key_sums_[cell];
-    // c copies of a key below 2^64 sum to less than 2^127 in magnitude:
-    // -2^127, whose division by -1 would overflow, is never c copies.
-    if (key_sum == kMinSum || key_sum % count != 0) continue;
+    if (key_sum % count != 0) continue;
     const __int128 key_wide = key_sum / count;
     if (key_wide < 0 ||
         key_wide > static_cast<__int128>(~uint64_t{0})) {
@@ -180,10 +191,11 @@ RibltDecodeResult Riblt::Decode(Rng* rng, size_t max_entries) && {
       Point p(static_cast<size_t>(d_));
       for (int i = 0; i < d_; ++i) {
         // Signed average with exact floor division; `count` carries the
-        // side's sign so the average is the true mean of the values.
-        const int64_t num = group_value_sum[static_cast<size_t>(i)];
-        int64_t q_floor = num / count;
-        int64_t rem = num % count;
+        // side's sign so the average is the true mean of the values. In
+        // 128 bits, so that a wrapped -2^63 over a count of -1 is defined.
+        const __int128 num = group_value_sum[static_cast<size_t>(i)];
+        __int128 q_floor = num / count;
+        __int128 rem = num % count;
         if (rem != 0 && ((rem < 0) != (count < 0))) {
           --q_floor;
           rem += count;
@@ -191,11 +203,11 @@ RibltDecodeResult Riblt::Decode(Rng* rng, size_t max_entries) && {
         // Fractional part is rem/count in [0, 1).
         const double frac =
             static_cast<double>(rem) / static_cast<double>(count);
-        int64_t v = q_floor;
+        __int128 v = q_floor;
         if (rem != 0 && rng->Bernoulli(frac)) ++v;
         if (v < 0) v = 0;
         if (v >= delta) v = delta - 1;
-        p[static_cast<size_t>(i)] = v;
+        p[static_cast<size_t>(i)] = static_cast<int64_t>(v);
       }
       entry.values.push_back(std::move(p));
     }

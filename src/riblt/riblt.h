@@ -45,6 +45,15 @@
 
 namespace rsr {
 
+/// The most pairs a table's sums may be sized for (RibltConfig::max_entries).
+/// Its key and checksum sums then fit 127 bits and its counts
+/// kRibltMaxCountBits, so even a hostile table read off the wire keeps
+/// headroom in the __int128 and int64 that hold them: erasing a set's pairs
+/// into it and a decode within a budget (which bounds the counts peeled)
+/// cannot overflow them. A peer's n that would size past this is refused.
+inline constexpr size_t kRibltMaxEntries = (size_t{1} << 62) - 1;
+inline constexpr int kRibltMaxCountBits = 62;
+
 /// Static configuration; both parties must agree (derived from public
 /// parameters).
 struct RibltConfig {
@@ -52,10 +61,11 @@ struct RibltConfig {
                           ///< analysis wants cells > q(q-1) · entries.
   int q = 3;              ///< Hash functions / partitions.
   Universe universe;      ///< Value domain [Δ]^d (fixes field widths).
-  size_t max_entries = 0; ///< Upper bound on inserted+erased pairs (fixes
-                          ///< sum-field widths; overflow is the caller's
+  size_t max_entries = 0; ///< Upper bound on inserted+erased pairs, at
+                          ///< most kRibltMaxEntries (fixes sum-field
+                          ///< widths; overflow is the caller's
                           ///< responsibility to avoid).
-  int count_bits = 16;
+  int count_bits = 16;    ///< At most kRibltMaxCountBits.
   uint64_t seed = 0;
 
   size_t RoundedCells() const;
@@ -94,7 +104,8 @@ class Riblt {
 
   /// Breadth-first robust peeling. `rng` drives the randomised rounding of
   /// averaged values. If max_entries > 0, aborts once more than that many
-  /// pairs (counting copies) have been extracted. Non-destructive.
+  /// pairs (counting copies) have been extracted; a table read off the wire
+  /// is decoded with such a budget. Non-destructive.
   RibltDecodeResult Decode(Rng* rng, size_t max_entries = 0) const&;
   /// The same, peeling a table about to be discarded in place instead of
   /// a copy of it: the table is consumed.

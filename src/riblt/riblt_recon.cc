@@ -168,10 +168,10 @@ class RibltOneShotBob : public recon::BobSessionBase {
     BitReader r(message.payload);
     // Alice's n is prefixed: max_entries (and thus the sum-field widths)
     // must match hers even when the set sizes differ. An n whose
-    // max_entries = 2n + 2 would overflow is no set's size.
+    // max_entries = 2n + 2 passes kRibltMaxEntries is no set's size, and
+    // its wider sums would leave the cells no headroom.
     uint64_t alice_n = 0;
-    if (!r.ReadVarint(&alice_n) ||
-        alice_n > (std::numeric_limits<size_t>::max() - 2) / 2) {
+    if (!r.ReadVarint(&alice_n) || alice_n > (kRibltMaxEntries - 2) / 2) {
       FailWith(recon::SessionError::kMalformedMessage);
       return NoMessages();
     }

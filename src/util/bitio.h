@@ -172,13 +172,6 @@ class BitWriter {
     bytes_.resize((bit_count_ + 7) >> 3);
   }
 
-  /// Makes room for `bits` more bits, so that the writes that follow (a
-  /// whole table's Pack included) allocate nothing.
-  void Reserve(size_t bits) {
-    // Pack's trailing word store may reach 7 bytes past the bits.
-    bytes_.reserve(((bit_count_ + bits + 7) >> 3) + 8);
-  }
-
   /// Appends a single bit.
   void WriteBit(bool bit) { WriteBits(bit ? 1 : 0, 1); }
 

@@ -730,19 +730,38 @@ std::optional<Message> SendForAlice(net::ByteStream* stream,
 
 TEST(ConnectionHostsTest, HostileRibltCountFailsMalformedOnBothHosts) {
   // riblt-oneshot's table frame opens with Alice's n, which sizes the sum
-  // fields through max_entries = 2n + 2. An n for which that overflows
-  // once wrapped max_entries to 0 and aborted the host; zero cells follow,
-  // as many as the widest table these params size.
-  BitWriter w;
-  w.WriteVarint((uint64_t{1} << 63) - 1);
-  const size_t widest = RibltOneShotConfig(Ctx().universe,
-                                           Params().Resolved().riblt,
-                                           uint64_t{1} << 62, Ctx().seed)
-                            .SerializedBits();
-  for (size_t left = widest; left > 0; left -= std::min<size_t>(left, 64)) {
-    w.WriteBits(0, static_cast<int>(std::min<size_t>(left, 64)));
-  }
-  const Message hostile = transport::MakeMessage("riblt-set", std::move(w));
+  // fields through max_entries = 2n + 2. A table laid out for that n
+  // follows, every cell holding the least count, key and checksum sums
+  // (in key_bits) and coordinate sums its fields hold.
+  const auto least_table = [](uint64_t n, int key_bits) {
+    const RibltConfig config = RibltOneShotConfig(
+        Ctx().universe, Params().Resolved().riblt, n, Ctx().seed);
+    BitWriter w;
+    w.WriteVarint(n);
+    const auto least = [&w](int bits) {
+      w.WriteBits(uint64_t{1} << (bits - 1), bits);
+    };
+    for (size_t cell = 0; cell < config.RoundedCells(); ++cell) {
+      least(config.count_bits);
+      for (int sum = 0; sum < 2; ++sum) {
+        w.WriteBits(0, 64);
+        least(key_bits - 64);
+      }
+      for (int c = 0; c < config.universe.d; ++c) least(config.CoordSumBits());
+    }
+    return transport::MakeMessage("riblt-set", std::move(w));
+  };
+  // An n whose 2n + 2 overflows once wrapped max_entries to 0 and aborted
+  // the host. Past kRibltMaxEntries the sums would reach 128 bits, and
+  // erasing Bob's set into sums of -2^127 would overflow them; the largest
+  // n below that leaves them 127 bits, headroom enough to erase and peel.
+  const uint64_t largest_n = (kRibltMaxEntries - 2) / 2;
+  const Message refused[] = {least_table((uint64_t{1} << 63) - 1, 128),
+                             least_table(largest_n + 1, 128)};
+  const Message widest = least_table(
+      largest_n, RibltOneShotConfig(Ctx().universe, Params().Resolved().riblt,
+                                    largest_n, Ctx().seed)
+                     .KeySumBits());
   const PointSet canonical = Cloud(96, 4243);
   // Three points replaced, none perturbed: an exact-key difference the
   // k = 8 table decodes.
@@ -774,34 +793,53 @@ TEST(ConnectionHostsTest, HostileRibltCountFailsMalformedOnBothHosts) {
     return tcp == nullptr ? std::nullopt : sync(tcp.get());
   };
 
-  const auto send_hostile = [&](net::ByteStream* stream) {
-    return SendForAlice(stream, "riblt-oneshot", hostile);
+  const auto send = [&](const Message& frame) {
+    return [&frame](net::ByteStream* stream) {
+      return SendForAlice(stream, "riblt-oneshot", frame);
+    };
   };
   const auto clean_sync = [&](net::ByteStream* stream) {
     return WireSync(stream, "riblt-oneshot", client);
   };
-  const std::optional<Message> served[2][2] = {
-      {over_pipe(send_hostile), over_pipe(clean_sync)},
-      {over_tcp(send_hostile), over_tcp(clean_sync)},
+  struct Outcomes {
+    std::optional<Message> refused[2], widest, clean;
   };
-  for (const auto& [malformed, clean] : served) {
-    ASSERT_TRUE(malformed.has_value());
-    EXPECT_EQ(DecodedResult(*malformed).result.error,
-              SessionError::kMalformedMessage);
+  const Outcomes served[2] = {
+      {{over_pipe(send(refused[0])), over_pipe(send(refused[1]))},
+       over_pipe(send(widest)),
+       over_pipe(clean_sync)},
+      {{over_tcp(send(refused[0])), over_tcp(send(refused[1]))},
+       over_tcp(send(widest)),
+       over_tcp(clean_sync)},
+  };
+  for (const Outcomes& outcomes : served) {
+    for (const std::optional<Message>& malformed : outcomes.refused) {
+      ASSERT_TRUE(malformed.has_value());
+      EXPECT_EQ(DecodedResult(*malformed).result.error,
+                SessionError::kMalformedMessage);
+    }
+    // The widest accepted table is read, erased into and decoded: the
+    // decode fails, and nothing overflows (the sanitizer build checks it).
+    ASSERT_TRUE(outcomes.widest.has_value());
+    const ReconResult widest_result = DecodedResult(*outcomes.widest).result;
+    EXPECT_FALSE(widest_result.success);
+    EXPECT_EQ(widest_result.error, SessionError::kNone);
     // The host is unharmed: a clean sync right after matches the driver.
-    ASSERT_TRUE(clean.has_value());
-    ExpectMatchesDriver("riblt-oneshot", DecodedResult(*clean).result, want);
+    ASSERT_TRUE(outcomes.clean.has_value());
+    ExpectMatchesDriver("riblt-oneshot", DecodedResult(*outcomes.clean).result,
+                        want);
   }
 
   ASSERT_TRUE(Eventually([&] {
     return reactor.metrics_registry().SumCounters(
-               "rsr_sync_sessions_total") == 2u;
+               "rsr_sync_sessions_total") == 4u;
   }));
   reactor.Stop();
   for (const CanonicalHost* host :
        {static_cast<const CanonicalHost*>(&threaded),
         static_cast<const CanonicalHost*>(&reactor)}) {
-    EXPECT_EQ(Sessions(*host, "riblt-oneshot", "malformed"), 1u);
+    EXPECT_EQ(Sessions(*host, "riblt-oneshot", "malformed"), 2u);
+    EXPECT_EQ(Sessions(*host, "riblt-oneshot", "fail"), 1u);
     EXPECT_EQ(Sessions(*host, "riblt-oneshot", "ok"), 1u);
   }
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -59,6 +60,22 @@ struct RibltTestPeer {
     }
     for (int64_t v : table.value_sums_) negative_value |= v < 0;
     return negative_count && negative_sum && negative_value && wide_sum;
+  }
+
+  /// Sets the value sums of `key`'s first cell (in queue order) to `first`
+  /// and of its other cells to `rest`.
+  static void SetValueSums(Riblt* table, uint64_t key, int64_t first,
+                           int64_t rest) {
+    std::vector<size_t> cells;
+    for (int j = 0; j < table->config_.q; ++j) {
+      cells.push_back(table->indexer_.Cell(key, j));
+    }
+    std::sort(cells.begin(), cells.end());
+    for (size_t cell : cells) {
+      int64_t* vs =
+          table->value_sums_.data() + cell * static_cast<size_t>(table->d_);
+      std::fill(vs, vs + table->d_, cell == cells.front() ? first : rest);
+    }
   }
 };
 
@@ -345,7 +362,7 @@ TEST(RibltCodecTest, MatchesPerFieldReferenceAtEveryOffset) {
   };
   RibltConfig wide_coords = TestConfig(60, 5);
   wide_coords.universe = MakeUniverse(int64_t{1} << 40, 3);
-  wide_coords.count_bits = 64;
+  wide_coords.count_bits = kRibltMaxCountBits;
   const Case cases[] = {
       {TestConfig(120, 3), 150, 250},
       {wide_coords, 90, 120},
@@ -384,32 +401,58 @@ TEST(RibltCodecTest, MatchesPerFieldReferenceAtEveryOffset) {
   }
 }
 
-// A set size near 2^63 widens the sum fields to 128 bits, so a hostile
-// table can hold a key sum of -2^127 over a count of -1: no key's copies
-// sum to that, and the cell must be left unpeeled rather than divided
-// (which overflows; the sanitizer build checks it).
-TEST(RibltTest, LeastKeySumIsNeverPeeled) {
-  RibltConfig config = TestConfig(3, 41);
-  config.max_entries = (size_t{1} << 63) + 2;
-  ASSERT_EQ(config.KeySumBits(), 128);
+// The widest table a config allows keeps 127-bit sums, so even a hostile
+// one holding the least sums and counts in every cell takes the erasure of
+// a set and a budgeted decode without overflow (the sanitizer build checks
+// it).
+TEST(RibltTest, WidestSumsKeepHeadroomForErasesAndDecode) {
+  RibltConfig config = TestConfig(30, 41);
+  config.max_entries = kRibltMaxEntries;
+  ASSERT_EQ(config.KeySumBits(), 127);
+  const auto least = [](int bits) { return uint64_t{1} << (bits - 1); };
   BitWriter w;
   for (size_t cell = 0; cell < config.RoundedCells(); ++cell) {
-    w.WriteBits(0xffff, config.count_bits);  // -1
-    w.WriteBits(0, 64);                      // key sum -2^127
-    w.WriteBits(uint64_t{1} << 63, 64);
-    w.WriteBits(0, 64);  // checksum sum 0
-    w.WriteBits(0, 64);
+    w.WriteBits(least(config.count_bits), config.count_bits);
+    for (int sum = 0; sum < 2; ++sum) {  // key and checksum sums -2^126
+      w.WriteBits(0, 64);
+      w.WriteBits(least(config.KeySumBits() - 64), config.KeySumBits() - 64);
+    }
     for (int c = 0; c < config.universe.d; ++c) {
-      w.WriteBits(0, config.CoordSumBits());
+      w.WriteBits(least(config.CoordSumBits()), config.CoordSumBits());
     }
   }
   BitReader r(w.bytes());
   std::optional<Riblt> table = Riblt::Deserialize(config, &r);
   ASSERT_TRUE(table.has_value());
   Rng rng(42);
-  const RibltDecodeResult result = std::move(*table).Decode(&rng);
+  for (int i = 0; i < 200; ++i) {
+    table->Erase(~uint64_t{0} - rng.Below(1 << 20),
+                 {rng.Uniform(0, 1023), rng.Uniform(0, 1023)});
+  }
+  const RibltDecodeResult result = std::move(*table).Decode(&rng, 64);
   EXPECT_FALSE(result.success);
-  EXPECT_TRUE(result.entries.empty());
+}
+
+// A peel subtracts a value sum it never checks, so a hostile table's value
+// sums can grow from cell to cell until they wrap. Here the cell peeled
+// first holds -2^63 over a count of -1 and the key's other cells 2^63 - 1:
+// the average is clamped into the universe and the other cells wrap to -1.
+TEST(RibltTest, WrappedValueSumsPeelInsideTheUniverse) {
+  const RibltConfig config = TestConfig(30, 43);
+  Riblt table(config);
+  const uint64_t key = 0x5eed;
+  table.Erase(key, {1, 2});
+  RibltTestPeer::SetValueSums(&table, key,
+                              std::numeric_limits<int64_t>::min(),
+                              std::numeric_limits<int64_t>::max());
+  Rng rng(44);
+  const RibltDecodeResult result = std::move(table).Decode(&rng);
+  ASSERT_TRUE(result.success);
+  ASSERT_EQ(result.entries.size(), 1u);
+  EXPECT_EQ(result.entries[0].key, key);
+  EXPECT_EQ(result.entries[0].sign, -1);
+  const int64_t top = config.universe.delta - 1;
+  EXPECT_EQ(result.entries[0].values, std::vector<Point>({Point{top, top}}));
 }
 
 // Peeling in place gives what peeling a copy gives: the same entries in

@@ -3,18 +3,18 @@
 result as one row of BENCH_PERF.json, the repository's perf trajectory.
 
     python3 tools/perf_pairs.py --parent DIR --change DIR --pr N
-        [--pairs 10] [--seed-base 1] [--seconds 20] [--workloads a,b]
-        [--out BENCH_PERF.json]
+        [--seed-base 1] [--out BENCH_PERF.json]
 
 Each checkout builds and runs its own perfbench (`perfbench/run.py`, so each
-side is measured with its own benchmark). Pair i runs both sides with seed
-seed-base + i, parent first in even pairs and change first in odd ones, so
-a slow spell of the machine falls on both sides alike. For every workload
-and end-to-end metric of BENCHMARK.json the row keeps both sides' values
-(in pair order), their medians and quartiles (statistics.quantiles, n=4),
-and in how many pairs the change was better. A side is named by the
-commit its perfbench reports: the git commit, or a digest of the sources
-when the checkout is not a git repository.
+side is measured with its own benchmark). Every workload of BENCHMARK.json
+runs in 10 pairs, each run as long as its run_seconds. Pair i runs both
+sides with seed seed-base + i, parent first in even pairs and change first
+in odd ones, so a slow spell of the machine falls on both sides alike. For
+every workload and end-to-end metric of BENCHMARK.json the row keeps both
+sides' values (in pair order), their medians and quartiles
+(statistics.quantiles, n=4), and in how many pairs the change was better.
+A side is named by the commit its perfbench reports: the git commit, or a
+digest of the sources when the checkout is not a git repository.
 
 The row is appended to --out (created if missing); earlier rows are kept.
 Exits non-zero, appending nothing, when a run fails or an operation of it
@@ -30,6 +30,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10  # fewest pairs a perf claim rests on
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -60,26 +61,20 @@ def main():
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=0)
-    parser.add_argument("--workloads", default="")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_PERF.json"))
     args = parser.parse_args()
-    if args.pairs < 2:
-        sys.exit("perf_pairs: quartiles need at least 2 pairs")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workloads.split(",") if args.workloads else [
-        w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
 
     commits = {}
     row = {"pr": args.pr, "seconds": seconds,
-           "seeds": [args.seed_base + i for i in range(args.pairs)],
+           "seeds": [args.seed_base + i for i in range(PAIRS)],
            "workloads": {}}
     for workload in workloads:
         runs = {"parent": [], "change": []}
@@ -115,7 +110,7 @@ def main():
     with open(args.out, "w") as fh:
         json.dump(trajectory, fh, indent=1)
         fh.write("\n")
-    print(f"appended a row of {args.pairs} pairs to {args.out}")
+    print(f"appended a row of {PAIRS} pairs to {args.out}")
 
 
 if __name__ == "__main__":
