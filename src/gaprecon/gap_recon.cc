@@ -386,18 +386,6 @@ std::unique_ptr<recon::PartySession> GapReconciler::NewBobSession(
   return std::make_unique<GapBob>(context_, params_, points);
 }
 
-GapResult GapReconciler::Run(const PointSet& alice, const PointSet& bob,
-                             transport::Channel* channel) const {
-  const recon::ReconResult base =
-      recon::Reconciler::Run(alice, bob, channel);
-  GapResult result;
-  result.success = base.success;
-  result.bob_final = base.bob_final;
-  result.transmitted = base.transmitted;
-  result.attempts = base.attempts;
-  return result;
-}
-
 bool SatisfiesGapGuarantee(const PointSet& alice, const PointSet& bob_final,
                            const GapParams& params, int d) {
   const double r2 = params.EffectiveR2(d);

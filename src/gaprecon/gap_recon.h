@@ -59,15 +59,6 @@ struct GapParams {
   double EffectiveR2(int d) const { return r2 > 0 ? r2 : 4.0 * r1 * d; }
 };
 
-/// Outcome of a gap-model run (extends the base result with the model's
-/// own accounting: how many points Alice transmitted).
-struct GapResult {
-  bool success = false;
-  PointSet bob_final;        ///< S_B ∪ T_A.
-  size_t transmitted = 0;    ///< |T_A|.
-  size_t attempts = 1;
-};
-
 /// The protocol. Unlike the EMD reconcilers this is additive-only: Bob's
 /// original points are all kept and Alice's uncovered points are appended,
 /// so |bob_final| = |bob| + transmitted.
@@ -89,12 +80,6 @@ class GapReconciler : public recon::Reconciler {
  public:
   GapReconciler(const recon::ProtocolContext& context, const GapParams& params)
       : context_(context), params_(params) {}
-
-  /// Gap-flavoured result (richer accounting than the base ReconResult).
-  /// Intentionally hides the base-class Run: it drives the same sessions
-  /// and repackages Bob's result.
-  GapResult Run(const PointSet& alice, const PointSet& bob,
-                transport::Channel* channel) const;
 
  private:
   std::unique_ptr<recon::PartySession> NewAliceSession(

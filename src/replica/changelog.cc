@@ -3,90 +3,13 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/serial.h"
 
 namespace rsr {
 namespace replica {
 
-namespace {
-
-// Segment record layout (one ByteWriter blob per entry, length-prefixed so
-// a torn tail write is detectable): seq, dimension, |inserts|, |erases|,
-// then each point as `dimension` varint coordinates.
-void EncodeSegmentEntry(const ChangeEntry& entry, ByteWriter* out) {
-  const size_t d = !entry.inserts.empty()   ? entry.inserts.front().size()
-                   : !entry.erases.empty() ? entry.erases.front().size()
-                                           : 0;
-  out->WriteVarint(entry.seq);
-  out->WriteVarint(d);
-  out->WriteVarint(entry.inserts.size());
-  out->WriteVarint(entry.erases.size());
-  for (const PointSet* points : {&entry.inserts, &entry.erases}) {
-    for (const Point& p : *points) {
-      RSR_CHECK(p.size() == d);
-      for (int64_t c : p) out->WriteVarint(static_cast<uint64_t>(c));
-    }
-  }
-  // Trailing observability stamps; records written before this field set
-  // existed simply end here (see the AtEnd probe in the decoder).
-  out->WriteVarint(entry.append_micros);
-  out->WriteVarint(entry.trace_hi);
-  out->WriteVarint(entry.trace_lo);
-}
-
-bool DecodeSegmentEntry(ByteReader* in, ChangeEntry* out) {
-  uint64_t d = 0, inserts = 0, erases = 0;
-  if (!in->ReadVarint(&out->seq) || !in->ReadVarint(&d) ||
-      !in->ReadVarint(&inserts) || !in->ReadVarint(&erases)) {
-    return false;
-  }
-  // A claimed count that cannot fit in the remaining bytes (>= 1 byte per
-  // coordinate) is malformed; check before reserving.
-  const uint64_t per_point = d > 0 ? d : 1;
-  if ((inserts + erases) > in->remaining() / per_point + 1) return false;
-  out->inserts.clear();
-  out->erases.clear();
-  for (PointSet* points : {&out->inserts, &out->erases}) {
-    const uint64_t count = points == &out->inserts ? inserts : erases;
-    points->reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      Point p(static_cast<size_t>(d));
-      for (uint64_t c = 0; c < d; ++c) {
-        uint64_t coord = 0;
-        if (!in->ReadVarint(&coord)) return false;
-        p[static_cast<size_t>(c)] = static_cast<int64_t>(coord);
-      }
-      points->push_back(std::move(p));
-    }
-  }
-  // Legacy records end at the coordinates; stamped records carry exactly
-  // three trailing varints. Anything else is damage.
-  out->append_micros = 0;
-  out->trace_hi = 0;
-  out->trace_lo = 0;
-  if (in->AtEnd()) return true;
-  return in->ReadVarint(&out->append_micros) &&
-         in->ReadVarint(&out->trace_hi) && in->ReadVarint(&out->trace_lo) &&
-         in->AtEnd();
-}
-
-}  // namespace
-
-Changelog::Changelog(ChangelogOptions options) : options_(std::move(options)) {
-  if (!options_.segment_path.empty()) {
-    segment_ = std::fopen(options_.segment_path.c_str(), "ab");
-    RSR_CHECK(segment_ != nullptr);
-  }
-}
-
-Changelog::~Changelog() {
-  if (segment_ != nullptr) std::fclose(segment_);
-}
-
 void Changelog::Append(ChangeEntry entry) {
   MutexLock lock(mu_);
   RSR_CHECK(entry.seq == base_seq_ + entries_.size() + 1);
-  WriteSegmentLocked(entry);
   entries_.push_back(std::move(entry));
   while (options_.capacity > 0 && entries_.size() > options_.capacity) {
     entries_.pop_front();
@@ -137,69 +60,6 @@ uint64_t Changelog::last_seq() const {
 size_t Changelog::size() const {
   MutexLock lock(mu_);
   return entries_.size();
-}
-
-void Changelog::WriteSegmentLocked(const ChangeEntry& entry) {
-  if (segment_ == nullptr) return;
-  ByteWriter record;
-  EncodeSegmentEntry(entry, &record);
-  ByteWriter framed;
-  framed.WriteBlob(record.bytes());
-  const std::vector<uint8_t>& bytes = framed.bytes();
-  RSR_CHECK(std::fwrite(bytes.data(), 1, bytes.size(), segment_) ==
-            bytes.size());
-  std::fflush(segment_);
-}
-
-const char* SegmentReplayStatusName(SegmentReplayStatus status) {
-  switch (status) {
-    case SegmentReplayStatus::kOk:
-      return "ok";
-    case SegmentReplayStatus::kOpenFailed:
-      return "open-failed";
-    case SegmentReplayStatus::kTornTail:
-      return "torn-tail";
-    case SegmentReplayStatus::kCorruptEntry:
-      return "corrupt-entry";
-  }
-  return "corrupt-entry";
-}
-
-SegmentReplayStatus ReplaySegmentDetailed(
-    const std::string& path,
-    const std::function<void(const ChangeEntry&)>& fn) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return SegmentReplayStatus::kOpenFailed;
-  std::vector<uint8_t> bytes;
-  uint8_t buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    bytes.insert(bytes.end(), buffer, buffer + got);
-  }
-  std::fclose(file);
-
-  ByteReader reader(bytes);
-  while (!reader.AtEnd()) {
-    std::vector<uint8_t> record;
-    // A blob that cannot be read whole is the torn tail of an interrupted
-    // append: the length prefix or the payload ends early.
-    if (!reader.ReadBlob(&record)) return SegmentReplayStatus::kTornTail;
-    ChangeEntry entry;
-    ByteReader record_reader(record);
-    // The record is length-intact, so a decode failure means the payload
-    // itself is damaged. Decode fully BEFORE delivering: `fn` never sees
-    // a partial batch.
-    if (!DecodeSegmentEntry(&record_reader, &entry)) {
-      return SegmentReplayStatus::kCorruptEntry;
-    }
-    fn(entry);
-  }
-  return SegmentReplayStatus::kOk;
-}
-
-bool ReplaySegment(const std::string& path,
-                   const std::function<void(const ChangeEntry&)>& fn) {
-  return ReplaySegmentDetailed(path, fn) == SegmentReplayStatus::kOk;
 }
 
 }  // namespace replica

@@ -21,11 +21,9 @@
 // "everything up to seq is folded into the set I just installed", clearing
 // the ring and restarting coverage at seq.
 //
-// Optionally every appended entry is also written through to a
-// file-backed segment (length-prefixed binary records; ReplaySegment reads
-// them back), so a restarted process can rebuild its set from the seed set
-// plus the segment. The segment is write-through only — the in-memory ring
-// stays the serving path.
+// The ring is the only copy of the journal: a ChangeEntry has exactly one
+// encoding, the "@log-batch" codec of server/handshake.h. A process that
+// restarts rebuilds its set by reconciling with a peer.
 //
 // Thread safety: all methods are safe to call concurrently (one mutex);
 // Append publishes entries atomically with respect to Fetch, which is what
@@ -36,10 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <deque>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "geometry/point.h"
@@ -77,9 +72,6 @@ struct ChangeEntry {
 struct ChangelogOptions {
   /// Ring capacity in entries; older entries fall off the front.
   size_t capacity = 1024;
-  /// When non-empty, every appended entry is also written through to this
-  /// file (appended; created if missing). See ReplaySegment.
-  std::string segment_path;
 };
 
 /// Result of one Fetch: the entries with seq in (from_seq, last_seq],
@@ -97,8 +89,7 @@ struct FetchedEntries {
 
 class Changelog {
  public:
-  explicit Changelog(ChangelogOptions options = {});
-  ~Changelog();
+  explicit Changelog(ChangelogOptions options = {}) : options_(options) {}
 
   Changelog(const Changelog&) = delete;
   Changelog& operator=(const Changelog&) = delete;
@@ -125,45 +116,15 @@ class Changelog {
   size_t size() const;
 
  private:
-  void WriteSegmentLocked(const ChangeEntry& entry) RSR_REQUIRES(mu_);
-
   const ChangelogOptions options_;
-  /// Guards the ring, coverage base, and segment handle as one unit so
-  /// Append publishes atomically w.r.t. Fetch. On a replicating host
-  /// this mutex nests INSIDE the host's replica_mu_ (DESIGN.md §13).
+  /// Guards the ring and coverage base as one unit so Append publishes
+  /// atomically w.r.t. Fetch. On a replicating host this mutex nests
+  /// INSIDE the host's replica_mu_ (DESIGN.md §13).
   mutable Mutex mu_;
   /// Invariant: entries_[i].seq == base_seq_ + i + 1.
   std::deque<ChangeEntry> entries_ RSR_GUARDED_BY(mu_);
   uint64_t base_seq_ RSR_GUARDED_BY(mu_) = 0;
-  std::FILE* segment_ RSR_GUARDED_BY(mu_) = nullptr;
 };
-
-/// Why a segment replay stopped. The distinction matters operationally:
-/// a torn tail is the expected shape of a crash mid-append (recoverable —
-/// the intact prefix IS the journal), while a corrupt entry inside an
-/// intact length-prefixed record means the file was damaged at rest.
-enum class SegmentReplayStatus {
-  kOk,          ///< Every record decoded and was delivered.
-  kOpenFailed,  ///< The file could not be opened; nothing delivered.
-  kTornTail,    ///< Trailing partial record (interrupted append); the
-                ///< intact prefix was delivered.
-  kCorruptEntry,  ///< A length-intact record failed to decode; entries
-                  ///< before it were delivered, nothing at or after it.
-};
-
-const char* SegmentReplayStatusName(SegmentReplayStatus status);
-
-/// Reads back a segment file written by a Changelog, invoking `fn` per
-/// entry in append order. Entries are delivered one complete record at a
-/// time — a partially decoded entry is NEVER delivered (the decoder
-/// validates the whole record before `fn` sees it).
-SegmentReplayStatus ReplaySegmentDetailed(
-    const std::string& path,
-    const std::function<void(const ChangeEntry&)>& fn);
-
-/// Back-compat wrapper: true iff ReplaySegmentDetailed returns kOk.
-bool ReplaySegment(const std::string& path,
-                   const std::function<void(const ChangeEntry&)>& fn);
 
 }  // namespace replica
 }  // namespace rsr

@@ -34,8 +34,7 @@ namespace replica {
 
 struct ReplicaMeshOptions {
   size_t nodes = 3;
-  /// Per-node template. Segment paths are NOT set per node; give each node
-  /// its own options via the ctor overload if segments are wanted.
+  /// Per-node template: every node is built from these options.
   ReplicaNodeOptions node;
   AntiEntropyOptions anti_entropy;
   bool use_tcp = false;

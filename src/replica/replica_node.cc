@@ -45,6 +45,15 @@ constexpr char kFullRepairProtocol[] = "full-transfer";
 
 using PointCounts = std::map<Point, int64_t>;
 
+/// True when `entries` are the consecutive seqs from_seq + 1, from_seq + 2,
+/// ...: the only tail a follower at `from_seq` can replay.
+bool IsTailAfter(const std::vector<ChangeEntry>& entries, uint64_t from_seq) {
+  for (const ChangeEntry& entry : entries) {
+    if (entry.seq != ++from_seq) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* RoundPathName(RoundRecord::Path path) {
@@ -261,7 +270,10 @@ RoundRecord ReplicaNode::RunRound(const StreamFactory& fetch_peer,
   } else if (!server::DecodeLogBatch(
                  incoming, options_.server.context.universe,
                  recon::ExactReconStrataConfig(options_.server.context.seed),
-                 &batch)) {
+                 &batch) ||
+             !IsTailAfter(batch.entries, fetch.from_seq)) {
+    // A tail that does not continue from this node's position would fail
+    // ApplyReplicated's gapless check; refuse it before applying anything.
     record.error_detail = "fetch: malformed @log-batch";
   } else {
     fetched = true;

@@ -291,10 +291,12 @@ bool DecodeLogBatch(const transport::Message& message,
     replica::ChangeEntry entry;
     uint64_t inserts = 0, erases = 0;
     if (!reader.ReadVarint(&entry.seq) || !reader.ReadVarint(&inserts) ||
-        !reader.ReadVarint(&erases) ||
-        inserts + erases > reader.bits_remaining() / per_point_bits) {
+        !reader.ReadVarint(&erases)) {
       return false;
     }
+    // Each count is bounded on its own: their sum can wrap past 2^64.
+    const uint64_t budget = reader.bits_remaining() / per_point_bits;
+    if (inserts > budget || erases > budget - inserts) return false;
     entry.inserts.reserve(inserts);
     entry.erases.reserve(erases);
     for (uint64_t j = 0; j < inserts + erases; ++j) {
@@ -371,10 +373,6 @@ bool DecodePullAccept(const transport::Message& message,
 transport::Message EncodeStatsRequest() {
   BitWriter writer;
   return transport::MakeMessage(kStatsLabel, std::move(writer));
-}
-
-bool DecodeStatsRequest(const transport::Message& message) {
-  return message.label == kStatsLabel;
 }
 
 transport::Message EncodeStatsReply(const std::string& text) {

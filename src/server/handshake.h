@@ -198,7 +198,6 @@ bool DecodePullAccept(const transport::Message& message,
 /// "@stats" request: an empty-payload frame (room for future options is
 /// trailing, like AcceptFrame's optional fields).
 transport::Message EncodeStatsRequest();
-bool DecodeStatsRequest(const transport::Message& message);
 
 /// "@stats" reply: the host's Prometheus text exposition, verbatim.
 transport::Message EncodeStatsReply(const std::string& text);

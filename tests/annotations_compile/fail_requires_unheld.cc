@@ -1,7 +1,7 @@
 // MUST NOT COMPILE under clang -Werror=thread-safety: calls a
 // REQUIRES(mu_) member without holding mu_ — the "forgot the lock around
 // the *Locked helper" bug class (e.g. SketchStore::Rebuild,
-// Changelog::WriteSegmentLocked).
+// ReplicaNode::RefreshWatermarkLocked).
 
 #include "util/mutex.h"
 #include "util/thread_annotations.h"

@@ -1,11 +1,8 @@
 // Changelog semantics: gapless append/fetch, ring truncation (the
 // fall-off-the-log signal that forces protocol repair), MarkSnapshot
-// re-basing, file-segment replay, and append-while-fetch thread safety
-// (run under TSan in CI).
+// re-basing, and append-while-fetch thread safety (run under TSan in CI).
 
 #include <cstdint>
-#include <cstdio>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -113,212 +110,6 @@ TEST(ChangelogTest, MarkSnapshotRebasesCoverage) {
   ASSERT_TRUE(tail.ok);
   ASSERT_EQ(tail.entries.size(), 1u);
   EXPECT_EQ(tail.entries[0], MakeEntry(13));
-}
-
-TEST(ChangelogTest, SegmentWriteThroughReplaysBitIdentical) {
-  const std::string path =
-      testing::TempDir() + "/changelog_segment_test.bin";
-  std::remove(path.c_str());
-  ChangelogOptions options;
-  options.segment_path = path;
-  options.capacity = 2;  // the segment keeps what the ring evicts
-  {
-    Changelog log(options);
-    for (uint64_t seq = 1; seq <= 7; ++seq) log.Append(MakeEntry(seq));
-  }
-  std::vector<ChangeEntry> replayed;
-  ASSERT_TRUE(ReplaySegment(
-      path, [&replayed](const ChangeEntry& entry) {
-        replayed.push_back(entry);
-      }));
-  ASSERT_EQ(replayed.size(), 7u);
-  for (uint64_t seq = 1; seq <= 7; ++seq) {
-    EXPECT_EQ(replayed[seq - 1], MakeEntry(seq));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ChangelogTest, SegmentRoundTripsObservabilityStamps) {
-  const std::string path =
-      testing::TempDir() + "/changelog_stamps_test.bin";
-  std::remove(path.c_str());
-  ChangelogOptions options;
-  options.segment_path = path;
-  {
-    Changelog log(options);
-    ChangeEntry stamped = MakeEntry(1);
-    stamped.append_micros = 1'234'567;
-    stamped.trace_hi = 0xdeadbeefcafef00dULL;
-    stamped.trace_lo = 0x0123456789abcdefULL;
-    log.Append(stamped);
-    log.Append(MakeEntry(2));  // untraced: stamps stay zero
-  }
-  std::vector<ChangeEntry> replayed;
-  ASSERT_TRUE(ReplaySegment(path, [&replayed](const ChangeEntry& entry) {
-    replayed.push_back(entry);
-  }));
-  ASSERT_EQ(replayed.size(), 2u);
-  EXPECT_EQ(replayed[0].append_micros, 1'234'567u);
-  EXPECT_EQ(replayed[0].trace_hi, 0xdeadbeefcafef00dULL);
-  EXPECT_EQ(replayed[0].trace_lo, 0x0123456789abcdefULL);
-  EXPECT_EQ(replayed[0], MakeEntry(1));
-  EXPECT_EQ(replayed[1].append_micros, 0u);
-  EXPECT_EQ(replayed[1].trace_hi | replayed[1].trace_lo, 0u);
-  std::remove(path.c_str());
-}
-
-std::vector<uint8_t> ReadFileBytes(const std::string& path) {
-  std::vector<uint8_t> bytes;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(file, nullptr) << path;
-  if (file == nullptr) return bytes;
-  uint8_t buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    bytes.insert(bytes.end(), buffer, buffer + got);
-  }
-  std::fclose(file);
-  return bytes;
-}
-
-void WriteFileBytes(const std::string& path,
-                    const std::vector<uint8_t>& bytes) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(file, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
-  std::fclose(file);
-}
-
-TEST(ChangelogTest, ReplaySegmentDecodesLegacyUnstampedRecords) {
-  // A record written before the observability stamps existed ends at the
-  // coordinates. Simulate one by stripping the three trailing zero
-  // varints (an all-zero-stamp record ends in exactly three 0x00 bytes)
-  // from a freshly written single-record segment and shrinking its
-  // length prefix — byte-identical to the legacy writer's output.
-  const std::string path =
-      testing::TempDir() + "/changelog_legacy_test.bin";
-  std::remove(path.c_str());
-  ChangelogOptions options;
-  options.segment_path = path;
-  {
-    Changelog log(options);
-    log.Append(MakeEntry(1));  // stamps all zero
-  }
-  std::vector<uint8_t> bytes = ReadFileBytes(path);
-  ASSERT_GT(bytes.size(), 4u);
-  ASSERT_LT(bytes.size(), 128u);  // single-byte blob length prefix
-  ASSERT_EQ(bytes[0], bytes.size() - 1);  // [len][payload]
-  ASSERT_EQ(bytes[bytes.size() - 1], 0u);
-  ASSERT_EQ(bytes[bytes.size() - 2], 0u);
-  ASSERT_EQ(bytes[bytes.size() - 3], 0u);
-  bytes.resize(bytes.size() - 3);
-  bytes[0] = static_cast<uint8_t>(bytes.size() - 1);
-  WriteFileBytes(path, bytes);
-
-  std::vector<ChangeEntry> replayed;
-  ASSERT_TRUE(ReplaySegment(path, [&replayed](const ChangeEntry& entry) {
-    replayed.push_back(entry);
-  }));
-  ASSERT_EQ(replayed.size(), 1u);
-  EXPECT_EQ(replayed[0], MakeEntry(1));
-  EXPECT_EQ(replayed[0].append_micros, 0u);
-  EXPECT_EQ(replayed[0].trace_hi | replayed[0].trace_lo, 0u);
-  std::remove(path.c_str());
-}
-
-/// Writes a 3-entry segment, recording the file size after each append
-/// (the changelog flushes per append) so tests know record boundaries.
-std::vector<size_t> WriteThreeEntrySegment(const std::string& path) {
-  std::remove(path.c_str());
-  ChangelogOptions options;
-  options.segment_path = path;
-  std::vector<size_t> boundaries;
-  Changelog log(options);
-  for (uint64_t seq = 1; seq <= 3; ++seq) {
-    log.Append(MakeEntry(seq));
-    boundaries.push_back(ReadFileBytes(path).size());
-  }
-  return boundaries;
-}
-
-TEST(ChangelogTest, ReplaySegmentDetailedMissingFileIsOpenFailed) {
-  const std::string path = testing::TempDir() + "/changelog_no_such_file.bin";
-  std::remove(path.c_str());
-  size_t delivered = 0;
-  EXPECT_EQ(ReplaySegmentDetailed(path,
-                                  [&delivered](const ChangeEntry&) {
-                                    ++delivered;
-                                  }),
-            SegmentReplayStatus::kOpenFailed);
-  EXPECT_EQ(delivered, 0u);
-  EXPECT_FALSE(ReplaySegment(path, [](const ChangeEntry&) {}));
-}
-
-TEST(ChangelogTest, ReplaySegmentDetailedTornTailDeliversIntactPrefix) {
-  const std::string path = testing::TempDir() + "/changelog_torn_tail.bin";
-  const std::vector<size_t> boundaries = WriteThreeEntrySegment(path);
-  const std::vector<uint8_t> intact = ReadFileBytes(path);
-  ASSERT_EQ(intact.size(), boundaries[2]);
-
-  // A crash can tear the tail record anywhere: one byte into it (inside
-  // the length prefix) or one byte short of complete (inside the payload).
-  for (const size_t cut : {boundaries[1] + 1, boundaries[2] - 1}) {
-    WriteFileBytes(path, std::vector<uint8_t>(intact.begin(),
-                                              intact.begin() +
-                                                  static_cast<ptrdiff_t>(cut)));
-    std::vector<ChangeEntry> replayed;
-    EXPECT_EQ(ReplaySegmentDetailed(path,
-                                    [&replayed](const ChangeEntry& entry) {
-                                      replayed.push_back(entry);
-                                    }),
-              SegmentReplayStatus::kTornTail)
-        << "cut at " << cut;
-    // The intact prefix IS the journal: both whole records, nothing of the
-    // torn one — a partially decoded entry is never delivered.
-    ASSERT_EQ(replayed.size(), 2u) << "cut at " << cut;
-    EXPECT_EQ(replayed[0], MakeEntry(1));
-    EXPECT_EQ(replayed[1], MakeEntry(2));
-    EXPECT_FALSE(ReplaySegment(path, [](const ChangeEntry&) {}));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ChangelogTest, ReplaySegmentDetailedCorruptEntryStopsBeforeDamage) {
-  const std::string path = testing::TempDir() + "/changelog_corrupt.bin";
-  const std::vector<size_t> boundaries = WriteThreeEntrySegment(path);
-  std::vector<uint8_t> damaged = ReadFileBytes(path);
-
-  // Smash record 2's PAYLOAD while leaving its length prefix (and every
-  // other record) intact: a length-intact record that fails to decode is
-  // at-rest damage, not a torn append. 0xFF bytes keep every varint's
-  // continuation bit set, so the decode cannot terminate cleanly.
-  for (size_t i = boundaries[0] + 1; i < boundaries[1]; ++i) {
-    damaged[i] = 0xFF;
-  }
-  WriteFileBytes(path, damaged);
-
-  std::vector<ChangeEntry> replayed;
-  EXPECT_EQ(ReplaySegmentDetailed(path,
-                                  [&replayed](const ChangeEntry& entry) {
-                                    replayed.push_back(entry);
-                                  }),
-            SegmentReplayStatus::kCorruptEntry);
-  // Entries before the damage arrive whole; nothing at or after it does —
-  // record 3 is intact but unreachable past a corrupt record.
-  ASSERT_EQ(replayed.size(), 1u);
-  EXPECT_EQ(replayed[0], MakeEntry(1));
-  EXPECT_FALSE(ReplaySegment(path, [](const ChangeEntry&) {}));
-  std::remove(path.c_str());
-}
-
-TEST(ChangelogTest, SegmentReplayStatusNamesAreStable) {
-  EXPECT_STREQ(SegmentReplayStatusName(SegmentReplayStatus::kOk), "ok");
-  EXPECT_STREQ(SegmentReplayStatusName(SegmentReplayStatus::kOpenFailed),
-               "open-failed");
-  EXPECT_STREQ(SegmentReplayStatusName(SegmentReplayStatus::kTornTail),
-               "torn-tail");
-  EXPECT_STREQ(SegmentReplayStatusName(SegmentReplayStatus::kCorruptEntry),
-               "corrupt-entry");
 }
 
 TEST(ChangelogTest, ConcurrentAppendWhileFetchStaysGapless) {

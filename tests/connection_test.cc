@@ -444,6 +444,23 @@ TEST(ConnectionTest, LogFetchServesTheTailAndRejectsMalformedFrames) {
   EXPECT_EQ(Sessions(host, kLogFetchLabel, "ok"), 1u);
 }
 
+TEST(ConnectionTest, LogBatchWithWrappingCountsIsMalformed) {
+  // inserts + erases wraps to 0 here, so a summed bound would pass this
+  // few-byte frame and reserve 2^64 - 1 points.
+  BitWriter w;
+  w.WriteBit(true);  // ok
+  w.WriteBit(true);  // complete
+  w.WriteVarint(1);  // last_seq
+  w.WriteVarint(1);  // one entry
+  w.WriteVarint(1);  // seq
+  w.WriteVarint(~uint64_t{0});  // inserts
+  w.WriteVarint(1);             // erases
+  LogBatchFrame batch;
+  EXPECT_FALSE(DecodeLogBatch(
+      transport::MakeMessage(kLogBatchLabel, std::move(w)), Ctx().universe,
+      recon::ExactReconStrataConfig(Ctx().seed), &batch));
+}
+
 TEST(ConnectionTest, PullHostsAliceUntilThePullerCloses) {
   replica::Changelog changelog;
   SyncServerOptions options = HostOptions();

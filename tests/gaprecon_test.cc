@@ -64,7 +64,8 @@ TEST(GapReconcilerTest, IdenticalSetsTransmitNothing) {
   params.r2 = 64.0;
   GapReconciler protocol(ctx, params);
   transport::Channel channel;
-  const GapResult result = protocol.Run(pair.alice, pair.bob, &channel);
+  const recon::ReconResult result =
+      protocol.Run(pair.alice, pair.bob, &channel);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.transmitted, 0u);
   EXPECT_EQ(result.bob_final.size(), pair.bob.size());
@@ -79,7 +80,8 @@ TEST(GapReconcilerTest, GuaranteeHoldsWithFarPoints) {
   params.r2 = 128.0;
   GapReconciler protocol(ctx, params);
   transport::Channel channel;
-  const GapResult result = protocol.Run(pair.alice, pair.bob, &channel);
+  const recon::ReconResult result =
+      protocol.Run(pair.alice, pair.bob, &channel);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(SatisfiesGapGuarantee(pair.alice, result.bob_final, params,
                                     ctx.universe.d));
@@ -100,7 +102,8 @@ TEST(GapReconcilerTest, NearPointsAreMostlyNotTransmitted) {
   params.r2 = 128.0;
   GapReconciler protocol(ctx, params);
   transport::Channel channel;
-  const GapResult result = protocol.Run(pair.alice, pair.bob, &channel);
+  const recon::ReconResult result =
+      protocol.Run(pair.alice, pair.bob, &channel);
   ASSERT_TRUE(result.success);
   EXPECT_LE(result.transmitted, n / 20);
 }
@@ -115,7 +118,8 @@ TEST(GapReconcilerTest, GuaranteeAcrossSeedsAndDims) {
       params.r2 = 64.0 * d;
       GapReconciler protocol(ctx, params);
       transport::Channel channel;
-      const GapResult result = protocol.Run(pair.alice, pair.bob, &channel);
+      const recon::ReconResult result =
+          protocol.Run(pair.alice, pair.bob, &channel);
       ASSERT_TRUE(result.success) << "d=" << d << " seed=" << seed;
       EXPECT_TRUE(SatisfiesGapGuarantee(pair.alice, result.bob_final, params,
                                         d))
@@ -133,7 +137,8 @@ TEST(GapReconcilerTest, CommunicationBeatsFullTransferForSmallK) {
   params.r2 = 512.0;
   GapReconciler protocol(ctx, params);
   transport::Channel channel;
-  const GapResult result = protocol.Run(pair.alice, pair.bob, &channel);
+  const recon::ReconResult result =
+      protocol.Run(pair.alice, pair.bob, &channel);
   ASSERT_TRUE(result.success);
   const size_t full_bits = n * 2 * 20;
   EXPECT_LT(channel.stats().total_bits, full_bits);
@@ -147,7 +152,8 @@ TEST(GapReconcilerTest, UsesThreeRounds) {
   params.r2 = 32.0;
   GapReconciler protocol(ctx, params);
   transport::Channel channel;
-  const GapResult result = protocol.Run(pair.alice, pair.bob, &channel);
+  const recon::ReconResult result =
+      protocol.Run(pair.alice, pair.bob, &channel);
   ASSERT_TRUE(result.success);
   EXPECT_EQ(channel.stats().rounds, 3u);  // A->B, B->A, A->B
 }
@@ -160,7 +166,8 @@ TEST(GapReconcilerTest, BobNeverLosesPoints) {
   params.r2 = 96.0;
   GapReconciler protocol(ctx, params);
   transport::Channel channel;
-  const GapResult result = protocol.Run(pair.alice, pair.bob, &channel);
+  const recon::ReconResult result =
+      protocol.Run(pair.alice, pair.bob, &channel);
   ASSERT_TRUE(result.success);
   ASSERT_GE(result.bob_final.size(), pair.bob.size());
   for (size_t i = 0; i < pair.bob.size(); ++i) {
@@ -177,7 +184,8 @@ TEST(GapReconcilerTest, ExplicitFunctionCountRespected) {
   params.num_functions = 4;
   GapReconciler protocol(ctx, params);
   transport::Channel channel;
-  const GapResult result = protocol.Run(pair.alice, pair.bob, &channel);
+  const recon::ReconResult result =
+      protocol.Run(pair.alice, pair.bob, &channel);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(SatisfiesGapGuarantee(pair.alice, result.bob_final, params,
                                     2));
@@ -198,7 +206,8 @@ TEST_P(GapPrecisionSweep, TransmitsRoughlyThePlantedFarPoints) {
   params.r2 = 1024.0;
   GapReconciler protocol(ctx, params);
   transport::Channel channel;
-  const GapResult result = protocol.Run(pair.alice, pair.bob, &channel);
+  const recon::ReconResult result =
+      protocol.Run(pair.alice, pair.bob, &channel);
   ASSERT_TRUE(result.success);
   EXPECT_TRUE(SatisfiesGapGuarantee(pair.alice, result.bob_final, params,
                                     2));

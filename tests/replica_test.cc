@@ -612,6 +612,44 @@ TEST(ReplicaNodeTest, RepairFailureEscalatesNextRepairToFullTransfer) {
   EXPECT_EQ(relatched.protocol, "riblt-oneshot");
 }
 
+TEST(ReplicaNodeTest, GappedLogBatchFailsTheRoundAndInstallsNothing) {
+  // A peer that answers a follower at seq 0 with the lone entry seq 2: a
+  // tail that cannot continue from the follower's position.
+  ReplicaNode follower(Cloud(64, 77), NodeOptions(16));
+  const PointSet before = follower.points();
+  std::vector<std::thread> serve_threads;
+  const StreamFactory peer = [&]() -> std::unique_ptr<net::ByteStream> {
+    auto [server_end, client_end] = net::PipeStream::CreatePair();
+    serve_threads.emplace_back([end = std::move(server_end)]() mutable {
+      net::FramedStream framed(end.get());
+      transport::Message fetch;
+      if (framed.Receive(&fetch) != net::FramedStream::RecvStatus::kMessage) {
+        return;
+      }
+      server::LogBatchFrame batch;
+      batch.ok = true;
+      batch.complete = true;
+      batch.last_seq = 2;
+      ChangeEntry entry;
+      entry.seq = 2;
+      Point p(2);
+      p[0] = 5;
+      p[1] = 6;
+      entry.inserts.push_back(p);
+      batch.entries.push_back(entry);
+      framed.Send(server::EncodeLogBatch(batch, Ctx().universe));
+      end->Close();
+    });
+    return std::move(client_end);
+  };
+  const RoundRecord round = follower.SyncWithPeer(peer);
+  for (std::thread& t : serve_threads) t.join();
+  EXPECT_FALSE(round.ok);
+  EXPECT_EQ(round.error_detail, "fetch: malformed @log-batch");
+  EXPECT_EQ(follower.applied_seq(), 0u);
+  EXPECT_EQ(follower.points(), before);
+}
+
 TEST(ReplicaServingTest, RegistryReportsPositionAndReplicationVerbs) {
   ReplicaMeshOptions options;
   options.nodes = 2;
