@@ -1,4 +1,6 @@
-// Shared helpers for the experiment harnesses (bench_e1 .. bench_e14).
+// Shared helpers for the experiment harnesses: bench_paper_sweep (the
+// table-driven E1–E7, E10, E11 and E14, bench/paper_sweeps.h) and the
+// hand-written bench_e8 .. bench_e19.
 //
 // Each harness prints a self-describing table: experiment id, the claim
 // being reproduced ("paper shape"), the sweep axis, and one row per
@@ -77,8 +79,6 @@ class JsonSink {
     path_ = (dir != nullptr && dir[0] != '\0')
                 ? std::string(dir) + "/BENCH_" + id + ".json"
                 : "BENCH_" + id + ".json";
-    // The file is only materialised once a row arrives, so switching to a
-    // per-table sink (JsonTable) before any Row leaves no empty stub.
   }
 
   void Row(const std::vector<std::string>& cells) {
@@ -190,8 +190,8 @@ inline void Banner(const char* id, const char* title, const char* shape) {
 /// Prints a row of cells separated by two spaces, padded to width 14, and
 /// mirrors it into the JSON sink (first row after Banner = column names).
 inline void Row(const std::vector<std::string>& cells) {
-  for (const std::string& cell : cells) {
-    std::printf("%-14s", cell.c_str());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    std::printf("%s%-14s", i ? "  " : "", cells[i].c_str());
   }
   std::printf("\n");
   JsonSink::Instance().Row(cells);
@@ -204,14 +204,6 @@ inline void Row(const std::vector<std::string>& cells) {
 inline void RowExtras(
     std::vector<std::pair<std::string, std::string>> extras) {
   JsonSink::Instance().Extras(std::move(extras));
-}
-
-/// Redirects the JSON sink to a fresh BENCH_<id>.json without printing a
-/// new banner. Harnesses that emit several tables under one banner (e.g.
-/// E14's stride and checksum sweeps) call this before each table's header
-/// row so every table gets coherent columns.
-inline void JsonTable(const char* id, const char* title, const char* shape) {
-  JsonSink::Instance().Open(id, title, shape);
 }
 
 inline std::string Num(double v, int digits = 5) {

@@ -100,7 +100,7 @@ int main() {
               256.0 * universe.BitsPerPoint() / 8.0);
   std::printf("(robust cost scales with k, not n: at this toy n shipping\n");
   std::printf(" everything is cheaper; the crossover is near n ~ 10^4 — \n");
-  std::printf(" see bench_e4_scale_n)\n");
+  std::printf(" see E4 in bench_paper_sweep)\n");
 
   const double before = ExactEmd(pair.alice, pair.bob, Metric::kL2);
   const double after = ExactEmd(pair.alice, result.bob_final, Metric::kL2);

@@ -2,8 +2,11 @@
 //
 // Every registry protocol runs over small fixed-seed cells of the paper's
 // sweeps — E1 (outlier budget k), E3 (noise), E5 (dimension d) and E6
-// (universe side Δ) — through the in-process driver. Per cell and protocol
-// the test records what the wire and the result say:
+// (universe side Δ) — through the in-process driver. So does every
+// protocol a pinned sweep of bench/paper_sweeps.h measures, at each of the
+// sweep's configurations and at its own n (E1, E3, E4 and E6, up to
+// n = 32,768). Per cell and protocol the test records what the wire and
+// the result say:
 //
 //   bits Alice→Bob and Bob→Alice, rounds, success, chosen_level,
 //   decoded_entries, attempts, a 64-bit hash of the transcript (each
@@ -16,6 +19,10 @@
 // Each cell also runs with Bob given a SketchStore snapshot of his set as
 // his canonical sketch provider: its transcript and result must equal the
 // uncached run's, so a cached sketch is never distinguishable on the wire.
+//
+// The paper's shape claims are gated on the same rows, with the constants
+// of DESIGN §3.4: quadtree bits flat in n and exact-iblt bits Θ(n) on E4,
+// and ratio_vs_emdk ≤ c·d on every successful quadtree cell.
 //
 // Run with --update to rewrite the golden file from the current code; the
 // diff of that file is then the change's effect on the wire.
@@ -35,6 +42,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/paper_sweeps.h"
 #include "recon/driver.h"
 #include "recon/evaluate.h"
 #include "recon/protocol.h"
@@ -144,7 +152,8 @@ struct DrivenRun {
 };
 
 DrivenRun Drive(const recon::Reconciler& reconciler, const PointSet& alice,
-          const PointSet& bob, const recon::CanonicalSketchProvider* cache) {
+                const PointSet& bob,
+                const recon::CanonicalSketchProvider* cache) {
   DrivenRun run;
   TranscriptHash hash;
   RecordingSession alice_session(reconciler.MakeAliceSession(alice), 0,
@@ -169,6 +178,8 @@ struct Row {
   size_t attempts = 0;
   uint64_t hash = 0;
   double ratio = 0.0;
+  size_t n = 0;  // The cell's set size and dimension, for the shape
+  int d = 0;     // gates; not in the file.
 };
 
 constexpr char kHeader[] =
@@ -189,93 +200,117 @@ std::string FormatRow(const std::string& key, const Row& row) {
   return out.str();
 }
 
-/// Golden rows keyed by "cell\tprotocol".
-std::map<std::string, Row> ReadGolden(const std::string& path) {
-  std::map<std::string, Row> rows;
+/// Golden lines keyed by "cell\tprotocol".
+std::map<std::string, std::string> ReadGolden(const std::string& path) {
+  std::map<std::string, std::string> lines;
   std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line == kHeader) continue;
-    std::istringstream fields(line);
-    std::string cell, protocol, hash;
-    int success = 0;
-    Row row;
-    fields >> cell >> protocol >> success >> row.bits_ab >> row.bits_ba >>
-        row.rounds >> row.chosen_level >> row.decoded_entries >>
-        row.attempts >> hash >> row.ratio;
-    row.success = success != 0;
-    row.hash = std::stoull(hash, nullptr, 16);
-    rows[cell + "\t" + protocol] = row;
+  for (std::string line; std::getline(in, line);) {
+    const size_t key_end = line.find('\t', line.find('\t') + 1);
+    if (line != kHeader && key_end != std::string::npos) {
+      lines[line.substr(0, key_end)] = line;
+    }
   }
-  return rows;
+  return lines;
 }
 
-void ExpectRowMatches(const std::string& key, const Row& want,
-                      const Row& got) {
-  SCOPED_TRACE(key);
-  EXPECT_EQ(got.success, want.success);
-  EXPECT_EQ(got.bits_ab, want.bits_ab);
-  EXPECT_EQ(got.bits_ba, want.bits_ba);
-  EXPECT_EQ(got.rounds, want.rounds);
-  EXPECT_EQ(got.chosen_level, want.chosen_level);
-  EXPECT_EQ(got.decoded_entries, want.decoded_entries);
-  EXPECT_EQ(got.attempts, want.attempts);
-  EXPECT_EQ(got.hash, want.hash);
-  const double scale = std::max(std::fabs(want.ratio), 1.0);
-  EXPECT_LE(std::fabs(got.ratio - want.ratio), 1e-9 * scale)
-      << "ratio_vs_emdk " << got.ratio << " vs golden " << want.ratio;
+/// Every field but the last, ratio_vs_emdk, matches exactly.
+void ExpectRowMatches(const std::string& want, const std::string& got) {
+  const size_t want_cut = want.rfind('\t');
+  const size_t got_cut = got.rfind('\t');
+  EXPECT_EQ(got.substr(0, got_cut), want.substr(0, want_cut));
+  const double want_ratio = std::stod(want.substr(want_cut + 1));
+  const double got_ratio = std::stod(got.substr(got_cut + 1));
+  EXPECT_LE(std::fabs(got_ratio - want_ratio),
+            1e-9 * std::max(std::fabs(want_ratio), 1.0))
+      << "ratio_vs_emdk " << got_ratio << " vs golden " << want_ratio;
+}
+
+// The paper's shape gates (DESIGN §3.4), each fixed once from the first
+// run of the pinned rows.
+constexpr double kQuadtreeFlatSpread = 1.1;       // today 1.049
+constexpr double kExactMinBitsPerPoint = 400.0;   // today 799
+constexpr double kExactMaxBitsPerPoint = 2560.0;  // today 1,277
+constexpr double kRatioPerDimension = 3.0;        // today 2.49, at d = 1
+
+/// Runs each of `protocols` on one cell and records its golden row.
+void PinCell(const std::string& cell, const workload::ReplicaPair& pair,
+             const recon::ProtocolContext& ctx,
+             const recon::ProtocolParams& params,
+             const recon::EvaluateOptions& options,
+             const std::vector<std::string>& protocols,
+             std::map<std::string, Row>* rows) {
+  server::SketchStore store(pair.bob,
+                            server::SketchStoreOptions{ctx, params, {}});
+  const auto snapshot = store.Snapshot();
+  for (const std::string& protocol : protocols) {
+    const std::string key = cell + "\t" + protocol;
+    SCOPED_TRACE(key);
+    const auto reconciler = recon::MakeReconciler(protocol, ctx, params);
+    Row row;
+    if (reconciler != nullptr) {
+      const DrivenRun run = Drive(*reconciler, pair.alice, pair.bob, nullptr);
+      row.success = run.result.success;
+      row.bits_ab = run.stats.alice_to_bob_bits;
+      row.bits_ba = run.stats.bob_to_alice_bits;
+      row.rounds = run.stats.rounds;
+      row.chosen_level = run.result.chosen_level;
+      row.decoded_entries = run.result.decoded_entries;
+      row.attempts = run.result.attempts;
+      row.hash = run.hash;
+
+      const DrivenRun cached =
+          Drive(*reconciler, pair.alice, snapshot->points(), snapshot.get());
+      EXPECT_EQ(cached.hash, run.hash) << "cached transcript differs";
+      EXPECT_EQ(cached.result.success, run.result.success);
+      EXPECT_EQ(cached.result.bob_final, run.result.bob_final);
+
+      const recon::Evaluation eval = recon::EvaluateProtocol(
+          protocol, ctx, params, pair.alice, pair.bob, options);
+      EXPECT_EQ(eval.comm_bits, run.stats.total_bits);
+      row.ratio = eval.ratio_vs_emdk;
+    }
+    row.n = pair.alice.size();
+    row.d = ctx.universe.d;
+    (*rows)[key] = row;
+  }
+}
+
+/// Every pinned row, keyed "cell\tprotocol": the small cells, then every
+/// configuration of each pinned sweep of the paper sweep table.
+const std::map<std::string, Row>& ComputeAll() {
+  static const std::map<std::string, Row> computed = [] {
+    std::map<std::string, Row> out;
+    for (const Cell& cell : kCells) {
+      recon::ProtocolContext ctx;
+      ctx.universe = MakeUniverse(cell.delta, cell.d);
+      ctx.seed = cell.context_seed;
+      recon::ProtocolParams params;
+      params.k = cell.k;
+      recon::EvaluateOptions options;
+      options.k = cell.k;
+      const workload::ReplicaPair pair =
+          workload::StandardScenario(cell.n, cell.d, cell.delta, cell.k,
+                                     cell.noise, cell.scenario_seed)
+              .Materialize();
+      PinCell(cell.id, pair, ctx, params, options,
+              recon::ProtocolRegistry::Global().ListProtocols(), &out);
+    }
+    for (const bench::Sweep& sweep : bench::PaperSweeps()) {
+      if (!sweep.pinned) continue;
+      for (const bench::Config& config : bench::Configs(sweep)) {
+        const bench::Trial trial = bench::MakeTrial(sweep, config, 0);
+        PinCell(bench::CellId(sweep, config), trial.pair, trial.context,
+                config.params, trial.options, bench::Protocols(sweep, config),
+                &out);
+      }
+    }
+    return out;
+  }();
+  return computed;
 }
 
 TEST(WireGoldenTest, EveryProtocolMatchesTheGoldenWire) {
-  std::map<std::string, Row> computed;
-  for (const Cell& cell : kCells) {
-    const workload::ReplicaPair pair =
-        workload::StandardScenario(cell.n, cell.d, cell.delta, cell.k,
-                                   cell.noise, cell.scenario_seed)
-            .Materialize();
-    recon::ProtocolContext ctx;
-    ctx.universe = MakeUniverse(cell.delta, cell.d);
-    ctx.seed = cell.context_seed;
-    recon::ProtocolParams params;
-    params.k = cell.k;
-    recon::EvaluateOptions options;
-    options.k = cell.k;
-    server::SketchStore store(pair.bob,
-                              server::SketchStoreOptions{ctx, params, {}});
-    const auto snapshot = store.Snapshot();
-
-    for (const std::string& protocol :
-         recon::ProtocolRegistry::Global().ListProtocols()) {
-      const std::string key = std::string(cell.id) + "\t" + protocol;
-      SCOPED_TRACE(key);
-      const auto reconciler = recon::MakeReconciler(protocol, ctx, params);
-      Row row;
-      if (reconciler != nullptr) {
-        const DrivenRun run = Drive(*reconciler, pair.alice, pair.bob, nullptr);
-        row.success = run.result.success;
-        row.bits_ab = run.stats.alice_to_bob_bits;
-        row.bits_ba = run.stats.bob_to_alice_bits;
-        row.rounds = run.stats.rounds;
-        row.chosen_level = run.result.chosen_level;
-        row.decoded_entries = run.result.decoded_entries;
-        row.attempts = run.result.attempts;
-        row.hash = run.hash;
-
-        const DrivenRun cached =
-            Drive(*reconciler, pair.alice, snapshot->points(), snapshot.get());
-        EXPECT_EQ(cached.hash, run.hash) << "cached transcript differs";
-        EXPECT_EQ(cached.result.success, run.result.success);
-        EXPECT_EQ(cached.result.bob_final, run.result.bob_final);
-
-        const recon::Evaluation eval = recon::EvaluateProtocol(
-            protocol, ctx, params, pair.alice, pair.bob, options);
-        EXPECT_EQ(eval.comm_bits, run.stats.total_bits);
-        row.ratio = eval.ratio_vs_emdk;
-      }
-      computed[key] = row;
-    }
-  }
-
+  const std::map<std::string, Row>& computed = ComputeAll();
   if (g_update) {
     std::ofstream out(RSR_WIRE_GOLDEN_PATH);
     ASSERT_TRUE(out.good()) << "cannot write " << RSR_WIRE_GOLDEN_PATH;
@@ -286,20 +321,65 @@ TEST(WireGoldenTest, EveryProtocolMatchesTheGoldenWire) {
     return;
   }
 
-  const std::map<std::string, Row> golden = ReadGolden(RSR_WIRE_GOLDEN_PATH);
+  const std::map<std::string, std::string> golden =
+      ReadGolden(RSR_WIRE_GOLDEN_PATH);
   ASSERT_FALSE(golden.empty())
       << "no golden rows in " << RSR_WIRE_GOLDEN_PATH
       << "; generate them with --update";
   for (const auto& [key, row] : computed) {
+    SCOPED_TRACE(key);
     const auto it = golden.find(key);
     if (it == golden.end()) {
       ADD_FAILURE() << "no golden row for " << key;
       continue;
     }
-    ExpectRowMatches(key, it->second, row);
+    ExpectRowMatches(it->second, FormatRow(key, row));
   }
-  for (const auto& [key, row] : golden) {
+  for (const auto& [key, line] : golden) {
     EXPECT_EQ(computed.count(key), 1u) << "golden row not produced: " << key;
+  }
+}
+
+/// Bits on the wire of `protocol` in every pinned E4 row, by n.
+std::map<size_t, size_t> E4Bits(const std::string& protocol) {
+  std::map<size_t, size_t> bits;
+  for (const auto& [key, row] : ComputeAll()) {
+    if (key.starts_with("E4/") && key.ends_with("\t" + protocol)) {
+      bits[row.n] = row.bits_ab + row.bits_ba;
+    }
+  }
+  return bits;
+}
+
+TEST(WireGoldenTest, QuadtreeBitsStayFlatInN) {
+  const std::map<size_t, size_t> bits = E4Bits("quadtree");
+  ASSERT_EQ(bits.size(), 8u);
+  const auto [lo, hi] = std::minmax_element(
+      bits.begin(), bits.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  EXPECT_LE(static_cast<double>(hi->second),
+            kQuadtreeFlatSpread * static_cast<double>(lo->second))
+      << "quadtree bits " << lo->second << " at n = " << lo->first << " vs "
+      << hi->second << " at n = " << hi->first;
+}
+
+TEST(WireGoldenTest, ExactBitsGrowLinearlyInN) {
+  const std::map<size_t, size_t> bits = E4Bits("exact-iblt");
+  ASSERT_EQ(bits.size(), 8u);
+  for (const auto& [n, total] : bits) {
+    const double per_point =
+        static_cast<double>(total) / static_cast<double>(n);
+    EXPECT_GE(per_point, kExactMinBitsPerPoint) << "n = " << n;
+    EXPECT_LE(per_point, kExactMaxBitsPerPoint) << "n = " << n;
+  }
+}
+
+TEST(WireGoldenTest, QuadtreeRatioWithinCTimesD) {
+  // Cells that do not measure quality read 0 and pass.
+  for (const auto& [key, row] : ComputeAll()) {
+    if (row.success && key.find("\tquadtree") != std::string::npos) {
+      EXPECT_LE(row.ratio, kRatioPerDimension * row.d) << key;
+    }
   }
 }
 

@@ -35,7 +35,11 @@ OPENING_VERBS = {"@hello", "@log-fetch", "@pull", "@stats"}
 BENCH_PRODUCERS = {
     # bench_util.h is a producer too: its shared helpers emit e.g. the
     # "p50_ms"/"p99_ms" latency-quantile keys for every serving bench.
-    "BENCH_E7.json": ["bench/bench_e7_level_ablation.cc", "bench/bench_util.h"],
+    "BENCH_E7.json": [
+        "bench/bench_paper_sweep.cc",
+        "bench/paper_sweeps.cc",
+        "bench/bench_util.h",
+    ],
     "BENCH_E16.json": ["bench/bench_e16_server_load.cc", "bench/bench_util.h"],
     "BENCH_E17.json": ["bench/bench_e17_async_load.cc", "bench/bench_util.h"],
     "BENCH_E18.json": ["bench/bench_e18_churn.cc", "bench/bench_util.h"],
