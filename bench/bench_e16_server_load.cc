@@ -1,6 +1,7 @@
 // E16 — Serving-layer load: many concurrent clients over real sockets.
 //
-// One SyncServer holds a canonical clustered cloud; N client threads each
+// One reactor host (AsyncSyncServer, 4 shards) holds a canonical
+// clustered cloud; N client threads each
 // connect over loopback TCP, negotiate a registry protocol, and sync a
 // drifted replica. Per (clients × protocol) configuration the table
 // reports two separate success columns — `ok`, syncs whose served outcome
@@ -16,7 +17,7 @@
 // drift actually configured here (every point perturbed plus the planted
 // outliers — an exact-key delta of up to 2·(n + outliers)), so its rows
 // now decode. Expected shape: syncs/sec scales with the burst size until
-// the worker pool saturates.
+// the shards saturate.
 
 #include <chrono>
 #include <cstdio>
@@ -31,8 +32,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recon/driver.h"
+#include "server/async_sync_server.h"
 #include "server/sync_client.h"
-#include "server/sync_server.h"
 #include "util/stats.h"
 #include "workload/generator.h"
 
@@ -102,13 +103,13 @@ void RunBurst(const PointSet& canonical, const std::string& label,
               const std::vector<std::string>& protocols, size_t clients,
               bool latency_probes = true,
               obs::TraceSink* trace_sink = nullptr) {
-  server::SyncServerOptions server_options;
+  server::AsyncSyncServerOptions server_options;
   server_options.context = Ctx();
   server_options.params = Params();
-  server_options.worker_threads = 8;
+  server_options.shards = 4;
   server_options.latency_probes = latency_probes;
   server_options.trace_sink = trace_sink;
-  server::SyncServer server(canonical, server_options);
+  server::AsyncSyncServer server(canonical, server_options);
   if (!server.Start(net::TcpListener::Listen("127.0.0.1", 0))) {
     std::fprintf(stderr, "E16: failed to bind a loopback listener\n");
     return;
@@ -199,7 +200,7 @@ void RunBurst(const PointSet& canonical, const std::string& label,
 int main() {
   using namespace rsr;
   bench::Banner("E16", "sync-server load: concurrent clients over TCP",
-                "syncs/sec grows with the burst until workers saturate; "
+                "syncs/sec grows with the burst until shards saturate; "
                 "every served result is bit-identical to the in-process "
                 "driver (ok = clients, match_driver = 1) and every "
                 "right-sized sketch decodes (decoded = clients)");

@@ -1,23 +1,19 @@
-// E17 — Async vs threaded serving under concurrent load.
+// E17 — Reactor serving under concurrent load.
 //
-// The same mixed-protocol TCP burst is served twice at equal total thread
-// count: once by the thread-per-connection SyncServer with 2 workers
-// (connections queue; at most 2 sessions are ever live) and once by the
-// epoll-sharded AsyncSyncServer with 2 shards (every connection is live at
-// once). Per (host × clients) configuration the table reports `ok` (syncs
-// bit-identical to the driver) and `decoded` (protocol-level successes) as
-// separate columns — fidelity and decode success are different claims, see
-// bench_e16 — plus syncs/sec over the whole burst, the burst wall clock,
-// `peak_active` — the high-water mark of concurrently open sessions, the
-// column that shows the threaded host serializing (peak_active <= workers)
-// while the async host sustains the burst — and `match_driver` =
-// ok / clients, which must be 1 everywhere.
+// A mixed-protocol TCP burst is served by the epoll-sharded
+// AsyncSyncServer with 2 shards, at 64, 256 and 512 clients. Per burst
+// size the table reports `ok` (syncs bit-identical to the driver) and
+// `decoded` (protocol-level successes) as separate columns — fidelity and
+// decode success are different claims, see bench_e16 — plus syncs/sec
+// over the whole burst, the burst wall clock, `peak_active` — the
+// high-water mark of concurrently open sessions — and `match_driver` =
+// ok / clients, which must be 1 everywhere. The rows also carry the
+// session latency quantiles and the event-loop probes.
 //
-// Expected shape: equal match_driver and broadly comparable syncs/sec on
-// a warm loopback (the work is protocol CPU either way), but peak_active
-// pinned at 2 for the threaded host vs the full burst for the async one —
-// the difference between a pool that blocks per client and a reactor that
-// scales concurrency to fd limits.
+// Expected shape: match_driver = 1 at every size, and peak_active well
+// above the shard count: two shard threads keep most of the burst open at
+// once, because no thread blocks per client and concurrency scales to fd
+// limits.
 
 #include <sys/resource.h>
 
@@ -35,7 +31,6 @@
 #include "recon/driver.h"
 #include "server/async_sync_server.h"
 #include "server/sync_client.h"
-#include "server/sync_server.h"
 #include "workload/generator.h"
 
 namespace rsr {
@@ -44,7 +39,7 @@ namespace {
 constexpr size_t kSetSize = 128;
 constexpr size_t kOutliers = 4;
 constexpr double kNoise = 1.0;
-constexpr size_t kThreadsPerHost = 2;  // 2 workers vs 2 shards
+constexpr size_t kShards = 2;
 
 const std::vector<std::string>& Protocols() {
   static const std::vector<std::string> protocols = {
@@ -101,7 +96,7 @@ PointSet DriftedReplica(const PointSet& base, uint64_t seed) {
 }
 
 /// Client i always gets the same replica and protocol, so the in-process
-/// reference result is computed once and reused across hosts and rows.
+/// reference result is computed once and reused across rows.
 /// The caches are plain static maps: main() warms every entry up front
 /// (WarmCaches) so the concurrent client threads only ever read them.
 const PointSet& Replica(size_t i) {
@@ -174,7 +169,7 @@ BurstOutcome RunClients(uint16_t port, size_t clients) {
   return out;
 }
 
-/// Event-loop probe extras for the async host's rows (DESIGN.md §12):
+/// Event-loop probe extras for every row (DESIGN.md §12):
 /// loop-iteration and epoll-wait p99, pending-task depth p99, and the
 /// timer-fire count, all from the host's shared shard instruments.
 std::vector<std::pair<std::string, std::string>> LoopExtras(
@@ -205,7 +200,7 @@ void EmitRow(const std::string& host, size_t clients,
       static_cast<double>(clients) / outcome.wall_seconds;
   // "syncs_per_sec" / "wall_ms" are table columns here, so the JSON rows
   // already carry the standard field names; the extras add the latency
-  // quantiles (and, on the async host, the event-loop probes).
+  // quantiles and the event-loop probes.
   bench::RowExtras(std::move(extras));
   bench::Row({host, std::to_string(clients), std::to_string(outcome.matched),
               std::to_string(outcome.decoded), bench::Num(syncs_per_sec),
@@ -214,29 +209,11 @@ void EmitRow(const std::string& host, size_t clients,
                          static_cast<double>(clients))});
 }
 
-void RunThreadedBurst(const PointSet& canonical, size_t clients) {
-  server::SyncServerOptions options;
-  options.context = Ctx();
-  options.params = Params();
-  options.worker_threads = kThreadsPerHost;
-  server::SyncServer server(canonical, options);
-  if (!server.Start(net::TcpListener::Listen("127.0.0.1", 0))) {
-    std::fprintf(stderr, "E17: failed to bind a loopback listener\n");
-    return;
-  }
-  BurstOutcome outcome = RunClients(server.port(), clients);
-  server.Stop();
-  outcome.peak_active = static_cast<size_t>(
-      server.metrics_registry().GaugeValue("rsr_sync_active_sessions_peak"));
-  EmitRow("threaded-2w", clients, outcome,
-          bench::LatencyExtras(server.metrics_registry()));
-}
-
-void RunAsyncBurst(const PointSet& canonical, size_t clients) {
+void RunBurst(const PointSet& canonical, size_t clients) {
   server::AsyncSyncServerOptions options;
   options.context = Ctx();
   options.params = Params();
-  options.shards = kThreadsPerHost;
+  options.shards = kShards;
   server::AsyncSyncServer server(canonical, options);
   if (!server.Start(net::TcpListener::Listen("127.0.0.1", 0))) {
     std::fprintf(stderr, "E17: failed to bind a loopback listener\n");
@@ -277,20 +254,16 @@ int main() {
   using namespace rsr;
   RaiseFdLimit();
   bench::Banner(
-      "E17", "async vs threaded sync serving: concurrent TCP bursts",
-      "at equal thread count (2 workers vs 2 shards) the threaded host "
-      "serializes (peak_active <= 2) while the async host sustains the "
-      "whole burst; every served result matches the in-process driver "
-      "(match_driver = 1)");
+      "E17", "reactor sync serving: concurrent TCP bursts",
+      "two shards keep far more than two sessions open at once "
+      "(peak_active >> 2); every served result matches the in-process "
+      "driver (match_driver = 1)");
   bench::Row({"host", "clients", "ok", "decoded", "syncs_per_sec",
               "wall_ms", "peak_active", "match_driver"});
 
   const PointSet canonical = Canonical();
   const std::vector<size_t> burst_sizes = {64, 256, 512};
   WarmCaches(*std::max_element(burst_sizes.begin(), burst_sizes.end()));
-  for (const size_t clients : burst_sizes) {
-    RunThreadedBurst(canonical, clients);
-    RunAsyncBurst(canonical, clients);
-  }
+  for (const size_t clients : burst_sizes) RunBurst(canonical, clients);
   return 0;
 }

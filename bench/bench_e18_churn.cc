@@ -3,12 +3,13 @@
 // The paper's sketches are difference-proportional, yet a server that
 // rebuilds Bob's sketches from the canonical set on every connection pays
 // set-proportional work per sync. This bench measures exactly that term:
-// the same quadtree sync burst is served twice, once by a SyncServer
-// serving from its SketchStore's cached sketches (serve_from_cache = true,
-// the default) and once by the rebuild baseline (= false), at 8 and 32
-// concurrent clients, while the canonical set absorbs a churn batch of
-// 0% / 1% / 10% of the set before every sync (server::ApplyUpdate, i.e.
-// incremental Insert/Erase maintenance on the cached side).
+// the same quadtree sync burst is served twice by a 4-shard reactor host
+// (AsyncSyncServer), once from its SketchStore's cached sketches
+// (serve_from_cache = true, the default) and once by the rebuild baseline
+// (= false), at 8 and 32 concurrent clients, while the canonical set
+// absorbs a churn batch of 0% / 1% / 10% of the set before every sync
+// (server::ApplyUpdate, i.e. incremental Insert/Erase maintenance on the
+// cached side).
 //
 // Clients here are replayers: each pre-encodes its Alice "qt-levels" frame
 // once (it depends only on the client's replica) and replays it per sync,
@@ -44,8 +45,8 @@
 #include "net/frame.h"
 #include "net/tcp.h"
 #include "recon/driver.h"
+#include "server/async_sync_server.h"
 #include "server/handshake.h"
-#include "server/sync_server.h"
 #include "util/stats.h"
 #include "workload/churn.h"
 #include "workload/generator.h"
@@ -153,7 +154,7 @@ struct ChurnState {
   Rng rng{0};
 };
 
-void ApplyOneChurnBatch(server::SyncServer* server, ChurnState* state) {
+void ApplyOneChurnBatch(server::CanonicalHost* server, ChurnState* state) {
   std::lock_guard<std::mutex> lock(state->mu);
   const workload::ChurnBatch batch = workload::MakeChurnBatch(
       state->latest->points(), Ctx().universe, state->spec, &state->rng);
@@ -165,12 +166,12 @@ void RunBurst(const PointSet& canonical,
               const std::vector<transport::Message>& alice_frames,
               const std::vector<PointSet>& replicas, bool cached,
               size_t clients, double churn) {
-  server::SyncServerOptions options;
+  server::AsyncSyncServerOptions options;
   options.context = Ctx();
   options.params = Params();
-  options.worker_threads = 8;
+  options.shards = 4;
   options.serve_from_cache = cached;
-  server::SyncServer server(canonical, options);
+  server::AsyncSyncServer server(canonical, options);
   if (!server.Start(net::TcpListener::Listen("127.0.0.1", 0))) {
     std::fprintf(stderr, "E18: failed to bind a loopback listener\n");
     return;

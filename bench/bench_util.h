@@ -124,7 +124,12 @@ class JsonSink {
       std::strtod(s.c_str(), &end);
       if (end != nullptr && *end == '\0') return s;
     }
-    return "\"" + Escape(s) + "\"";
+    // Appended in place: `"\"" + Escape(s) + "\""` draws GCC 12's
+    // -Wrestrict false positive at -O3.
+    std::string quoted(1, '"');
+    quoted += Escape(s);
+    quoted += '"';
+    return quoted;
   }
 
   void Flush() const {

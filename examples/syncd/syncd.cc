@@ -1,24 +1,21 @@
 // syncd — many-client sync server demo over real loopback sockets.
 //
-// Starts a sync server holding a canonical clustered point cloud, then
-// simulates a fleet of drifting replicas: each client thread connects over
-// TCP, negotiates a protocol from the registry, and reconciles its replica
-// against the canonical set. Prints one line per client and the server's
-// aggregate metrics. Usage:
+// Starts the sync host (the epoll-sharded server::AsyncSyncServer) holding
+// a canonical clustered point cloud, then simulates a fleet of drifting
+// replicas: each client thread connects over TCP, negotiates a protocol
+// from the registry, and reconciles its replica against the canonical set.
+// Prints one line per client and the server's aggregate metrics. Usage:
 //
-//   syncd [num_clients] [worker_threads] [--async] [--shards N]
-//         [--metrics-port P] [--hold-seconds S]
+//   syncd [num_clients] [--shards N] [--metrics-port P] [--hold-seconds S]
 //
-// By default the threaded SyncServer hosts the fleet (one blocked worker
-// per in-flight client); --async selects the epoll-sharded AsyncSyncServer
-// instead, with --shards N event-loop shards (default 2). The served
-// results are identical either way — compare the metrics line to watch
-// peak_active change from the worker count to the whole fleet.
-// --metrics-port P additionally serves the host's metrics registry as
-// Prometheus text on http://127.0.0.1:P/metrics (P=0 picks an ephemeral
-// port, printed at startup); --hold-seconds S keeps the server and the
-// metrics endpoint up for S seconds after the client fleet finishes so an
-// external scraper (e.g. CI's curl check) can read the settled counters.
+// --shards N sets the host's event-loop shards (default 2); the metrics
+// line's peak concurrency can exceed the shard count, because no shard
+// thread blocks on a client. --metrics-port P additionally serves the
+// host's metrics registry as Prometheus text on
+// http://127.0.0.1:P/metrics (P=0 picks an ephemeral port, printed at
+// startup); --hold-seconds S keeps the server and the metrics endpoint up
+// for S seconds after the client fleet finishes so an external scraper
+// (e.g. CI's curl check) can read the settled counters.
 // See examples/syncd/README.md for a walkthrough.
 
 #include <chrono>
@@ -38,7 +35,6 @@
 #include "recon/driver.h"
 #include "server/async_sync_server.h"
 #include "server/sync_client.h"
-#include "server/sync_server.h"
 #include "workload/generator.h"
 
 namespace {
@@ -97,23 +93,18 @@ PointSet Drift(const PointSet& base, uint64_t seed) {
 
 int main(int argc, char** argv) {
   size_t num_clients = 12;
-  size_t workers = 4;
   size_t shards = 2;
-  bool use_async = false;
   bool serve_metrics = false;
   long metrics_port = 0;
   long hold_seconds = 0;
   size_t positional = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--async") == 0) {
-      use_async = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
+    if (std::strcmp(argv[i], "--shards") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "syncd: --shards needs a value\n");
         return 1;
       }
       shards = std::strtoul(argv[++i], nullptr, 10);
-      use_async = true;
     } else if (std::strcmp(argv[i], "--metrics-port") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "syncd: --metrics-port needs a value\n");
@@ -127,48 +118,30 @@ int main(int argc, char** argv) {
         return 1;
       }
       hold_seconds = std::strtol(argv[++i], nullptr, 10);
-    } else if (argv[i][0] == '-' || positional >= 2) {
+    } else if (argv[i][0] == '-' || positional++ > 0) {
       std::fprintf(stderr,
-                   "usage: syncd [num_clients] [worker_threads] [--async] "
-                   "[--shards N] [--metrics-port P] [--hold-seconds S]\n");
+                   "usage: syncd [num_clients] [--shards N] "
+                   "[--metrics-port P] [--hold-seconds S]\n");
       return 1;
-    } else if (positional++ == 0) {
-      num_clients = std::strtoul(argv[i], nullptr, 10);
     } else {
-      workers = std::strtoul(argv[i], nullptr, 10);
+      num_clients = std::strtoul(argv[i], nullptr, 10);
     }
   }
 
   const PointSet canonical = CanonicalCloud();
-  // Both hosts serve the identical wire protocol; pick one.
-  std::unique_ptr<server::SyncServer> threaded;
-  std::unique_ptr<server::AsyncSyncServer> async;
-  if (use_async) {
-    server::AsyncSyncServerOptions options;
-    options.context = Context();
-    options.params = Params();
-    options.shards = shards;
-    async = std::make_unique<server::AsyncSyncServer>(canonical, options);
-  } else {
-    server::SyncServerOptions options;
-    options.context = Context();
-    options.params = Params();
-    options.worker_threads = workers;
-    threaded = std::make_unique<server::SyncServer>(canonical, options);
-  }
-  const bool started =
-      use_async ? async->Start(net::TcpListener::Listen("127.0.0.1", 0))
-                : threaded->Start(net::TcpListener::Listen("127.0.0.1", 0));
-  if (!started) {
+  server::AsyncSyncServerOptions host_options;
+  host_options.context = Context();
+  host_options.params = Params();
+  host_options.shards = shards;
+  server::AsyncSyncServer host(canonical, host_options);
+  if (!host.Start(net::TcpListener::Listen("127.0.0.1", 0))) {
     std::fprintf(stderr, "syncd: could not bind a loopback listener\n");
     return 1;
   }
-  const uint16_t port = use_async ? async->port() : threaded->port();
+  const uint16_t port = host.port();
   const auto start_time = std::chrono::steady_clock::now();
   obs::MetricsHttpServer metrics_http(
-      [&]() {
-        return use_async ? async->RenderMetrics() : threaded->RenderMetrics();
-      },
+      [&]() { return host.RenderMetrics(); },
       [&]() {
         // /healthz: one line a load balancer (or a human) can eyeball —
         // liveness, uptime, and the replication position.
@@ -176,14 +149,12 @@ int main(int argc, char** argv) {
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start_time)
                 .count();
-        const uint64_t seq =
-            use_async ? async->replica_seq() : threaded->replica_seq();
-        const bool dirty = use_async ? false : threaded->repair_dirty();
         char line[128];
         std::snprintf(line, sizeof line,
                       "ok uptime_seconds=%.1f replica_seq=%llu dirty=%d\n",
-                      uptime, static_cast<unsigned long long>(seq),
-                      dirty ? 1 : 0);
+                      uptime,
+                      static_cast<unsigned long long>(host.replica_seq()),
+                      host.repair_dirty() ? 1 : 0);
         return std::string(line);
       });
   if (serve_metrics) {
@@ -193,19 +164,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "syncd: could not bind the metrics port\n");
       return 1;
     }
-    std::printf("syncd: metrics on http://127.0.0.1:%u/metrics "
-                "(health on /healthz)\n",
-                metrics_http.port());
+    // One URL per line: CI reads the port off the metrics line's end.
+    std::printf("syncd: metrics on http://127.0.0.1:%u/metrics\n"
+                "syncd: health on http://127.0.0.1:%u/healthz\n",
+                metrics_http.port(), metrics_http.port());
   }
-  if (use_async) {
-    std::printf("syncd: serving %zu canonical points on 127.0.0.1:%u with "
-                "%zu async shards\n\n",
-                canonical.size(), port, shards);
-  } else {
-    std::printf("syncd: serving %zu canonical points on 127.0.0.1:%u with "
-                "%zu workers\n\n",
-                canonical.size(), port, workers);
-  }
+  std::printf("syncd: serving %zu canonical points on 127.0.0.1:%u with "
+              "%zu shards\n\n",
+              canonical.size(), port, shards);
 
   const std::vector<std::string> protocols = {
       "quadtree", "exact-iblt", "full-transfer", "riblt-oneshot"};
@@ -252,15 +218,10 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::seconds(hold_seconds));
   }
   metrics_http.Stop();  // the renderer borrows the host: stop it first
-  if (use_async) {
-    async->Stop();
-  } else {
-    threaded->Stop();
-  }
+  host.Stop();
 
   // The summary reads the host's metrics registry (what /metrics serves).
-  const obs::MetricsRegistry& registry =
-      use_async ? async->metrics_registry() : threaded->metrics_registry();
+  const obs::MetricsRegistry& registry = host.metrics_registry();
   const auto count = [&registry](const char* name,
                                  const obs::LabelSet& labels) {
     return static_cast<unsigned long long>(

@@ -29,37 +29,6 @@ namespace {
 using replica::ReplicaNode;
 using replica::StreamFactory;
 
-/// Serves a threaded host on loopback TCP for the duration of one step:
-/// an accept loop feeding ServeConnection, torn down by closing the
-/// listener. (SyncServer::Start is one-shot per server, so transient
-/// listeners are hosted here instead.)
-class TcpServeScope {
- public:
-  explicit TcpServeScope(server::SyncServer* host)
-      : listener_(net::TcpListener::Listen("127.0.0.1", 0)) {
-    if (listener_ == nullptr) return;
-    acceptor_ = std::thread([host, listener = listener_.get()] {
-      for (;;) {
-        std::unique_ptr<net::TcpStream> stream = listener->Accept();
-        if (stream == nullptr) return;
-        host->ServeConnection(stream.get());
-      }
-    });
-  }
-
-  ~TcpServeScope() {
-    if (listener_ != nullptr) listener_->Close();
-    if (acceptor_.joinable()) acceptor_.join();
-  }
-
-  bool ok() const { return listener_ != nullptr; }
-  uint16_t port() const { return listener_ != nullptr ? listener_->port() : 0; }
-
- private:
-  std::unique_ptr<net::TcpListener> listener_;
-  std::thread acceptor_;
-};
-
 StreamFactory TcpDialer(uint16_t port, net::FaultOptions faults) {
   return [port, faults]() -> std::unique_ptr<net::ByteStream> {
     return net::MaybeWrapFaulty(net::TcpStream::Connect("127.0.0.1", port),
@@ -134,9 +103,12 @@ class Harness {
     for (size_t i = 0; i < script_.steps.size(); ++i) {
       RunStep(script_.steps[i], i);
       JoinServeThreads();
-      if (report_.failure != FuzzFailure::kNone) return report_;
+      if (report_.failure != FuzzFailure::kNone) break;
     }
-    Quiesce();
+    // Settle every TCP session the reactors still hold, so the final
+    // registries (PeerMetrics) are a function of the script alone.
+    for (const auto& node : nodes_) node->host().Stop();
+    if (report_.failure == FuzzFailure::kNone) Quiesce();
     return report_;
   }
 
@@ -159,7 +131,7 @@ class Harness {
     report_.detail = std::move(detail);
   }
 
-  /// A dialer whose far end is `peer`'s threaded host behind a fresh pipe
+  /// A dialer whose far end is `peer`'s blocking pump behind a fresh pipe
   /// pair; each dial spawns one short-lived serving thread.
   StreamFactory PipeDialer(size_t peer, net::FaultOptions faults) {
     return [this, peer, faults]() -> std::unique_ptr<net::ByteStream> {
@@ -171,6 +143,14 @@ class Harness {
           });
       return net::MaybeWrapFaulty(std::move(client_end), faults);
     };
+  }
+
+  /// The loopback port of `peer`'s own reactor, started on first use; 0
+  /// when it cannot listen.
+  uint16_t TcpPort(size_t peer) {
+    server::AsyncSyncServer& host = nodes_[peer]->host();
+    if (host.port() == 0) host.Start(net::TcpListener::Listen("127.0.0.1", 0));
+    return host.port();
   }
 
   void JoinServeThreads() {
@@ -224,12 +204,12 @@ class Harness {
           PipeDialer(source, faults));
       async.Stop();
     } else if (step.tcp) {
-      TcpServeScope scope(&nodes_[source]->host());
-      if (!scope.ok()) {
+      const uint16_t port = TcpPort(source);
+      if (port == 0) {
         ++report_.sync_errors;
         return;
       }
-      record = nodes_[puller]->SyncWithPeer(TcpDialer(scope.port(), faults));
+      record = nodes_[puller]->SyncWithPeer(TcpDialer(port, faults));
     } else {
       record = nodes_[puller]->SyncWithPeer(PipeDialer(source, faults));
     }
@@ -267,10 +247,10 @@ class Harness {
     const server::SyncClient client(client_options);
     server::SyncOutcome outcome;
     if (step.tcp) {
-      TcpServeScope scope(&nodes_[step.source]->host());
-      if (!scope.ok()) return;
+      const uint16_t port = TcpPort(step.source);
+      if (port == 0) return;
       const std::unique_ptr<net::ByteStream> stream =
-          net::TcpStream::Connect("127.0.0.1", scope.port());
+          net::TcpStream::Connect("127.0.0.1", port);
       if (stream == nullptr) return;
       outcome = client.Sync(stream.get(), protocol, client_points);
     } else {

@@ -15,8 +15,9 @@
 //   * writer mutations journal through ReplicaNode::Apply; follower
 //     mutations are off-log InstallRepair writes that mark the node dirty
 //     (fuzz/script.h explains the single-writer model);
-//   * sync steps run ReplicaNode::SyncWithPeer over in-process pipes or
-//     loopback TCP against the source's threaded host — or, for
+//   * sync steps run ReplicaNode::SyncWithPeer against the source node's
+//     host: its blocking pump over in-process pipes, or its own reactor
+//     over loopback TCP (started on the first TCP step) — or, for
 //     async_host steps, tail-fetch from a transient AsyncSyncServer while
 //     the "@pull" repair leg stays on the source node, whose position the
 //     transient host does not carry (the split the two-factory

@@ -5,8 +5,9 @@
 // (peer count, designated writer, universe, protocol params), the shared
 // initial point cloud, and an ordered list of steps — point mutations on
 // individual peers, pairwise anti-entropy syncs through the real serving
-// stack (threaded or async host, pipes or loopback TCP, optional wire
-// faults), client-oracle syncs, and randomized mesh rounds. Every point in
+// stack (a node's blocking pump over pipes, its reactor over loopback TCP,
+// or a transient async host, with optional wire faults), client-oracle
+// syncs, and randomized mesh rounds. Every point in
 // the script is CONCRETE (not re-derived from an RNG at run time), so
 // removing a step never shifts the meaning of the steps after it — the
 // property greedy shrinking (fuzz/shrink.h) depends on.

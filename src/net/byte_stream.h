@@ -1,17 +1,19 @@
 // Blocking byte-stream transport abstraction.
 //
-// Everything above this layer (framing, the sync server and client) speaks
+// The blocking layers above this one (framing, the sync client, and the
+// host's blocking pump, server::CanonicalHost::ServeConnection) speak
 // ByteStream, so the same code runs over an in-process pipe pair
-// (net/pipe_stream.h) in unit tests and over real TCP sockets (net/tcp.h)
-// in the syncd demo and the server load bench. The contract is the plain
-// POSIX one: reads block until at least one byte (or EOF/error), writes are
+// (net/pipe_stream.h) and over real TCP sockets (net/tcp.h): clients dial
+// the reactor host over TCP, and the pump serves pipes in tests, the
+// replica mesh's pipe mode and the convergence fuzzer. The reactor itself
+// speaks NonBlockingStream below. The contract is the plain POSIX one:
+// reads block until at least one byte (or EOF/error), writes are
 // all-or-nothing, Close is idempotent and unblocks a peer's pending read
 // with a clean EOF.
 
 #ifndef RSR_NET_BYTE_STREAM_H_
 #define RSR_NET_BYTE_STREAM_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
@@ -34,18 +36,6 @@ class ByteStream {
   /// Shuts the stream down in both directions. Idempotent; a peer blocked
   /// in Read observes EOF.
   virtual void Close() = 0;
-
-  /// Best-effort per-read deadline: after this call a Read that waits
-  /// longer than `timeout` without receiving a byte fails (-1) instead of
-  /// blocking forever. Returns false where the transport cannot enforce
-  /// one (the default; pipes and test doubles stay blocking) — callers
-  /// must treat an armed deadline as an optimization, not a guarantee.
-  /// TcpStream implements it via SO_RCVTIMEO, which is what gives the
-  /// threaded sync host a meaningful idle_timeouts counter.
-  virtual bool SetReadTimeout(std::chrono::milliseconds timeout) {
-    (void)timeout;
-    return false;
-  }
 };
 
 /// Sentinel returned by NonBlockingStream::ReadSome / WriteSome when the

@@ -8,7 +8,7 @@
 // and verb state machine above it sees partial I/O and mid-verb EOF. The
 // convergence fuzzer (src/fuzz/) uses it to model clients that vanish
 // mid-session; the replication-verb fault tests drive "@log-fetch"/"@pull"
-// through it on both hosts.
+// through it over pipes and the reactor's TCP.
 //
 // Determinism: chunk boundaries come from a seeded Rng, and the kill budget
 // counts every byte that crosses the wrapper in either direction, so a

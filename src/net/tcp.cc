@@ -138,15 +138,6 @@ bool TcpStream::SetNonBlocking(bool enabled) {
   return SetFdNonBlocking(fd_.load(), enabled);
 }
 
-bool TcpStream::SetReadTimeout(std::chrono::milliseconds timeout) {
-  const int fd = fd_.load();
-  if (fd < 0 || timeout.count() <= 0) return false;
-  struct timeval tv;
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  return ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0;
-}
-
 // --------------------------------------------------------------- listener
 
 TcpListener::~TcpListener() { ShutdownAndRelease(&fd_); }

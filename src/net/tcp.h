@@ -53,11 +53,6 @@ class TcpStream : public ByteStream, public NonBlockingStream {
   /// Flips O_NONBLOCK. False if fcntl fails or the stream is closed.
   bool SetNonBlocking(bool enabled);
 
-  /// SO_RCVTIMEO: a blocking Read that waits past `timeout` with no byte
-  /// fails (-1). Blocking mode only (EAGAIN from a timed-out recv is
-  /// indistinguishable from a non-blocking would-block).
-  bool SetReadTimeout(std::chrono::milliseconds timeout) override;
-
   /// The underlying socket (for event-loop registration); -1 once the
   /// destructor ran.
   int fd() const { return fd_.load(); }

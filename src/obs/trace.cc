@@ -198,13 +198,19 @@ void SessionSpan::Finish() {
   for (const auto& attr : attrs_) {
     line += ",\"attr.";
     line += attr.first;
-    line += "\":\"" + EscapeJson(attr.second) + "\"";
+    line += "\":\"";
+    line += EscapeJson(attr.second);
+    line += '"';
   }
   if (!links_.empty()) {
     line += ",\"links\":[";
     for (size_t i = 0; i < links_.size(); ++i) {
       if (i != 0) line += ",";
-      line += "\"" + TraceIdHex(links_[i].first, links_[i].second) + "\"";
+      // Appended in place: `"\"" + s + "\""` draws GCC 12's -Wrestrict
+      // false positive at -O3.
+      line += '"';
+      line += TraceIdHex(links_[i].first, links_[i].second);
+      line += '"';
     }
     line += "]";
   }

@@ -54,7 +54,7 @@ std::unique_ptr<net::ByteStream> ReplicaMesh::Dial(size_t peer) {
     return net::TcpStream::Connect("127.0.0.1", nodes_[peer]->host().port());
   }
   auto [server_end, client_end] = net::PipeStream::CreatePair();
-  server::SyncServer* host = &nodes_[peer]->host();
+  server::CanonicalHost* host = &nodes_[peer]->host();
   {
     MutexLock lock(serve_mu_);
     serve_threads_.emplace_back(

@@ -5,11 +5,12 @@
 // AntiEntropyScheduler per node. Two transports:
 //
 //   - pipe (default): each dial is an in-process net::PipeStream pair,
-//     with a short-lived thread running the peer host's ServeConnection on
-//     the far end — the same serving code path TCP exercises, with no
-//     sockets, so unit tests stay hermetic and fast.
-//   - TCP: every node's SyncServer is Start()ed on a loopback listener and
-//     dials go through real connects (bench_e19_replication --transport=tcp).
+//     with a short-lived thread running the peer host's blocking pump
+//     (ServeConnection) on the far end — the same Connection the reactor
+//     feeds, with no sockets, so unit tests stay hermetic and fast.
+//   - TCP: every node's reactor (server::AsyncSyncServer) is Start()ed on
+//     a loopback listener and dials go through real connects
+//     (bench_e19_replication --transport=tcp).
 //
 // Convergence measure: Divergence(i, j) is the multiset symmetric
 // difference |S_i Δ S_j| — exactly 0 iff the two replicas hold identical
@@ -79,7 +80,7 @@ class ReplicaMesh {
   std::vector<std::unique_ptr<AntiEntropyScheduler>> schedulers_;
 
   /// Pipe mode: one short-lived thread per dialed connection, running the
-  /// peer host's ServeConnection; joined at StopSchedulers/destruction.
+  /// peer host's blocking pump; joined at StopSchedulers/destruction.
   /// Leaf lock: held only to push/swap the thread vector, never while
   /// joining or dialing.
   Mutex serve_mu_;

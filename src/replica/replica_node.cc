@@ -17,10 +17,13 @@ namespace replica {
 
 namespace {
 
-server::SyncServerOptions WithChangelog(server::SyncServerOptions options,
-                                        Changelog* changelog) {
-  options.changelog = changelog;
-  return options;
+server::AsyncSyncServerOptions HostOptions(
+    const ReplicaServingOptions& options, Changelog* changelog) {
+  server::AsyncSyncServerOptions host_options;
+  static_cast<server::ServingOptions&>(host_options) = options;
+  host_options.shards = options.worker_threads;
+  host_options.changelog = changelog;
+  return host_options;
 }
 
 /// FNV-1a over the node name: per-node instance salt so two nodes built
@@ -89,8 +92,7 @@ size_t SetDivergence(const PointSet& a, const PointSet& b) {
 ReplicaNode::ReplicaNode(PointSet initial, ReplicaNodeOptions options)
     : options_(std::move(options)),
       changelog_(options_.changelog),
-      server_(std::move(initial),
-              WithChangelog(options_.server, &changelog_)),
+      server_(std::move(initial), HostOptions(options_.server, &changelog_)),
       clock_(options_.server.clock != nullptr ? options_.server.clock
                                               : obs::Clock::Real()),
       trace_gen_(options_.server.trace_seed, NameSalt(options_.node_name)),

@@ -1,10 +1,12 @@
 // One replica of the canonical set: a serving host plus the anti-entropy
 // pull logic that keeps it converging toward its peers.
 //
-// A ReplicaNode owns a Changelog and a server::SyncServer wired to journal
-// through it, so the node both serves (ordinary "@hello" syncs, plus the
-// replication verbs "@log-fetch" and "@pull") and follows. One anti-entropy
-// round — SyncWithPeer — is a PULL:
+// A ReplicaNode owns a Changelog and a server::AsyncSyncServer wired to
+// journal through it, so the node both serves (ordinary "@hello" syncs,
+// plus the replication verbs "@log-fetch" and "@pull") and follows. The
+// host serves TCP once its reactor is Start()ed (replica/mesh.h's TCP
+// mode) and pipes through its blocking pump, ServeConnection, either way.
+// One anti-entropy round — SyncWithPeer — is a PULL:
 //
 //   1. "@log-fetch" from the node's own position. If the peer still holds
 //      the tail (ok) and this node is clean, replay the entries through
@@ -54,7 +56,7 @@
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "replica/changelog.h"
-#include "server/sync_server.h"
+#include "server/async_sync_server.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -64,10 +66,17 @@ namespace replica {
 /// Dials one fresh connection to a peer. Returning null fails the round.
 using StreamFactory = std::function<std::unique_ptr<net::ByteStream>()>;
 
+/// The node's host options: what every host serves, plus its reactor's
+/// shard count.
+struct ReplicaServingOptions : server::ServingOptions {
+  /// Reactor shards. perfbench's rename to `shards` waits for ROADMAP 1 (d).
+  size_t worker_threads = 1;
+};
+
 struct ReplicaNodeOptions {
   /// Host options (context, params, limits, registry...). The `changelog`
   /// field is overwritten — the node wires in its own journal.
-  server::SyncServerOptions server;
+  ReplicaServingOptions server;
   ChangelogOptions changelog;
   /// d̂ at or below which the exact-key repair protocol is chosen; 0
   /// derives the resolved riblt.k (what riblt-oneshot is sized for).
@@ -129,7 +138,7 @@ class ReplicaNode {
                                                       const PointSet& erases);
 
   /// Apply variant stamping the journaled entry with the trace that
-  /// caused the mutation (SyncServer::ApplyUpdate), so follower rounds
+  /// caused the mutation (CanonicalHost::ApplyUpdate), so follower rounds
   /// that later carry the entry link their spans back to it.
   std::shared_ptr<const server::SketchSnapshot> Apply(
       const PointSet& inserts, const PointSet& erases,
@@ -143,7 +152,7 @@ class ReplicaNode {
                            const std::string& peer_name = "peer");
 
   /// Split-dialer form: the "@log-fetch" leg dials `fetch_peer` and the
-  /// "@pull" repair leg dials `repair_peer`. Both hosts serve both verbs
+  /// "@pull" repair leg dials `repair_peer`. A host serves both verbs
   /// (DESIGN.md §10.4); the legs are separable for a tail source that has
   /// no replication position of its own — the convergence fuzzer's
   /// transient async host shares a node's changelog, so its async-host
@@ -152,8 +161,8 @@ class ReplicaNode {
                            const StreamFactory& repair_peer,
                            const std::string& peer_name = "peer");
 
-  server::SyncServer& host() { return server_; }
-  const server::SyncServer& host() const { return server_; }
+  server::AsyncSyncServer& host() { return server_; }
+  const server::AsyncSyncServer& host() const { return server_; }
   Changelog& changelog() { return changelog_; }
   uint64_t applied_seq() const { return server_.replica_seq(); }
   bool dirty() const { return server_.repair_dirty(); }
@@ -191,7 +200,7 @@ class ReplicaNode {
 
   ReplicaNodeOptions options_;
   Changelog changelog_;
-  server::SyncServer server_;
+  server::AsyncSyncServer server_;
   obs::Clock* const clock_;
   /// Mints one root trace per anti-entropy round.
   obs::TraceIdGenerator trace_gen_;

@@ -188,7 +188,7 @@ void AsyncSyncServer::AdoptConn(Shard* shard,
                                 std::unique_ptr<net::TcpStream> stream) {
   // A conn handed over after the shard began stopping is simply dropped
   // (its destructor closes the socket); it was never served, so it is not
-  // counted — exactly like a client the threaded host never dequeued.
+  // counted.
   if (shard->stopping || stream == nullptr) return;
   const int fd = stream->fd();
   if (fd < 0) return;

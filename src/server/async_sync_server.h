@@ -1,24 +1,25 @@
-// Event-driven many-client sync server: N epoll shards, zero blocked
-// threads per connection.
+// The serving host: an event-driven many-client sync server on N epoll
+// shards, zero blocked threads per connection.
 //
-// AsyncSyncServer serves exactly what SyncServer serves — every verb is
-// decided by the same server::Connection state machine
-// (server/connection.h) over the same CanonicalHost base
+// Every verb is decided by the server::Connection state machine
+// (server/connection.h) over the CanonicalHost base
 // (server/canonical_host.h), so results are bit-identical to
-// recon::DrivePair and to the threaded host, "@pull" included — but
-// moves the frames on a reactor instead of a worker pool. Start() spawns
-// `shards` threads, each running one net::EventLoop; the listener is
-// accepted on shard 0 and every new connection is pinned to a shard
-// round-robin at accept time. A pinned connection's whole life — frame
-// decode, Connection input, flush — happens on that one shard thread, so
-// sessions stay single-threaded with no locks on the hot path; only the
-// canonical host's write path and the metrics registry (lock-free record
-// path; server/server_obs.h) are shared.
+// recon::DrivePair, "@pull" included, and to the same sync served by the
+// base's blocking pump (CanonicalHost::ServeConnection) over a pipe. The
+// reactor only moves the frames. Start() spawns `shards` threads, each
+// running one net::EventLoop; the listener is accepted on shard 0 and
+// every new connection is pinned to a shard round-robin at accept time. A
+// pinned connection's whole life — frame decode, Connection input, flush —
+// happens on that one shard thread, so sessions stay single-threaded with
+// no locks on the hot path; only the canonical host's write path and the
+// metrics registry (lock-free record path; server/server_obs.h) are
+// shared.
 //
 // Because no thread ever blocks on a socket, concurrency is bounded by fd
 // limits rather than thread count: two shards sustain hundreds of
-// mostly-idle replicas where a two-worker SyncServer serializes them
-// (bench/bench_e17_async_load.cc measures exactly this).
+// mostly-idle clients (bench/bench_e17_async_load.cc measures this).
+// Replicas (replica/replica_node.h), syncd and the serving benches all
+// host this class.
 //
 // Idle connections are bounded: a connection with no traffic for
 // `idle_timeout` is failed with SessionError::kTransportClosed (a

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "server/connection.h"
 #include "util/check.h"
 
 namespace rsr {
@@ -26,6 +27,32 @@ CanonicalHost::CanonicalHost(PointSet canonical, const ServingOptions& options)
           "rsr_replica_repair_dirty",
           "1 after an approximate repair, until an exact one supersedes")),
       pin_{store_.Snapshot()} {}
+
+void CanonicalHost::ServeConnection(net::ByteStream* stream) {
+  Connection conn(this);
+  net::FramedStream framed(stream, options_.limits);
+  transport::Message frame;
+  while (!conn.done()) {
+    switch (framed.Receive(&frame)) {
+      case net::FramedStream::RecvStatus::kMessage:
+        conn.OnFrame(std::move(frame));
+        break;
+      case net::FramedStream::RecvStatus::kClosed:
+        conn.OnStreamEnd(recon::SessionError::kNone);
+        break;
+      case net::FramedStream::RecvStatus::kError:
+        conn.OnStreamEnd(framed.error());
+        break;
+    }
+    bool sent = true;
+    for (const transport::Message& out : conn.TakeOutbox()) {
+      if (!(sent = framed.Send(out))) break;
+    }
+    if (!sent) break;  // the peer is gone: close now
+  }
+  stream->Close();
+  conn.OnClosed(framed.bytes_received(), framed.bytes_sent());
+}
 
 std::shared_ptr<const SketchSnapshot> CanonicalHost::ApplyUpdate(
     const PointSet& inserts, const PointSet& erases) {

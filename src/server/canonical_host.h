@@ -1,4 +1,4 @@
-// The replicated canonical set both serving hosts are built on.
+// The replicated canonical set the serving host is built on.
 //
 // A CanonicalHost owns what a host serves and how it changes: the
 // canonical point set in a SketchStore (server/sketch_store.h), the
@@ -6,9 +6,12 @@
 // and the optional changelog every write is journaled to, the metrics
 // registry (server/server_obs.h) and the trace id generator. Every
 // protocol decision lives in server::Connection (server/connection.h),
-// which reads this state; the two hosts derive from this class and add
-// only their I/O model — SyncServer a worker pool of blocking pumps,
-// AsyncSyncServer an epoll reactor. See DESIGN.md §6 and §13.2.
+// which reads this state. Frames reach a Connection one of two ways: the
+// epoll reactor that derives from this class
+// (server/async_sync_server.h), or ServeConnection below, the one
+// blocking pump, which serves a single stream on the calling thread —
+// in-process pipes in tests, the replica mesh's pipe mode, the
+// convergence fuzzer and E19. See DESIGN.md §6 and §13.2.
 
 #ifndef RSR_SERVER_CANONICAL_HOST_H_
 #define RSR_SERVER_CANONICAL_HOST_H_
@@ -34,7 +37,7 @@
 namespace rsr {
 namespace server {
 
-/// Options every serving host shares; each host adds only its I/O knobs.
+/// What the host serves and how; the reactor adds only its I/O knobs.
 struct ServingOptions {
   /// Shared public coins; clients must be constructed with the same
   /// context or the hash-based sketches will not line up.
@@ -58,16 +61,14 @@ struct ServingOptions {
   /// is served from it, and the host's replication position travels in
   /// every "@accept". Not owned; must outlive the host.
   replica::Changelog* changelog = nullptr;
-  /// Per-connection idle deadline: a connection that yields no byte for
-  /// this long is failed and counted in idle_timeouts. 0 disables. The
-  /// threaded host enforces it only where the transport can arm a read
-  /// deadline (ByteStream::SetReadTimeout — TCP yes, pipes no); the
-  /// reactor on its timer wheel, at tick granularity.
+  /// Per-connection idle deadline: a reactor connection that yields no
+  /// byte for this long is failed and counted in idle_timeouts, enforced
+  /// on the reactor's timer wheel at tick granularity. 0 disables. The
+  /// blocking pump does not read it.
   std::chrono::milliseconds idle_timeout{0};
-  /// Gates the optional latency probes (worker-queue delay, accept-to-
-  /// first-frame delay, event-loop and store apply latency). Session
-  /// outcome counters and per-protocol latency histograms stay on
-  /// regardless.
+  /// Gates the optional latency probes (accept-to-first-frame delay,
+  /// event-loop and store apply latency). Session outcome counters and
+  /// per-protocol latency histograms stay on regardless.
   bool latency_probes = true;
   /// Per-session trace spans (obs/trace.h) are emitted here; null
   /// disables tracing. Not owned; must outlive the host.
@@ -102,6 +103,11 @@ class CanonicalHost {
   std::string RenderMetrics() const {
     return obs_.registry().RenderPrometheus();
   }
+
+  /// Serves exactly one connection to completion on the calling thread: a
+  /// blocking pump feeding a server::Connection, until the Connection is
+  /// done or the peer is gone. Closes `stream` before returning.
+  void ServeConnection(net::ByteStream* stream);
 
   /// Mutates the canonical set (erases first, then inserts; see
   /// SketchStore::ApplyUpdate) and returns the new generation's snapshot.

@@ -28,10 +28,11 @@
 // with unread bytes queued could reset the connection and discard the
 // reply in flight), bounded by max_deliveries.
 //
-// Both hosts (server/sync_server.h, server/async_sync_server.h) drive
-// this one class, so they serve the same verbs with the same bytes and
-// the same accounting. Not thread-safe: one connection lives on one
-// thread at a time.
+// The reactor (server/async_sync_server.h) and the blocking pump
+// (CanonicalHost::ServeConnection) both drive this one class, so TCP and
+// pipe connections serve the same verbs with the same bytes and the same
+// accounting. Not thread-safe: one connection lives on one thread at a
+// time.
 
 #ifndef RSR_SERVER_CONNECTION_H_
 #define RSR_SERVER_CONNECTION_H_

@@ -29,10 +29,6 @@ ServerObs::ServerObs(const ServerObsOptions& options) : options_(options) {
   bytes_out_ = registry_.GetCounter("rsr_sync_bytes_total",
                                     "Framed bytes through the host",
                                     {{"direction", "out"}});
-  queue_delay_ = registry_.GetHistogram(
-      "rsr_sync_queue_delay_seconds",
-      "Accept-to-dequeue wait in the threaded host's worker queue",
-      obs::DefaultLatencyBounds());
   accept_to_first_frame_ = registry_.GetHistogram(
       "rsr_sync_accept_to_first_frame_seconds",
       "Accept-to-first-decoded-frame delay on the async host",
@@ -92,11 +88,6 @@ void ServerObs::OnClosed(const Settle& settle) {
   bundle.bytes_in->Inc(settle.bytes_in);
   bundle.bytes_out->Inc(settle.bytes_out);
   bundle.seconds->Observe(settle.wall_seconds);
-}
-
-void ServerObs::ObserveQueueDelay(double seconds) {
-  if (!options_.latency_probes) return;
-  queue_delay_->Observe(seconds);
 }
 
 void ServerObs::ObserveAcceptToFirstFrame(double seconds) {

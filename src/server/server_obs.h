@@ -1,23 +1,23 @@
-// Registry-backed instrumentation shared by both serving hosts.
+// Registry-backed instrumentation of the serving host.
 //
 // ServerObs owns the host's obs::MetricsRegistry and the serving-layer
-// instruments both SyncServer and AsyncSyncServer record into: accept /
-// active / peak gauges, per-protocol session outcome counters and
-// latency histograms, transport byte counters, handshake rejects, idle
-// timeouts, and the host-specific scheduling probes (worker-queue delay
-// on the threaded host, accept-to-first-frame delay on the async one).
-// The registry is the only metrics view: readers use its lookups
-// (CounterValue, GaugeValue, SumCounters, SnapshotHistogramSum) or its
-// Prometheus rendering.
+// instruments every connection records into, whether the reactor
+// (server/async_sync_server.h) or the blocking pump
+// (CanonicalHost::ServeConnection) moves its frames: accept / active /
+// peak gauges, per-protocol session outcome counters and latency
+// histograms, transport byte counters, handshake rejects, idle timeouts,
+// and the reactor's accept-to-first-frame delay probe. The registry is
+// the only metrics view: readers use its lookups (CounterValue,
+// GaugeValue, SumCounters, SnapshotHistogramSum) or its Prometheus
+// rendering.
 //
 // Hot-path cost: connection open/close touch relaxed atomics only; the
 // per-protocol instrument bundle is resolved under a small mutex once
-// per session settle (the same cadence the old metrics_mu_ lock had).
-// `latency_probes` gates the optional probes (queue delay, accept-to-
-// first-frame) so the E16 overhead bench can compare instrumented vs
-// no-op serving; session outcome counters and latency histograms stay
-// on either way — they are the host's session accounting.
-// See DESIGN.md §12.
+// per session settle. `latency_probes` gates the optional probes
+// (accept-to-first-frame) so the E16 overhead bench can compare
+// instrumented vs no-op serving; session outcome counters and latency
+// histograms stay on either way — they are the host's session
+// accounting. See DESIGN.md §12.
 
 #ifndef RSR_SERVER_SERVER_OBS_H_
 #define RSR_SERVER_SERVER_OBS_H_
@@ -34,8 +34,8 @@ namespace rsr {
 namespace server {
 
 struct ServerObsOptions {
-  /// Enables the optional latency probes (queue delay, accept-to-first-
-  /// frame; the hosts also gate event-loop and store probes on this).
+  /// Enables the optional latency probes (accept-to-first-frame; the host
+  /// also gates event-loop and store probes on this).
   bool latency_probes = true;
   /// Per-session trace spans are emitted here; null disables tracing.
   obs::TraceSink* trace_sink = nullptr;
@@ -81,9 +81,7 @@ class ServerObs {
   };
   void OnClosed(const Settle& settle);
 
-  /// Threaded host: accept-to-dequeue wait in the worker queue.
-  void ObserveQueueDelay(double seconds);
-  /// Async host: accept-to-first-decoded-frame delay.
+  /// Reactor: accept-to-first-decoded-frame delay.
   void ObserveAcceptToFirstFrame(double seconds);
 
  private:
@@ -109,7 +107,6 @@ class ServerObs {
   obs::Counter* idle_timeouts_;
   obs::Counter* bytes_in_;
   obs::Counter* bytes_out_;
-  obs::Histogram* queue_delay_;
   obs::Histogram* accept_to_first_frame_;
   obs::Counter* span_emitted_;
   obs::Counter* span_dropped_;

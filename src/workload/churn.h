@@ -7,11 +7,11 @@
 // by a perturbed copy — so |S| is preserved and the equal-size contract of
 // the EMD-model protocols keeps holding across generations.
 //
-// Consumers: bench_e18_churn drives server::SyncServer::ApplyUpdate with
-// these batches while clients sync; tests/sketch_store_test replays the
-// same traces against a SketchStore and a plain mirrored set to prove the
-// incrementally maintained sketches stay bit-identical to from-scratch
-// builds (DESIGN.md §9).
+// Consumers: bench_e18_churn drives server::AsyncSyncServer's ApplyUpdate
+// with these batches while clients sync over TCP; tests/sketch_store_test
+// replays the same traces against a SketchStore and a plain mirrored set
+// to prove the incrementally maintained sketches stay bit-identical to
+// from-scratch builds (DESIGN.md §9).
 
 #ifndef RSR_WORKLOAD_CHURN_H_
 #define RSR_WORKLOAD_CHURN_H_

@@ -3,7 +3,7 @@
 // included — is bit-for-bit identical to the in-process two-party driver
 // for EVERY protocol in the registry, (2) two shards sustain 256 genuinely
 // concurrent mixed-protocol clients (peak_active_sessions == 256, a state
-// a 2-worker threaded host can never reach), (3) per-connection idle
+// a 2-worker pool can never reach), (3) per-connection idle
 // deadlines surface as SessionError::kTransportClosed, and (4) Stop()
 // drains deterministically with silent clients connected and settles a
 // pull its puller already closed as ok.

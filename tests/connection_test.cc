@@ -5,10 +5,11 @@
 // the mid-session failure modes (control label, delivery bound, EOF),
 // "@stats", "@log-fetch", "@pull" ended by the puller's close, and
 // hostile wire counts that must fail as malformed instead of allocating.
-// Then both hosts that feed the same Connection — the threaded pump over
-// pipes and the reactor over TCP — must ship the same "@result" bytes and
-// settle the same per-protocol session counts, and both survive a hostile
-// riblt-oneshot set size.
+// Then the host's two ways of feeding that Connection — the blocking pump
+// over pipes and the reactor over TCP — must ship the "@result" bytes the
+// sans-IO connection ships, match recon::DrivePair and settle the same
+// per-protocol session counts, and both survive a hostile riblt-oneshot
+// set size.
 
 #include <algorithm>
 #include <chrono>
@@ -35,7 +36,6 @@
 #include "server/async_sync_server.h"
 #include "server/connection.h"
 #include "server/handshake.h"
-#include "server/sync_server.h"
 #include "transport/channel.h"
 #include "util/bitio.h"
 #include "workload/churn.h"
@@ -93,8 +93,8 @@ PointSet Drifted(const PointSet& base, uint64_t seed) {
   return out;
 }
 
-SyncServerOptions HostOptions() {
-  SyncServerOptions options;
+AsyncSyncServerOptions HostOptions() {
+  AsyncSyncServerOptions options;
   options.context = Ctx();
   options.params = Params();
   return options;
@@ -191,7 +191,7 @@ void ExpectMatchesDriver(const std::string& protocol, const ReconResult& got,
 
 TEST(ConnectionTest, EveryProtocolMatchesDrivePair) {
   const PointSet canonical = Cloud(128, 4242);
-  SyncServer host(canonical, HostOptions());
+  AsyncSyncServer host(canonical, HostOptions());
   uint64_t seed = 1000;
   for (const std::string& protocol :
        ProtocolRegistry::Global().ListProtocols()) {
@@ -215,7 +215,7 @@ TEST(ConnectionTest, EveryProtocolMatchesDrivePair) {
 }
 
 TEST(ConnectionTest, MalformedOrUnknownFirstFrameIsRejected) {
-  SyncServer host(Cloud(32, 1), HostOptions());
+  AsyncSyncServer host(Cloud(32, 1), HostOptions());
   const std::vector<std::string> protocols =
       ProtocolRegistry::Global().ListProtocols();
   const auto expect_reject = [&](Message first, const std::string& reason) {
@@ -248,7 +248,7 @@ TEST(ConnectionTest, SingleGridLevelBeyondTheGridIsRejected) {
   // then serves a clean quadtree sync.
   ProtocolContext ctx = Ctx();
   ctx.universe = MakeUniverse(16, 2);
-  SyncServerOptions options = HostOptions();
+  AsyncSyncServerOptions options = HostOptions();
   options.context = ctx;
   Rng rng(16);
   PointSet canonical(48), client(48);
@@ -258,7 +258,7 @@ TEST(ConnectionTest, SingleGridLevelBeyondTheGridIsRejected) {
            static_cast<int64_t>(rng.Below(16))};
     }
   }
-  SyncServer host(canonical, options);
+  AsyncSyncServer host(canonical, options);
   {
     Connection conn(&host);
     const std::vector<Message> out = Feed(&conn, Hello("single-grid"));
@@ -317,7 +317,7 @@ SessionError ResultError(const std::vector<Message>& out) {
 }
 
 TEST(ConnectionTest, ControlLabelMidSessionIsUnexpected) {
-  SyncServer host(Cloud(32, 1), HostOptions());
+  AsyncSyncServer host(Cloud(32, 1), HostOptions());
   const auto conn = OpenExactSession(&host);
   EXPECT_EQ(ResultError(Feed(conn.get(), Hello("exact-iblt"))),
             SessionError::kUnexpectedMessage);
@@ -329,9 +329,9 @@ TEST(ConnectionTest, ControlLabelMidSessionIsUnexpected) {
 }
 
 TEST(ConnectionTest, DeliveryBoundStalls) {
-  SyncServerOptions options = HostOptions();
+  AsyncSyncServerOptions options = HostOptions();
   options.max_deliveries = 0;
-  SyncServer host(Cloud(32, 1), options);
+  AsyncSyncServer host(Cloud(32, 1), options);
   const auto conn = OpenExactSession(&host);
   EXPECT_EQ(ResultError(Feed(conn.get(), Message{"exact-iblt", {}, 0})),
             SessionError::kStalled);
@@ -341,7 +341,7 @@ TEST(ConnectionTest, DeliveryBoundStalls) {
 }
 
 TEST(ConnectionTest, StreamEndMidSessionFailsWithTheTransportError) {
-  SyncServer host(Cloud(32, 1), HostOptions());
+  AsyncSyncServer host(Cloud(32, 1), HostOptions());
   {
     const auto conn = OpenExactSession(&host);
     conn->OnStreamEnd(SessionError::kNone);  // clean EOF between frames
@@ -370,7 +370,7 @@ TEST(ConnectionTest, StreamEndMidSessionFailsWithTheTransportError) {
 }
 
 TEST(ConnectionTest, IdleTimeoutShipsAFailureResultAndCounts) {
-  SyncServer host(Cloud(32, 1), HostOptions());
+  AsyncSyncServer host(Cloud(32, 1), HostOptions());
   const auto conn = OpenExactSession(&host);
   conn->OnIdleTimeout();
   EXPECT_EQ(ResultError(conn->TakeOutbox()), SessionError::kTransportClosed);
@@ -382,7 +382,7 @@ TEST(ConnectionTest, IdleTimeoutShipsAFailureResultAndCounts) {
 }
 
 TEST(ConnectionTest, StatsAnswersTheExposition) {
-  SyncServer host(Cloud(32, 1), HostOptions());
+  AsyncSyncServer host(Cloud(32, 1), HostOptions());
   Connection conn(&host);
   const std::vector<Message> out = Feed(&conn, EncodeStatsRequest());
   ASSERT_EQ(out.size(), 1u);
@@ -400,9 +400,9 @@ TEST(ConnectionTest, StatsAnswersTheExposition) {
 
 TEST(ConnectionTest, LogFetchServesTheTailAndRejectsMalformedFrames) {
   replica::Changelog changelog;
-  SyncServerOptions options = HostOptions();
+  AsyncSyncServerOptions options = HostOptions();
   options.changelog = &changelog;
-  SyncServer host(Cloud(64, 2), options);
+  AsyncSyncServer host(Cloud(64, 2), options);
   Rng rng(5);
   workload::ChurnSpec churn;
   churn.fraction = 0.0;
@@ -463,10 +463,10 @@ TEST(ConnectionTest, LogBatchWithWrappingCountsIsMalformed) {
 
 TEST(ConnectionTest, PullHostsAliceUntilThePullerCloses) {
   replica::Changelog changelog;
-  SyncServerOptions options = HostOptions();
+  AsyncSyncServerOptions options = HostOptions();
   options.changelog = &changelog;
   const PointSet start = Cloud(64, 3);
-  SyncServer host(start, options);
+  AsyncSyncServer host(start, options);
   Rng rng(6);
   workload::ChurnSpec churn;
   churn.fraction = 0.0;
@@ -541,7 +541,7 @@ Message HostileCount(const std::string& label) {
 
 TEST(ConnectionTest, HostileWireCountsFailMalformedWithoutAllocating) {
   const PointSet canonical = Cloud(64, 7);
-  SyncServer host(canonical, HostOptions());
+  AsyncSyncServer host(canonical, HostOptions());
   {
     // exact-iblt: Alice's table frame opens with its cell count.
     const auto conn = OpenExactSession(&host);
@@ -584,7 +584,7 @@ TEST(ConnectionTest, HostilePullRequestsFailThePull) {
   // "@pull" makes the host Alice, serving the puller's requests: each is
   // checked before a cell is allocated.
   const PointSet canonical = Cloud(64, 7);
-  SyncServer host(canonical, HostOptions());
+  AsyncSyncServer host(canonical, HostOptions());
   const ShiftedGrid grid(Ctx().universe, Ctx().seed);
   const uint64_t probed = static_cast<uint64_t>(
       recon::ProtocolLevels(grid, Params().Resolved().quadtree).front());
@@ -626,7 +626,7 @@ TEST(ConnectionTest, HostilePullRequestsFailThePull) {
                       DriverResult("quadtree-adaptive", client, canonical));
 }
 
-// ------------------------------------------------ both hosts, one core
+// --------------------------------------------- pipe and TCP, one core
 
 /// A raw client over any stream: hello, Alice's pump, and the "@result"
 /// frame exactly as it came off the wire.
@@ -665,16 +665,13 @@ bool Eventually(const std::function<bool()>& predicate) {
   return predicate();
 }
 
-TEST(ConnectionHostsTest, ThreadedPipeAndReactorTcpShipIdenticalResults) {
+TEST(ConnectionHostsTest, PipeAndTcpShipTheSansIoResult) {
   const PointSet canonical = Cloud(96, 4242);
-  SyncServer threaded(canonical, HostOptions());
-  AsyncSyncServerOptions async_options;
-  async_options.context = Ctx();
-  async_options.params = Params();
-  async_options.shards = 1;
-  AsyncSyncServer reactor(canonical, async_options);
-  ASSERT_TRUE(reactor.Start(net::TcpListener::Listen("127.0.0.1", 0)));
-  SyncServer direct(canonical, HostOptions());
+  AsyncSyncServerOptions options = HostOptions();
+  options.shards = 1;
+  AsyncSyncServer host(canonical, options);
+  ASSERT_TRUE(host.Start(net::TcpListener::Listen("127.0.0.1", 0)));
+  AsyncSyncServer direct(canonical, HostOptions());
 
   const std::vector<std::string> protocols =
       ProtocolRegistry::Global().ListProtocols();
@@ -683,14 +680,14 @@ TEST(ConnectionHostsTest, ThreadedPipeAndReactorTcpShipIdenticalResults) {
     const PointSet client = Drifted(canonical, ++seed);
 
     auto [server_end, client_end] = net::PipeStream::CreatePair();
-    std::thread serve([&threaded, end = std::move(server_end)] {
-      threaded.ServeConnection(end.get());
+    std::thread serve([&host, end = std::move(server_end)] {
+      host.ServeConnection(end.get());
     });
     const std::optional<Message> piped =
         WireSync(client_end.get(), protocol, client);
     serve.join();
 
-    auto tcp = net::TcpStream::Connect("127.0.0.1", reactor.port());
+    auto tcp = net::TcpStream::Connect("127.0.0.1", host.port());
     ASSERT_NE(tcp, nullptr);
     const std::optional<Message> reacted =
         WireSync(tcp.get(), protocol, client);
@@ -702,26 +699,26 @@ TEST(ConnectionHostsTest, ThreadedPipeAndReactorTcpShipIdenticalResults) {
     ASSERT_TRUE(piped.has_value()) << protocol;
     ASSERT_TRUE(reacted.has_value()) << protocol;
     ASSERT_TRUE(sans_io.has_value()) << protocol;
-    EXPECT_EQ(piped->payload, reacted->payload) << protocol;
-    EXPECT_EQ(piped->payload_bits, reacted->payload_bits) << protocol;
     EXPECT_EQ(piped->payload, sans_io->result.payload) << protocol;
+    EXPECT_EQ(piped->payload_bits, sans_io->result.payload_bits) << protocol;
+    EXPECT_EQ(reacted->payload, sans_io->result.payload) << protocol;
+    EXPECT_EQ(reacted->payload_bits, sans_io->result.payload_bits)
+        << protocol;
     ExpectMatchesDriver(protocol, DecodedResult(*reacted).result,
                         DriverResult(protocol, client, canonical));
   }
 
-  // The reactor settles when it sees the client's close.
+  // The reactor settles when it sees the client's close; each protocol ran
+  // once over the pipe and once over TCP.
   ASSERT_TRUE(Eventually([&] {
-    return reactor.metrics_registry().SumCounters(
-               "rsr_sync_sessions_total") == protocols.size();
+    return host.metrics_registry().SumCounters("rsr_sync_sessions_total") ==
+           2 * protocols.size();
   }));
-  reactor.Stop();
+  host.Stop();
   for (const std::string& protocol : protocols) {
     for (const char* outcome : {"ok", "fail", "malformed"}) {
-      EXPECT_EQ(Sessions(threaded, protocol, outcome),
-                Sessions(reactor, protocol, outcome))
-          << protocol << " " << outcome;
-      EXPECT_EQ(Sessions(threaded, protocol, outcome),
-                Sessions(direct, protocol, outcome))
+      EXPECT_EQ(Sessions(host, protocol, outcome),
+                2 * Sessions(direct, protocol, outcome))
           << protocol << " " << outcome;
     }
   }
@@ -745,7 +742,7 @@ std::optional<Message> SendForAlice(net::ByteStream* stream,
   return reply;
 }
 
-TEST(ConnectionHostsTest, HostileRibltCountFailsMalformedOnBothHosts) {
+TEST(ConnectionHostsTest, HostileRibltCountFailsMalformedOverPipeAndTcp) {
   // riblt-oneshot's table frame opens with Alice's n, which sizes the sum
   // fields through max_entries = 2n + 2. A table laid out for that n
   // follows, every cell holding the least count, key and checksum sums
@@ -788,24 +785,21 @@ TEST(ConnectionHostsTest, HostileRibltCountFailsMalformedOnBothHosts) {
   const ReconResult want = DriverResult("riblt-oneshot", client, canonical);
   ASSERT_TRUE(want.success);
 
-  SyncServer threaded(canonical, HostOptions());
+  AsyncSyncServerOptions options = HostOptions();
+  options.shards = 1;
+  AsyncSyncServer host(canonical, options);
+  ASSERT_TRUE(host.Start(net::TcpListener::Listen("127.0.0.1", 0)));
   const auto over_pipe = [&](const auto& sync) {
     auto [server_end, client_end] = net::PipeStream::CreatePair();
-    std::thread serve([&threaded, end = std::move(server_end)] {
-      threaded.ServeConnection(end.get());
+    std::thread serve([&host, end = std::move(server_end)] {
+      host.ServeConnection(end.get());
     });
     const std::optional<Message> result = sync(client_end.get());
     serve.join();
     return result;
   };
-  AsyncSyncServerOptions async_options;
-  async_options.context = Ctx();
-  async_options.params = Params();
-  async_options.shards = 1;
-  AsyncSyncServer reactor(canonical, async_options);
-  ASSERT_TRUE(reactor.Start(net::TcpListener::Listen("127.0.0.1", 0)));
   const auto over_tcp = [&](const auto& sync) {
-    auto tcp = net::TcpStream::Connect("127.0.0.1", reactor.port());
+    auto tcp = net::TcpStream::Connect("127.0.0.1", host.port());
     EXPECT_NE(tcp, nullptr);
     return tcp == nullptr ? std::nullopt : sync(tcp.get());
   };
@@ -847,18 +841,15 @@ TEST(ConnectionHostsTest, HostileRibltCountFailsMalformedOnBothHosts) {
                         want);
   }
 
+  // Four sessions over the pipe and four over TCP.
   ASSERT_TRUE(Eventually([&] {
-    return reactor.metrics_registry().SumCounters(
-               "rsr_sync_sessions_total") == 4u;
+    return host.metrics_registry().SumCounters("rsr_sync_sessions_total") ==
+           8u;
   }));
-  reactor.Stop();
-  for (const CanonicalHost* host :
-       {static_cast<const CanonicalHost*>(&threaded),
-        static_cast<const CanonicalHost*>(&reactor)}) {
-    EXPECT_EQ(Sessions(*host, "riblt-oneshot", "malformed"), 2u);
-    EXPECT_EQ(Sessions(*host, "riblt-oneshot", "fail"), 1u);
-    EXPECT_EQ(Sessions(*host, "riblt-oneshot", "ok"), 1u);
-  }
+  host.Stop();
+  EXPECT_EQ(Sessions(host, "riblt-oneshot", "malformed"), 4u);
+  EXPECT_EQ(Sessions(host, "riblt-oneshot", "fail"), 2u);
+  EXPECT_EQ(Sessions(host, "riblt-oneshot", "ok"), 2u);
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include "server/async_sync_server.h"
 #include "server/handshake.h"
 #include "server/sync_client.h"
-#include "server/sync_server.h"
 #include "sketch_families.h"
 #include "transport/channel.h"
 #include "util/bitio.h"
@@ -368,11 +367,11 @@ TEST(ReplicaServingTest, ClientSyncMatchesDriverAndSeesReplicaSeq) {
 TEST(SyncRetryTest, RejectedHandshakeRetriesAllAttempts) {
   // A server with an empty registry rejects every protocol.
   const recon::ProtocolRegistry empty_registry;
-  server::SyncServerOptions server_options;
+  server::AsyncSyncServerOptions server_options;
   server_options.context = Ctx();
   server_options.params = Params();
   server_options.registry = &empty_registry;
-  server::SyncServer server(Cloud(64, 5), server_options);
+  server::AsyncSyncServer server(Cloud(64, 5), server_options);
 
   server::SyncClientOptions client_options;
   client_options.context = Ctx();
@@ -406,10 +405,10 @@ TEST(SyncRetryTest, RejectedHandshakeRetriesAllAttempts) {
 }
 
 TEST(SyncRetryTest, RecoversOnSecondAttemptAfterDeadStream) {
-  server::SyncServerOptions server_options;
+  server::AsyncSyncServerOptions server_options;
   server_options.context = Ctx();
   server_options.params = Params();
-  server::SyncServer server(Cloud(64, 5), server_options);
+  server::AsyncSyncServer server(Cloud(64, 5), server_options);
 
   server::SyncClientOptions client_options;
   client_options.context = Ctx();
@@ -452,11 +451,11 @@ TEST(SyncRetryTest, BackoffScheduleIsBoundedAndJittered) {
   // the recorder sees every backoff wait — with NO wall-clock sleeping,
   // thanks to the policy's clock seam.
   const recon::ProtocolRegistry empty_registry;
-  server::SyncServerOptions server_options;
+  server::AsyncSyncServerOptions server_options;
   server_options.context = Ctx();
   server_options.params = Params();
   server_options.registry = &empty_registry;
-  server::SyncServer server(Cloud(64, 5), server_options);
+  server::AsyncSyncServer server(Cloud(64, 5), server_options);
 
   server::SyncClientOptions client_options;
   client_options.context = Ctx();
@@ -730,8 +729,8 @@ TEST(AsyncReplicaTest, AsyncHostJournalsServesLogFetchAndReportsSeq) {
   server.Stop();
 }
 
-/// A follower repairs from a replicating reactor over TCP: the async host
-/// serves "@pull" from the same Connection core as the threaded host, so
+/// A follower repairs from a replicating reactor over TCP: the reactor
+/// serves "@pull" from the same Connection core as the blocking pump, so
 /// every repair band runs against it.
 TEST(AsyncReplicaTest, FollowerRepairsFromAsyncHostOverTcp) {
   ChangelogOptions log_options;

@@ -1,10 +1,10 @@
 // Replication verbs under wire faults: "@log-fetch" tails and "@pull"
 // repairs must survive dribbled (1-byte read / 1..3-byte write) streams
-// on both the threaded and async hosts, and a mid-verb disconnect must
-// leave the puller's state untouched — same seq, same points — with the
-// next clean round converging. Runs under TSan in CI alongside
-// replica_test (serving threads + reactor shards race against the
-// fault-injected client side).
+// over pipes (the host's blocking pump) and over the reactor's TCP, and a
+// mid-verb disconnect must leave the puller's state untouched — same seq,
+// same points — with the next clean round converging. Runs under TSan in
+// CI alongside replica_test (serving threads + reactor shards race
+// against the fault-injected client side).
 
 #include <memory>
 #include <thread>
@@ -19,7 +19,6 @@
 #include "replica/replica_node.h"
 #include "server/async_sync_server.h"
 #include "server/sync_client.h"
-#include "server/sync_server.h"
 #include "util/random.h"
 #include "workload/churn.h"
 #include "workload/generator.h"
@@ -75,7 +74,7 @@ void Churn(ReplicaNode* writer, size_t batches, Rng* rng) {
   }
 }
 
-/// Dials the writer's threaded host through a fresh pipe pair, serving the
+/// Dials the writer's blocking pump through a fresh pipe pair, serving the
 /// far end on a collected thread; the near end is wrapped in `faults`.
 StreamFactory FaultyPipeTo(ReplicaNode* host,
                            std::vector<std::thread>* serve_threads,

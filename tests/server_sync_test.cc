@@ -1,12 +1,12 @@
-// Serving-layer integration tests: the sync server + client over both
-// transports (pipe pair and loopback TCP), asserting that a served sync's
-// result — including the reconciled point set — is bit-for-bit identical
-// to the in-process two-party driver on the same inputs, that the
-// handshake rejects unknown protocols with a self-describing error, and
-// that 8 concurrent clients with mixed protocols are all served correctly.
+// Serving-layer integration tests: the sync host + client over both
+// transports (the blocking pump over a pipe pair, the reactor over
+// loopback TCP), asserting that a served sync's result — including the
+// reconciled point set — is bit-for-bit identical to the in-process
+// two-party driver on the same inputs, that the handshake rejects unknown
+// protocols with a self-describing error, and that 8 concurrent clients
+// with mixed protocols are all served correctly.
 
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,7 +28,6 @@
 #include "server/async_sync_server.h"
 #include "server/handshake.h"
 #include "server/sync_client.h"
-#include "server/sync_server.h"
 #include "workload/generator.h"
 #include "workload/scenario.h"
 
@@ -120,12 +119,16 @@ void ExpectMatchesInProcess(const std::string& protocol,
   }
 }
 
-TEST(SyncServerPipeTest, EveryProtocolMatchesInProcessDriver) {
+AsyncSyncServerOptions HostOptions() {
+  AsyncSyncServerOptions options;
+  options.context = Ctx();
+  options.params = Params();
+  return options;
+}
+
+TEST(HostPipeTest, EveryProtocolMatchesInProcessDriver) {
   const PointSet canonical = Canonical(128);
-  SyncServerOptions server_options;
-  server_options.context = Ctx();
-  server_options.params = Params();
-  SyncServer server(canonical, server_options);
+  AsyncSyncServer server(canonical, HostOptions());
 
   SyncClientOptions client_options;
   client_options.context = Ctx();
@@ -162,13 +165,11 @@ TEST(SyncServerPipeTest, EveryProtocolMatchesInProcessDriver) {
       0u);
 }
 
-TEST(SyncServerTcpTest, EightConcurrentClientsWithMixedProtocols) {
+TEST(HostTcpTest, EightConcurrentClientsWithMixedProtocols) {
   const PointSet canonical = Canonical(128);
-  SyncServerOptions server_options;
-  server_options.context = Ctx();
-  server_options.params = Params();
-  server_options.worker_threads = 4;
-  SyncServer server(canonical, server_options);
+  AsyncSyncServerOptions server_options = HostOptions();
+  server_options.shards = 4;
+  AsyncSyncServer server(canonical, server_options);
   ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
   ASSERT_GT(server.port(), 0);
 
@@ -238,15 +239,12 @@ TEST(SyncServerTcpTest, EightConcurrentClientsWithMixedProtocols) {
 /// publishes it. Every batch advances generation and seq by one, so each
 /// "@accept" must carry seq == generation, and each result must match the
 /// driver on exactly that generation's set. Run under TSan in CI.
-template <typename Server, typename Options>
-void ExpectPinnedPairsUnderWrites() {
+TEST(HostTcpTest, SessionsPinPairedGenerationAndSeqUnderWrites) {
   const PointSet canonical = Canonical(96);
   replica::Changelog changelog;
-  Options options;
-  options.context = Ctx();
-  options.params = Params();
+  AsyncSyncServerOptions options = HostOptions();
   options.changelog = &changelog;
-  Server server(canonical, options);
+  AsyncSyncServer server(canonical, options);
   ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
 
   std::mutex gens_mu;
@@ -307,14 +305,6 @@ void ExpectPinnedPairsUnderWrites() {
   }
 }
 
-TEST(SyncServerTcpTest, SessionsPinPairedGenerationAndSeqUnderWrites) {
-  ExpectPinnedPairsUnderWrites<SyncServer, SyncServerOptions>();
-}
-
-TEST(AsyncSyncServerTcpTest, SessionsPinPairedGenerationAndSeqUnderWrites) {
-  ExpectPinnedPairsUnderWrites<AsyncSyncServer, AsyncSyncServerOptions>();
-}
-
 /// Pumps a session pair in process until Bob is done.
 void PumpUntilBobDone(recon::PartySession* alice, recon::PartySession* bob) {
   std::vector<transport::Message> to_bob = alice->Start();
@@ -336,7 +326,7 @@ void PumpUntilBobDone(recon::PartySession* alice, recon::PartySession* bob) {
 // Every protocol's Bob records S'_B as a repair of his set. The host takes
 // it with TakeRepairedSet and ships exactly the bytes PackPoints writes
 // for the materialized result; TakeResult then carries no set.
-TEST(SyncServerResultTest, RepairedSetShipsTheMaterializedBytes) {
+TEST(HostResultTest, RepairedSetShipsTheMaterializedBytes) {
   const PointSet canonical = Canonical(128);
   const PointSet replica = DriftedReplica(canonical, 55);
   for (const char* protocol : kAllProtocols) {
@@ -375,39 +365,7 @@ TEST(SyncServerResultTest, RepairedSetShipsTheMaterializedBytes) {
   }
 }
 
-TEST(SyncServerTcpTest, StopUnblocksSilentClients) {
-  SyncServerOptions server_options;
-  server_options.context = Ctx();
-  server_options.worker_threads = 2;
-  SyncServer server(Canonical(16), server_options);
-  ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
-
-  // Three clients connect and then never speak: two pin the workers in
-  // their handshake read, one sits in the queue. Stop() must close all of
-  // them and return rather than wait forever.
-  std::vector<std::unique_ptr<net::TcpStream>> silent;
-  for (int i = 0; i < 3; ++i) {
-    auto stream = net::TcpStream::Connect("127.0.0.1", server.port());
-    ASSERT_NE(stream, nullptr);
-    silent.push_back(std::move(stream));
-  }
-  // Wait until the accept thread has seen them (bounded poll).
-  for (int spin = 0; spin < 200; ++spin) {
-    if (server.metrics_registry().CounterValue(
-            "rsr_sync_connections_accepted_total") == 3) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  server.Stop();  // would hang before streams were closed on shutdown
-
-  const obs::MetricsRegistry& metrics = server.metrics_registry();
-  EXPECT_EQ(metrics.GaugeValue("rsr_sync_active_sessions"), 0);
-  EXPECT_EQ(
-      metrics.SumCounters("rsr_sync_sessions_total", {{"outcome", "ok"}}), 0u);
-}
-
-TEST(SyncServerHandshakeTest, UnknownProtocolIsRejectedWithProtocolList) {
+TEST(HostHandshakeTest, UnknownProtocolIsRejectedWithProtocolList) {
   // Give the server a registry with a single protocol, so a registry-valid
   // client request is still unknown server-side.
   recon::ProtocolRegistry restricted;
@@ -418,10 +376,10 @@ TEST(SyncServerHandshakeTest, UnknownProtocolIsRejectedWithProtocolList) {
                       });
 
   const PointSet canonical = Canonical(32);
-  SyncServerOptions server_options;
+  AsyncSyncServerOptions server_options;
   server_options.context = Ctx();
   server_options.registry = &restricted;
-  SyncServer server(canonical, server_options);
+  AsyncSyncServer server(canonical, server_options);
 
   auto [server_end, client_end] = net::PipeStream::CreatePair();
   std::thread server_thread([&server, stream = std::move(server_end)] {
@@ -448,7 +406,7 @@ TEST(SyncServerHandshakeTest, UnknownProtocolIsRejectedWithProtocolList) {
             0);
 }
 
-TEST(SyncServerHandshakeTest, UnknownLocalProtocolFailsBeforeAnyTraffic) {
+TEST(HostHandshakeTest, UnknownLocalProtocolFailsBeforeAnyTraffic) {
   SyncClientOptions options;
   options.context = Ctx();
   const SyncClient client(options);
@@ -460,7 +418,7 @@ TEST(SyncServerHandshakeTest, UnknownLocalProtocolFailsBeforeAnyTraffic) {
   EXPECT_EQ(outcome.bytes_sent, 0u);
 }
 
-TEST(SyncServerHandshakeTest, PeerVanishingMidHandshakeIsTransportClosed) {
+TEST(HostHandshakeTest, PeerVanishingMidHandshakeIsTransportClosed) {
   SyncClientOptions options;
   options.context = Ctx();
   const SyncClient client(options);
@@ -477,7 +435,7 @@ TEST(SyncServerHandshakeTest, PeerVanishingMidHandshakeIsTransportClosed) {
   EXPECT_NE(outcome.error_detail.find("@hello"), std::string::npos);
 }
 
-TEST(SyncServerHandshakeTest, EofAfterHelloIsTransportClosedWithStage) {
+TEST(HostHandshakeTest, EofAfterHelloIsTransportClosedWithStage) {
   // The server reads the "@hello" and then dies without answering: the
   // client must report kTransportClosed pinned to the handshake stage,
   // not a generic failure.
@@ -502,7 +460,7 @@ TEST(SyncServerHandshakeTest, EofAfterHelloIsTransportClosedWithStage) {
   EXPECT_NE(outcome.error_detail.find("@accept"), std::string::npos);
 }
 
-TEST(SyncServerHandshakeTest, MidSessionDeathNamesTheSessionStage) {
+TEST(HostHandshakeTest, MidSessionDeathNamesTheSessionStage) {
   // The server completes the handshake and then vanishes: the detail must
   // name the session stage, distinguishing it from a handshake failure.
   auto [server_end, client_end] = net::PipeStream::CreatePair();

@@ -43,9 +43,9 @@
 #include "recon/registry.h"
 #include "recon/session.h"
 #include "riblt/riblt_recon.h"
+#include "server/async_sync_server.h"
 #include "server/sketch_store.h"
 #include "server/sync_client.h"
-#include "server/sync_server.h"
 #include "util/bitio.h"
 #include "workload/churn.h"
 #include "workload/generator.h"
@@ -515,12 +515,12 @@ constexpr const char* kCachedProtocols[] = {
 
 TEST(SketchStoreTest, HostNotServingFromCacheMatchesDriverAndBuildsNothing) {
   const PointSet canonical = Cloud(96, 31);
-  SyncServerOptions options;
+  AsyncSyncServerOptions options;
   options.context = Ctx();
   options.params = Params();
-  options.worker_threads = 2;
+  options.shards = 2;
   options.serve_from_cache = false;
-  SyncServer server(canonical, options);
+  AsyncSyncServer server(canonical, options);
   ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
   const std::vector<PointSet> replicas =
       DriftedReplicas(canonical, std::size(kCachedProtocols), 300);
@@ -560,11 +560,11 @@ TEST(SketchStoreTest, HostNotServingFromCacheMatchesDriverAndBuildsNothing) {
 
 TEST(SketchStoreConcurrencyTest, PinnedSessionsFinishCorrectlyUnderChurn) {
   const PointSet canonical = Cloud(128, 2024);
-  SyncServerOptions options;
+  AsyncSyncServerOptions options;
   options.context = Ctx();
   options.params = Params();
-  options.worker_threads = 4;
-  SyncServer server(canonical, options);
+  options.shards = 4;
+  AsyncSyncServer server(canonical, options);
   ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
 
   // Record every generation's point set so each outcome can be verified
@@ -604,7 +604,7 @@ TEST(SketchStoreConcurrencyTest, PinnedSessionsFinishCorrectlyUnderChurn) {
             server.ApplyUpdate(batch.inserts, batch.erases);
         gens[snapshot->generation()] = snapshot;
       }
-      // Yield so the worker threads make progress on small machines.
+      // Yield so the shard threads make progress on small machines.
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });

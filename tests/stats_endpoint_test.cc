@@ -1,9 +1,8 @@
 // Observability endpoint tests (DESIGN.md §12): the "@stats" admin verb
-// round-trips a Prometheus registry rendering over in-process pipes and
-// loopback TCP from BOTH serving hosts, the syncd HTTP/1.0 /metrics
-// responder answers curl-shaped requests, per-session trace spans carry
-// the phase breakdown, and the threaded host's per-session read deadline
-// actually fires (rsr_sync_idle_timeouts_total, which both hosts feed).
+// round-trips a Prometheus registry rendering over in-process pipes (the
+// host's blocking pump) and loopback TCP (its reactor), the syncd
+// HTTP/1.0 /metrics responder answers curl-shaped requests, and
+// per-session trace spans carry the phase breakdown either way.
 
 #include <chrono>
 #include <functional>
@@ -22,7 +21,6 @@
 #include "obs/trace.h"
 #include "server/async_sync_server.h"
 #include "server/sync_client.h"
-#include "server/sync_server.h"
 #include "workload/generator.h"
 
 namespace rsr {
@@ -51,9 +49,9 @@ PointSet Canonical(size_t n) {
   return workload::GenerateCloud(spec, &rng);
 }
 
-/// One full-transfer sync against a threaded host over a pipe pair (the
+/// One full-transfer sync against the host's pump over a pipe pair (the
 /// protocol that always succeeds regardless of sketch sizing).
-SyncOutcome PipeSync(SyncServer* server, const PointSet& client_points) {
+SyncOutcome PipeSync(CanonicalHost* server, const PointSet& client_points) {
   SyncClientOptions options;
   options.context = Ctx();
   options.params = Params();
@@ -68,8 +66,8 @@ SyncOutcome PipeSync(SyncServer* server, const PointSet& client_points) {
   return outcome;
 }
 
-/// Polls `predicate` for up to a second (session settling on the async
-/// host happens on the shard thread after the client's close).
+/// Polls `predicate` for up to a second (session settling on the reactor
+/// happens on the shard thread after the client's close).
 bool Eventually(const std::function<bool()>& predicate) {
   for (int i = 0; i < 200; ++i) {
     if (predicate()) return true;
@@ -78,12 +76,17 @@ bool Eventually(const std::function<bool()>& predicate) {
   return predicate();
 }
 
-TEST(StatsVerbTest, ThreadedHostAnswersOverPipe) {
-  const PointSet canonical = Canonical(32);
-  SyncServerOptions options;
+AsyncSyncServerOptions HostOptions() {
+  AsyncSyncServerOptions options;
   options.context = Ctx();
   options.params = Params();
-  SyncServer server(canonical, options);
+  options.shards = 1;
+  return options;
+}
+
+TEST(StatsVerbTest, HostAnswersOverPipe) {
+  const PointSet canonical = Canonical(32);
+  AsyncSyncServer server(canonical, HostOptions());
   const SyncOutcome sync = PipeSync(&server, Canonical(16));
   ASSERT_TRUE(sync.handshake_ok);
   ASSERT_TRUE(sync.result.success);
@@ -123,33 +126,9 @@ TEST(StatsVerbTest, ThreadedHostAnswersOverPipe) {
             2u);  // sync + @stats
 }
 
-TEST(StatsVerbTest, ThreadedHostAnswersOverTcp) {
+TEST(StatsVerbTest, HostAnswersOverTcp) {
   const PointSet canonical = Canonical(32);
-  SyncServerOptions options;
-  options.context = Ctx();
-  options.params = Params();
-  options.worker_threads = 2;
-  SyncServer server(canonical, options);
-  ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
-
-  std::string text;
-  auto stream = net::TcpStream::Connect("127.0.0.1", server.port());
-  ASSERT_NE(stream, nullptr);
-  EXPECT_TRUE(FetchStats(stream.get(), &text));
-  server.Stop();
-  EXPECT_NE(text.find("rsr_sync_connections_accepted_total 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE rsr_sync_bytes_total counter"),
-            std::string::npos);
-}
-
-TEST(StatsVerbTest, AsyncHostAnswersOverTcp) {
-  const PointSet canonical = Canonical(32);
-  AsyncSyncServerOptions options;
-  options.context = Ctx();
-  options.params = Params();
-  options.shards = 1;
-  AsyncSyncServer server(canonical, options);
+  AsyncSyncServer server(canonical, HostOptions());
   ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
 
   // One real sync first, so the scrape carries a session.
@@ -171,7 +150,12 @@ TEST(StatsVerbTest, AsyncHostAnswersOverTcp) {
   EXPECT_NE(text.find("rsr_sync_sessions_total{protocol=\"full-transfer\","
                       "outcome=\"ok\"} 1"),
             std::string::npos);
-  // The async host's event-loop probes live in the same registry.
+  // Both connections were accepted before the scrape was rendered.
+  EXPECT_NE(text.find("rsr_sync_connections_accepted_total 2"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE rsr_sync_bytes_total counter"),
+            std::string::npos);
+  // The reactor's event-loop probes live in the same registry.
   EXPECT_NE(text.find("# TYPE rsr_loop_iteration_seconds histogram"),
             std::string::npos);
 
@@ -260,14 +244,12 @@ TEST(HttpExporterTest, ServesHealthzWhenRendererWired) {
   http.Stop();
 }
 
-TEST(TraceSpanTest, ThreadedSessionEmitsPhaseBreakdown) {
+TEST(TraceSpanTest, PipeSessionEmitsPhaseBreakdown) {
   obs::VectorTraceSink sink;
   const PointSet canonical = Canonical(32);
-  SyncServerOptions options;
-  options.context = Ctx();
-  options.params = Params();
+  AsyncSyncServerOptions options = HostOptions();
   options.trace_sink = &sink;
-  SyncServer server(canonical, options);
+  AsyncSyncServer server(canonical, options);
   const SyncOutcome sync = PipeSync(&server, Canonical(16));
   ASSERT_TRUE(sync.result.success);
 
@@ -292,13 +274,10 @@ TEST(TraceSpanTest, ThreadedSessionEmitsPhaseBreakdown) {
   EXPECT_NE(line[out_at + 13], '0') << line;
 }
 
-TEST(TraceSpanTest, AsyncSessionEmitsSpan) {
+TEST(TraceSpanTest, TcpSessionEmitsSpan) {
   obs::VectorTraceSink sink;
   const PointSet canonical = Canonical(32);
-  AsyncSyncServerOptions options;
-  options.context = Ctx();
-  options.params = Params();
-  options.shards = 1;
+  AsyncSyncServerOptions options = HostOptions();
   options.trace_sink = &sink;
   AsyncSyncServer server(canonical, options);
   ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
@@ -320,33 +299,6 @@ TEST(TraceSpanTest, AsyncSessionEmitsSpan) {
   EXPECT_NE(line.find("\"protocol\":\"full-transfer\""), std::string::npos);
   EXPECT_NE(line.find("\"outcome\":\"ok\""), std::string::npos);
   EXPECT_NE(line.find("\"name\":\"rounds\""), std::string::npos);
-}
-
-TEST(IdleTimeoutTest, ThreadedHostFailsSilentTcpClient) {
-  const PointSet canonical = Canonical(16);
-  SyncServerOptions options;
-  options.context = Ctx();
-  options.params = Params();
-  options.worker_threads = 1;
-  options.idle_timeout = std::chrono::milliseconds(100);
-  SyncServer server(canonical, options);
-  ASSERT_TRUE(server.Start(net::TcpListener::Listen("127.0.0.1", 0)));
-
-  // Connect and say nothing: the per-session read deadline must fail the
-  // connection (the worker closes it; our read observes the EOF/reset).
-  auto stream = net::TcpStream::Connect("127.0.0.1", server.port());
-  ASSERT_NE(stream, nullptr);
-  uint8_t byte;
-  EXPECT_LE(stream->Read(&byte, 1), 0);
-
-  EXPECT_TRUE(Eventually([&server] {
-    return server.metrics_registry().CounterValue(
-               "rsr_sync_idle_timeouts_total") == 1;
-  }));
-  EXPECT_EQ(server.metrics_registry().SumCounters("rsr_sync_sessions_total",
-                                                  {{"outcome", "ok"}}),
-            0u);
-  server.Stop();
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Cross-node trace propagation (DESIGN.md §12): trace context rides
-// "@hello"/"@log-fetch"/"@pull" as an optional trailing field, both hosts
-// adopt it into their session spans (JSONL lines join on the trace id),
+// "@hello"/"@log-fetch"/"@pull" as an optional trailing field, the host
+// adopts it into its session spans over pipes and TCP alike (JSONL lines
+// join on the trace id),
 // replica rounds link the traces of the mutations they carry and measure
 // append→apply lag against the injectable clock, and the sampling policy
 // keeps error spans while shedding clean fast sessions.
@@ -26,7 +27,6 @@
 #include "server/async_sync_server.h"
 #include "server/handshake.h"
 #include "server/sync_client.h"
-#include "server/sync_server.h"
 #include "workload/churn.h"
 #include "workload/generator.h"
 
@@ -123,15 +123,15 @@ TEST(TraceWireTest, HandshakeFramesRoundTripTraceContext) {
   EXPECT_EQ(pull_out.trace.span_id, ctx.span_id);
 }
 
-TEST(TracePropagationTest, ClientAndThreadedHostShareOneTraceOverPipe) {
+TEST(TracePropagationTest, ClientAndHostShareOneTraceOverPipe) {
   obs::VectorTraceSink server_sink;
   obs::VectorTraceSink client_sink;
-  server::SyncServerOptions server_options;
+  server::AsyncSyncServerOptions server_options;
   server_options.context = Ctx();
   server_options.params = Params();
   server_options.trace_sink = &server_sink;
   server_options.trace_seed = 11;
-  server::SyncServer host(Cloud(48, 1), server_options);
+  server::AsyncSyncServer host(Cloud(48, 1), server_options);
 
   server::SyncClientOptions client_options;
   client_options.context = Ctx();
@@ -171,7 +171,7 @@ TEST(TracePropagationTest, ClientAndThreadedHostShareOneTraceOverPipe) {
             JsonField(client_span, "span_id"));
 }
 
-TEST(TracePropagationTest, ClientAndAsyncHostShareOneTraceOverTcp) {
+TEST(TracePropagationTest, ClientAndHostShareOneTraceOverTcp) {
   obs::VectorTraceSink server_sink;
   obs::VectorTraceSink client_sink;
   server::AsyncSyncServerOptions server_options;
@@ -215,12 +215,12 @@ TEST(TracePropagationTest, UntracedHelloStillGetsMintedRootSpan) {
   // wire shape) still yields a server span — with a freshly minted root
   // trace and no parent. Emitted, just unlinked.
   obs::VectorTraceSink sink;
-  server::SyncServerOptions options;
+  server::AsyncSyncServerOptions options;
   options.context = Ctx();
   options.params = Params();
   options.trace_sink = &sink;
   options.trace_seed = 13;
-  server::SyncServer host(Cloud(48, 1), options);
+  server::AsyncSyncServer host(Cloud(48, 1), options);
 
   server::SyncClientOptions client_options;  // propagate_trace stays false
   client_options.context = Ctx();
@@ -244,12 +244,12 @@ TEST(TracePropagationTest, UntracedHelloStillGetsMintedRootSpan) {
 
 TEST(TraceSamplingTest, RateZeroDropsCleanSessionsButKeepsErrors) {
   obs::VectorTraceSink sink;
-  server::SyncServerOptions options;
+  server::AsyncSyncServerOptions options;
   options.context = Ctx();
   options.params = Params();
   options.trace_sink = &sink;
   options.trace_sampling.sample_rate = 0.0;  // shed everything sheddable
-  server::SyncServer host(Cloud(48, 1), options);
+  server::AsyncSyncServer host(Cloud(48, 1), options);
 
   server::SyncClientOptions client_options;
   client_options.context = Ctx();

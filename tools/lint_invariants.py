@@ -11,7 +11,7 @@ quietly stop describing reality. This script makes the drift loud:
      DESIGN.md §12 (the observability contract).
   2. Every connection-opening verb (`@hello`, `@pull`, ...) declared in
      server/handshake.h must be dispatched by server/connection.cc — the
-     one verb state machine both hosts feed — and every reply verb must
+     one verb state machine the host feeds — and every reply verb must
      have its encode/decode pair in handshake.cc.
   3. Every BENCH_*.json row key that a ci.yml assertion block reads
      (`r["key"]`) must be emitted by the bench that produces the file.
